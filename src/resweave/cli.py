@@ -20,8 +20,6 @@ from .errors import ResweaveError
 from .model import StatechartModel, parse_model, serialize_model
 from .xta import export_queries, export_xta
 
-DEFAULT_HORIZON = 720
-
 
 class _CommandError(ResweaveError):
     pass
@@ -32,6 +30,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _CommandError(f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:  # a NUL byte in the path, or text that is not UTF-8
+        raise _CommandError(f"cannot read {path!r}: {err}") from None
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -165,16 +165,30 @@ def load_manifest(path: str) -> sim.Composition:
     if not isinstance(root, dict):
         raise _CommandError(f"{path}: manifest must be a JSON object")
 
-    def load_chart(name) -> StatechartModel:
-        return parse_model(_read_text(str(base / name)))
+    def load_charts(key) -> tuple[StatechartModel, ...]:
+        names = root.get(key) or []
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise _CommandError(f"{path}: manifest '{key}' must be a list of chart file names")
+        return tuple(parse_model(_read_text(str(base / n))) for n in names)
 
-    timer = load_chart(root["timer"]) if root.get("timer") else None
-    resources = tuple(load_chart(n) for n in root.get("resources", []))
-    guidelines = tuple(load_chart(n) for n in root.get("guidelines", []))
-    composition = sim.Composition(timer, resources, guidelines)
-    declared = {
-        (v["name"], v["kind"], v["initial"]) for v in root.get("variables", [])
-    }
+    timer = root.get("timer")
+    if timer is not None and not isinstance(timer, str):
+        raise _CommandError(f"{path}: manifest 'timer' must be a chart file name or null")
+    composition = sim.Composition(
+        parse_model(_read_text(str(base / timer))) if timer else None,
+        load_charts("resources"),
+        load_charts("guidelines"),
+    )
+    variables = root.get("variables", [])
+    if not isinstance(variables, list) or not all(
+        isinstance(v, dict) and isinstance(v.get("name"), str) and isinstance(v.get("kind"), str)
+        and isinstance(v.get("initial"), int)
+        for v in variables
+    ):
+        raise _CommandError(
+            f"{path}: manifest 'variables' must be a list of {{'name', 'kind', 'initial'}} objects"
+        )
+    declared = {(v["name"], v["kind"], v["initial"]) for v in variables}
     merged = {(v.name, v.kind, v.initial) for v in composition.merged_variables()}
     if declared and declared != merged:
         raise _CommandError(f"{path}: manifest variables disagree with the chart declarations")
@@ -189,10 +203,12 @@ def _load_scenario(args, composition: sim.Composition) -> sim.Scenario:
 
 def _effective_horizon(args, scenario: sim.Scenario) -> int:
     if args.horizon is not None:
+        if args.horizon < 0:
+            raise _CommandError(f"--horizon must be >= 0, got {args.horizon}")
         return args.horizon
     if scenario.horizon is not None:
         return scenario.horizon
-    return DEFAULT_HORIZON
+    return res.DEFAULT_HORIZON
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +268,10 @@ def cmd_simulate(args) -> int:
     trace = sim.run(state, horizon)
     trace_json = sim.trace_to_json(trace)
     out_dir = Path(args.out)
+    lines = sim.trace_lines(trace)
     _write_text(out_dir / "trace.json", trace_json)
-    _write_text(out_dir / "trace.txt", "\n".join(sim.trace_lines(trace)) + "\n")
-    for line in sim.trace_lines(trace):
+    _write_text(out_dir / "trace.txt", "\n".join(lines) + "\n")
+    for line in lines:
         _emit(args, line)
     if args.replay:
         if _read_text(args.replay) != trace_json:
@@ -294,7 +311,7 @@ def cmd_check(args) -> int:
                 "scenario_index": cx.scenario_index,
                 "step_index": cx.step_index,
                 "scenario": json.loads(sim.serialize_scenario(cx.scenario)),
-                "trace": json.loads(sim.trace_to_json(cx.trace)),
+                "trace": sim.trace_to_dict(cx.trace),
             }
             _write_text(cx_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
             _write_text(

@@ -88,13 +88,18 @@ class AvailabilitySchedule:
         return self.entries.get(resource, ())
 
 
+def content_lines(text: str):
+    """(line number, line) for each line left non-empty once its `#` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_resource_map(text: str) -> ResourceMap:
     entries: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         action, sep, rest = line.partition(":")
         action = action.strip()
         if not sep:
@@ -121,10 +126,7 @@ def parse_resource_map(text: str) -> ResourceMap:
 def parse_schedule(text: str, default_horizon: int = DEFAULT_HORIZON) -> AvailabilitySchedule:
     entries: dict[str, tuple[Window, ...]] = {}
     horizon = default_horizon
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         key, sep, rest = line.partition(":")
         key = key.strip()
         if not sep:

@@ -35,10 +35,6 @@ from .model import (
     is_tick_trigger,
     validate_model,
 )
-from .resources import CLOCK_VARIABLE
-
-DEFAULT_HORIZON = 720
-
 
 class SimulationError(ResweaveError):
     pass
@@ -277,8 +273,9 @@ class Trace:
     steps: tuple[StepReport, ...]  # steps[0] is the initialization report (t=0)
 
 
-def trace_to_json(trace: Trace) -> str:
-    root = {
+def trace_to_dict(trace: Trace) -> dict:
+    """The JSON object of a trace, as `trace_to_json` writes it."""
+    return {
         "initial_active": trace.initial_active,
         "initial_valuation": trace.initial_valuation,
         "steps": [
@@ -302,10 +299,13 @@ def trace_to_json(trace: Trace) -> str:
             for step in trace.steps
         ],
     }
-    return json.dumps(root, indent=2, sort_keys=True) + "\n"
 
 
-def _value_text(value: int | bool) -> str:
+def trace_to_json(trace: Trace) -> str:
+    return json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
+
+
+def value_text(value: int | bool) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -320,7 +320,7 @@ def trace_lines(trace: Trace) -> list[str]:
     lines = []
     for step in trace.steps:
         for var, value in step.injected:
-            lines.append(f"t={step.t} inject {var}={_value_text(value)}")
+            lines.append(f"t={step.t} inject {var}={value_text(value)}")
         for fire in step.fires:
             if fire.source is None:
                 head = f"t={step.t} chart={fire.chart} init={fire.target}"
@@ -331,7 +331,7 @@ def trace_lines(trace: Trace) -> list[str]:
                 if fire.source == fire.target and not fire.sets and not fire.raised:
                     continue
             parts = [head]
-            parts.extend(f"set {var}={_value_text(value)}" for var, value in fire.sets)
+            parts.extend(f"set {var}={value_text(value)}" for var, value in fire.sets)
             parts.extend(f"raise {event}" for event in fire.raised)
             lines.append(" ".join(parts))
     return lines
@@ -343,7 +343,6 @@ def trace_lines(trace: Trace) -> list[str]:
 
 class _ChartIndex:
     def __init__(self, chart: StatechartModel):
-        self.chart = chart
         self.states = {s.name: s for s in chart.states}
         self.by_source: dict[str, list[Transition]] = {}
         for transition in chart.transitions:
@@ -355,81 +354,49 @@ class SimState:
     """Mutable execution context; confine to one thread at a time."""
 
     composition: Composition
-    scenario: Scenario
     active: dict[str, str]
     valuation: dict[str, int | bool]
     curT: int
     pending_events: list[str]
-    init_report: StepReport
+    init_report: StepReport | None
     initial_active: dict[str, str]
     initial_valuation: dict[str, int | bool]
     indexes: dict[str, _ChartIndex]
     injections_by_time: dict[int, list[Injection]]
 
 
-class _StepBuilder:
-    def __init__(self, state: "SimState", t: int):
-        self.state = state
-        self.t = t
-        self.injected: list[tuple[str, int | bool]] = []
-        self.fires: list[FireRecord] = []
-        self.raised: list[str] = []
-        self.before = dict(state.valuation)
-
-    def finish(self) -> StepReport:
-        deltas = {
-            var: value
-            for var, value in self.state.valuation.items()
-            if self.before.get(var) != value
-        }
-        report = StepReport(
-            t=self.t,
-            injected=tuple(self.injected),
-            fires=tuple(self.fires),
-            raised=tuple(self.raised),
-            deltas=deltas,
-        )
-        self.state.pending_events.clear()
-        return report
+def _run_action(state: SimState, action, sets: list) -> None:
+    """Raise an event, or assign and record the write if it changes the value."""
+    if isinstance(action, Raise):
+        state.pending_events.append(action.event)
+        return
+    value = ex.eval_expr(action.value, state.valuation)
+    if state.valuation[action.target] != value:
+        sets.append((action.target, value))
+        state.valuation[action.target] = value
 
 
-def _write(state: SimState, var: str, value: int | bool, where: str, sets: list | None) -> None:
-    if var not in state.valuation:
-        raise SimulationError(f"{where}: assignment to undeclared variable {var!r}")
-    if state.valuation[var] != value:
-        if sets is not None:
-            sets.append((var, value))
-        state.valuation[var] = value
-
-
-def _run_actions(state, actions, builder, sets, raised, where: str) -> None:
-    for action in actions:
-        if isinstance(action, Raise):
-            state.pending_events.append(action.event)
-            raised.append(action.event)
-            builder.raised.append(action.event)
-        else:
-            value = ex.eval_expr(action.value, state.valuation)
-            _write(state, action.target, value, where, sets)
-
-
-def _run_guarded_actions(state, guarded, builder, sets, raised, where: str) -> None:
-    for i, ga in enumerate(guarded):
+def _run_guarded_actions(state: SimState, guarded, sets: list) -> None:
+    for ga in guarded:
         if ex.eval_expr(ga.guard, state.valuation):
-            _run_actions(state, (ga.action,), builder, sets, raised, f"{where}[{i}]")
+            _run_action(state, ga.action, sets)
 
 
-def _enter_initial(state: SimState, chart: StatechartModel, builder: _StepBuilder) -> None:
-    index = state.indexes[chart.name]
-    initial = index.states[chart.initial_state]
+def _fire(state: SimState, chart: StatechartModel, transition: Transition | None, fires: list) -> None:
+    """Fire `transition`, or enter the chart's initial state when it is None."""
+    states = state.indexes[chart.name].states
     sets: list[tuple[str, int | bool]] = []
-    raised: list[str] = []
-    _run_guarded_actions(
-        state, initial.entry_actions, builder, sets, raised, f"{chart.name}.{initial.name}.entry"
-    )
-    builder.fires.append(
-        FireRecord(chart.name, None, initial.name, None, tuple(sets), tuple(raised))
-    )
+    mark = len(state.pending_events)
+    if transition is None:
+        source, target, index = None, chart.initial_state, None
+    else:
+        source, target, index = transition.source, transition.target, transition.priority
+        _run_guarded_actions(state, states[source].exit_actions, sets)
+        for action in transition.actions:
+            _run_action(state, action, sets)
+    state.active[chart.name] = target
+    _run_guarded_actions(state, states[target].entry_actions, sets)
+    fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
 
 
 def _trigger_enabled(state: SimState, transition: Transition) -> bool:
@@ -438,43 +405,35 @@ def _trigger_enabled(state: SimState, transition: Transition) -> bool:
     return transition.trigger in state.pending_events
 
 
-def _chart_cycle(state: SimState, chart: StatechartModel, builder: _StepBuilder) -> None:
-    index = state.indexes[chart.name]
-    source_name = state.active[chart.name]
-    fired: Transition | None = None
-    for transition in index.by_source.get(source_name, ()):
-        if _trigger_enabled(state, transition) and ex.eval_expr(transition.guard, state.valuation):
-            fired = transition
-            break
-    if fired is None:
-        return
-    _fire(state, chart, fired, builder)
+def _chart_cycle(state: SimState, chart: StatechartModel, fires: list, chosen: dict[str, int] | None) -> None:
+    if chosen is None:
+        for transition in state.indexes[chart.name].by_source.get(state.active[chart.name], ()):
+            if _trigger_enabled(state, transition) and ex.eval_expr(transition.guard, state.valuation):
+                _fire(state, chart, transition, fires)
+                return
+    elif chart.name in chosen:
+        _fire(state, chart, chart.transitions[chosen[chart.name]], fires)
 
 
-def _fire(state: SimState, chart: StatechartModel, transition: Transition, builder: _StepBuilder) -> None:
-    index = state.indexes[chart.name]
-    source = index.states[transition.source]
-    target = index.states[transition.target]
-    sets: list[tuple[str, int | bool]] = []
-    raised: list[str] = []
-    where = f"{chart.name}.{transition.source}->{transition.target}"
-    _run_guarded_actions(state, source.exit_actions, builder, sets, raised, f"{where}.exit")
-    _run_actions(state, transition.actions, builder, sets, raised, f"{where}.actions")
-    state.active[chart.name] = target.name
-    _run_guarded_actions(state, target.entry_actions, builder, sets, raised, f"{where}.entry")
-    builder.fires.append(
-        FireRecord(
-            chart.name, transition.source, transition.target, transition.priority,
-            tuple(sets), tuple(raised),
-        )
-    )
+def _inject(state: SimState, injected: list) -> None:
+    for injection in state.injections_by_time.get(state.curT, ()):
+        injected.append((injection.var, injection.value))
+        state.valuation[injection.var] = injection.value
+
+
+def _report(state: SimState, injected: list, fires: list, before: dict) -> StepReport:
+    """Close the step: net value changes since `before`; events are cleared."""
+    deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
+    report = StepReport(state.curT, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
+    state.pending_events.clear()
+    return report
 
 
 def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     """Build the t=0 state: defaults, then scenario values, then initial entries.
 
     The scenario must be fully resolved. Injections scheduled at t=0 are
-    applied with the initial values, before any entry action runs.
+    applied after the initial values, before any entry action runs.
     """
     validate_composition(composition)
     if not scenario.resolved:
@@ -484,93 +443,70 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     validate_scenario(scenario, composition)
 
     valuation = {decl.name: decl.initial for decl in composition.merged_variables()}
-    indexes = {chart.name: _ChartIndex(chart) for chart in composition.charts}
-    injections_by_time: dict[int, list[Injection]] = {}
+    # Initial values are applied as the first injections at t=0.
+    injections_by_time = {0: [Injection(0, var, value) for var, value in scenario.initial.items()]}
     for injection in scenario.injections:
         injections_by_time.setdefault(injection.t, []).append(injection)
 
     state = SimState(
         composition=composition,
-        scenario=scenario,
         active={},
         valuation=valuation,
         curT=0,
         pending_events=[],
-        init_report=StepReport(0, (), (), (), {}),
+        init_report=None,
         initial_active={},
         initial_valuation={},
-        indexes=indexes,
+        indexes={chart.name: _ChartIndex(chart) for chart in composition.charts},
         injections_by_time=injections_by_time,
     )
-    builder = _StepBuilder(state, 0)
     # Baseline for init deltas is the declaration defaults.
-    for var, value in scenario.initial.items():
-        builder.injected.append((var, value))
-        _write(state, var, value, "scenario initial", None)
-    for injection in injections_by_time.get(0, ()):
-        builder.injected.append((injection.var, injection.value))
-        _write(state, injection.var, injection.value, "injection at t=0", None)
+    before = dict(valuation)
+    injected: list[tuple[str, int | bool]] = []
+    fires: list[FireRecord] = []
+    _inject(state, injected)
     for chart in composition.charts:
-        state.active[chart.name] = chart.initial_state
-        _enter_initial(state, chart, builder)
-    state.init_report = builder.finish()
+        _fire(state, chart, None, fires)
+    state.init_report = _report(state, injected, fires, before)
     state.initial_active = dict(state.active)
     state.initial_valuation = dict(state.valuation)
     return state
 
 
-def macro_step(state: SimState) -> StepReport:
-    """Advance one minute; see the module docstring for the in-step order."""
-    state.curT += 1
-    builder = _StepBuilder(state, state.curT)
-    if state.composition.timer is not None:
-        _chart_cycle(state, state.composition.timer, builder)
-    for injection in state.injections_by_time.get(state.curT, ()):
-        builder.injected.append((injection.var, injection.value))
-        _write(state, injection.var, injection.value, f"injection at t={state.curT}", None)
-    for chart in state.composition.resources:
-        _chart_cycle(state, chart, builder)
-    for chart in state.composition.guidelines:
-        _chart_cycle(state, chart, builder)
-    return builder.finish()
+def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepReport:
+    """Advance one minute; see the module docstring for the in-step order.
 
-
-def _time_sensitive(composition: Composition) -> bool:
-    if composition.timer is not None:
-        return True
-    for chart in composition.charts:
-        for transition in chart.transitions:
-            if CLOCK_VARIABLE in ex.variables(transition.guard):
-                return True
-        for state in chart.states:
-            for ga in (*state.entry_actions, *state.exit_actions):
-                if CLOCK_VARIABLE in ex.variables(ga.guard):
-                    return True
-    return False
-
-
-def run(state: SimState, horizon: int, stop_when_quiescent: bool = False) -> Trace:
-    """Execute macro-steps from a fresh state up to the horizon.
-
-    Quiescence stopping is conservative: it never triggers for compositions
-    with a timer or clock-reading guards, and otherwise stops once a step
-    changes nothing and no injections remain.
+    By default each chart fires its first enabled transition. `chosen` maps
+    chart names to the declaration index to fire instead, without evaluating
+    triggers or guards; charts it does not name stay where they are.
     """
+    state.curT += 1
+    before = dict(state.valuation)
+    injected: list[tuple[str, int | bool]] = []
+    fires: list[FireRecord] = []
+    composition = state.composition
+    if composition.timer is not None:
+        _chart_cycle(state, composition.timer, fires, chosen)
+    _inject(state, injected)
+    for chart in composition.resources:
+        _chart_cycle(state, chart, fires, chosen)
+    for chart in composition.guidelines:
+        _chart_cycle(state, chart, fires, chosen)
+    return _report(state, injected, fires, before)
+
+
+def _trace(state: SimState, steps: list[StepReport]) -> Trace:
+    return Trace(dict(state.initial_active), dict(state.initial_valuation), tuple(steps))
+
+
+def run(state: SimState, horizon: int) -> Trace:
+    """Execute macro-steps from a fresh state up to the horizon."""
     if state.curT != 0:
         raise SimulationError("run requires a freshly initialized state")
-    steps: list[StepReport] = [state.init_report]
-    may_quiesce = stop_when_quiescent and not _time_sensitive(state.composition)
+    steps = [state.init_report]
     while state.curT < horizon:
-        report = macro_step(state)
-        steps.append(report)
-        if (
-            may_quiesce
-            and not report.fires
-            and not report.deltas
-            and not any(t > state.curT for t in state.injections_by_time)
-        ):
-            break
-    return Trace(dict(state.initial_active), dict(state.initial_valuation), tuple(steps))
+        steps.append(macro_step(state))
+    return _trace(state, steps)
 
 
 def replay_trace(composition: Composition, trace: Trace) -> Trace:
@@ -580,52 +516,11 @@ def replay_trace(composition: Composition, trace: Trace) -> Trace:
     indexes select what to fire. Returns the reproduced trace for comparison
     against the original.
     """
-    validate_composition(composition)
-    state = SimState(
-        composition=composition,
-        scenario=Scenario(),
-        active={},
-        valuation={decl.name: decl.initial for decl in composition.merged_variables()},
-        curT=0,
-        pending_events=[],
-        init_report=StepReport(0, (), (), (), {}),
-        initial_active={},
-        initial_valuation={},
-        indexes={chart.name: _ChartIndex(chart) for chart in composition.charts},
-        injections_by_time={},
-    )
-    charts = {chart.name: chart for chart in composition.charts}
     if not trace.steps:
         raise SimulationError("trace has no initialization step")
-
-    init = trace.steps[0]
-    builder = _StepBuilder(state, 0)
-    for var, value in init.injected:
-        builder.injected.append((var, value))
-        _write(state, var, value, "replayed initial", None)
-    for fire in init.fires:
-        chart = charts[fire.chart]
-        state.active[chart.name] = chart.initial_state
-        _enter_initial(state, chart, builder)
-    state.init_report = builder.finish()
-    state.initial_active = dict(state.active)
-    state.initial_valuation = dict(state.valuation)
-
+    injections = [Injection(step.t, var, value) for step in trace.steps for var, value in step.injected]
+    state = init_composition(composition, Scenario(injections=injections))
     steps = [state.init_report]
-    timer_name = composition.timer.name if composition.timer is not None else None
     for step in trace.steps[1:]:
-        state.curT += 1
-        builder = _StepBuilder(state, state.curT)
-        fires = list(step.fires)
-        # Mirror the live ordering: the timer's fire precedes injections.
-        if fires and fires[0].chart == timer_name:
-            timer_fire = fires.pop(0)
-            _fire(state, charts[timer_fire.chart], charts[timer_fire.chart].transitions[timer_fire.index], builder)
-        for var, value in step.injected:
-            builder.injected.append((var, value))
-            _write(state, var, value, f"replayed injection at t={step.t}", None)
-        for fire in fires:
-            chart = charts[fire.chart]
-            _fire(state, chart, chart.transitions[fire.index], builder)
-        steps.append(builder.finish())
-    return Trace(dict(state.initial_active), dict(state.initial_valuation), tuple(steps))
+        steps.append(macro_step(state, {fire.chart: fire.index for fire in step.fires}))
+    return _trace(state, steps)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import ResweaveError
+from .resources import content_lines
 from .sim import (
     Composition,
     Scenario,
@@ -70,10 +71,7 @@ def parse_properties(text: str, composition: Composition | None = None) -> list[
     """Parse invariant lines; with a composition, resolve and type-check names."""
     invariants: list[Invariant] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         match = _PROPERTY_RE.match(line)
         if not match:
             raise PropertyError(f"line {lineno}: expected 'NAME: A[] [Chart.State imply] expr'")

@@ -24,7 +24,7 @@ import re
 from . import expr as ex
 from .errors import ResweaveError
 from .model import Assign, Raise, StatechartModel, Transition, is_tick_trigger
-from .sim import Composition, Scenario, init_composition
+from .sim import Composition, Scenario, init_composition, value_text
 
 
 class ExportError(ResweaveError):
@@ -65,12 +65,6 @@ def _pick_clock_name(taken: set[str]) -> str:
     while name in taken:
         name += "_"
     return name
-
-
-def _value_text(value: int | bool) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def _assign_text(action: Assign, sanitize) -> str:
@@ -201,14 +195,6 @@ def export_xta(composition: Composition, flatten_names: bool = True) -> str:
 
     global_names = sorted({v.name for v in variables} | set(events) | set(chart_names))
     _check_injective(global_names, sanitize, "the global declarations")
-    by_flat: dict[str, str] = {}
-    for name in global_names:
-        flat = sanitize(name)
-        if flat in by_flat:
-            raise ExportError(
-                f"global identifiers {by_flat[flat]!r} and {name!r} both map to {flat!r}"
-            )
-        by_flat[flat] = name
 
     # Bake the t=0 entry effects of initial states into the initializers.
     initial_valuation = init_composition(composition, Scenario()).initial_valuation
@@ -216,7 +202,7 @@ def export_xta(composition: Composition, flatten_names: bool = True) -> str:
     lines: list[str] = []
     for decl in variables:
         keyword = "bool" if decl.kind == ex.KIND_BOOLEAN else "int"
-        lines.append(f"{keyword} {sanitize(decl.name)} = {_value_text(initial_valuation[decl.name])};")
+        lines.append(f"{keyword} {sanitize(decl.name)} = {value_text(initial_valuation[decl.name])};")
     for event in events:
         lines.append(f"broadcast chan {sanitize(event)};")
     taken = {sanitize(name) for name in global_names}

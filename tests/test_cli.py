@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from resweave import cli
 from resweave.model import parse_model, serialize_model
 from resweave.resources import parse_resource_map, parse_schedule, synthesize_timer
@@ -38,6 +40,14 @@ def test_missing_file_exits_2(tmp_path, capsys):
     code = run_cli("annotate", tmp_path / "nope.json", FIXTURES / "stroke_simple.map")
     assert code == 2
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    model = tmp_path / "binary.json"
+    model.write_bytes(b"\xff\xfe{}")
+    assert run_cli("annotate", model, FIXTURES / "stroke_simple.map", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "binary.json" in err
 
 
 def test_integrate_produces_composition(tmp_path):
@@ -344,3 +354,53 @@ def test_integrate_annotation_missing_from_map_and_schedule(tmp_path, capsys):
     state = init_composition(composition, Scenario())
     sim_run(state, 50)
     assert state.active["Mini"] == "a"
+
+
+DELAYED_CHECK = (
+    "check",
+    "--model", FIXTURES / "stroke_simple.json",
+    "--map", FIXTURES / "stroke_simple.map",
+    "--schedule", FIXTURES / "schedule_delayed_ct.txt",
+    "--scenario", FIXTURES / "scenario_simple.json",
+    "--properties", FIXTURES / "props_simple.txt",
+)
+
+
+def test_negative_horizon_exits_2(tmp_path, capsys):
+    assert run_cli(*DELAYED_CHECK, "--horizon", "-5", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--horizon" in err
+    assert not (tmp_path / "verdicts.json").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"variables": [{"nam": "x"}]},
+        {"resources": [5]},
+        {"resources": ["a\u0000b.json"]},
+        {"timer": 5},
+        {"guidelines": "Stroke.json"},
+        {"variables": [{"name": "x", "kind": "integer", "initial": [0]}]},
+    ],
+)
+def test_malformed_manifest_exits_2(tmp_path, capsys, manifest):
+    path = tmp_path / "composition.json"
+    path.write_text(json.dumps(manifest))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("{}")
+    code = run_cli("simulate", "--manifest", path, "--scenario", scenario, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_counterexample_trace_matches_simulate(tmp_path):
+    assert run_cli(*DELAYED_CHECK, "--out", tmp_path / "check") == 1
+    cx = json.loads((tmp_path / "check" / "P2.counterexample.json").read_text())
+    resolution = []
+    for choice in json.loads((FIXTURES / "scenario_simple.json").read_text())["choices"]:
+        value = cx["scenario"]["initial"][choice["var"]]
+        resolution += ["--choice", f"{choice['var']}={json.dumps(value)}"]
+    simulate = ("simulate", *DELAYED_CHECK[1:9], *resolution, "--out", tmp_path / "sim")
+    assert run_cli(*simulate) == 0
+    assert cx["trace"] == json.loads((tmp_path / "sim" / "trace.json").read_text())

@@ -305,17 +305,13 @@ def test_guard_monotonicity_under_integration(delayed_composition, simple_model,
                 assert ex.eval_expr(original[(transition.source, transition.target)], state.valuation)
 
 
-def test_quiescence_stops_timerless_run():
+def test_timerless_run_reaches_horizon():
     chart = StatechartModel(
         "Once",
         states=(State("a"), State("b")),
         transitions=(Transition("a", "b"),),
         initial_state="a",
     )
-    state = sim.init_composition(sim.Composition(guidelines=(chart,)), sim.Scenario())
-    trace = sim.run(state, 500, stop_when_quiescent=True)
-    assert len(trace.steps) < 10
-    # default keeps going to the horizon
     state = sim.init_composition(sim.Composition(guidelines=(chart,)), sim.Scenario())
     assert len(sim.run(state, 500).steps) == 501
 
@@ -325,6 +321,21 @@ def test_run_requires_fresh_state():
     sim.macro_step(state)
     with pytest.raises(sim.SimulationError, match="fresh"):
         sim.run(state, 10)
+
+
+def test_replay_follows_records_not_guards(delayed_composition, ideal_composition, simple_scenario):
+    resolved = simple_scenario.resolve(
+        {"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100}
+    )
+    trace = sim.run(sim.init_composition(delayed_composition, resolved), 250)
+    # With every resource available, live selection would fire NeuAss->CT at t=20.
+    replayed = sim.replay_trace(ideal_composition, trace)
+
+    def stroke_fires(t):
+        return [(s.t, f.target) for s in t.steps[1:] for f in s.fires if f.chart == "Stroke"]
+
+    assert stroke_fires(replayed) == stroke_fires(trace)
+    assert (201, "CT") in stroke_fires(replayed)
 
 
 def test_replay_on_generated_compositions():

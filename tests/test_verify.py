@@ -84,7 +84,7 @@ def test_enumerate_cap():
 
 def _observer(active, valuation):
     state = sim.SimState(
-        composition=None, scenario=None, active=active, valuation=valuation,
+        composition=None, active=active, valuation=valuation,
         curT=0, pending_events=[], init_report=None, initial_active={},
         initial_valuation={}, indexes={}, injections_by_time={},
     )
