@@ -42,7 +42,6 @@ from .resources import (
     parse_resource_map,
     parse_schedule,
     synthesize_resource_chart,
-    synthesize_resource_interface,
     synthesize_timer,
 )
 from .sim import (
@@ -109,7 +108,6 @@ __all__ = [
     "serialize_model",
     "strengthen_guard",
     "synthesize_resource_chart",
-    "synthesize_resource_interface",
     "synthesize_timer",
     "to_text",
     "trace_lines",

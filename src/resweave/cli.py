@@ -40,12 +40,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _emit(args, message: str) -> None:
-    if not getattr(args, "json_diagnostics", False):
+    if not args.json_diagnostics:
         print(message)
 
 
 def _warn(args, warnings: list[str]) -> None:
-    if getattr(args, "json_diagnostics", False):
+    if args.json_diagnostics:
         if warnings:
             print(json.dumps({"warnings": warnings}))
     else:
@@ -109,16 +109,18 @@ def build_composition(
 
 
 def _load_schedule(args) -> res.AvailabilitySchedule:
-    if getattr(args, "schedule", None):
+    if args.schedule:
         return res.parse_schedule(_read_text(args.schedule))
     return res.AvailabilitySchedule({}, res.DEFAULT_HORIZON)
 
 
 def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
     """Composition from --manifest, or built from --model/--map/--schedule."""
-    if getattr(args, "manifest", None):
-        if args.model or args.map:
-            raise _CommandError("--manifest cannot be combined with --model/--map")
+    if args.manifest:
+        if args.model or args.map or args.schedule or args.assume_available:
+            raise _CommandError(
+                "--manifest cannot be combined with --model/--map/--schedule/--assume-available"
+            )
         composition = load_manifest(args.manifest)
         return composition, [], Path(args.manifest).stem
     if not args.model or not args.map:
@@ -326,7 +328,7 @@ def cmd_check(args) -> int:
         status = "holds" if row["holds"] else "FAILS"
         suffix = f"  {row['counterexample_path']}" if row["counterexample_path"] else ""
         _emit(args, f"{row['property']:<{width}}  {status}{suffix}")
-    if getattr(args, "json_diagnostics", False):
+    if args.json_diagnostics:
         print(json.dumps(rows))
     return 0 if all(r["holds"] for r in rows) else 1
 
@@ -351,22 +353,28 @@ def cmd_export(args) -> int:
 # Argument parsing
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+def _add_outputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--horizon", type=int, default=None, help="minutes to explore (default: scenario's, else 720)")
-    parser.add_argument("--assume-available", action="store_true",
-                        help="resources missing from the schedule default to always available")
-    parser.add_argument("--scenario-cap", type=int, default=chk.DEFAULT_SCENARIO_CAP,
-                        help="largest allowed choice product (default: 10000)")
     parser.add_argument("--json-diagnostics", action="store_true",
                         help="machine-readable diagnostics on stdout")
+
+
+def _add_schedule(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--schedule", help="availability schedule file")
+    parser.add_argument("--assume-available", action="store_true",
+                        help="resources missing from the schedule default to always available")
 
 
 def _add_composition_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", help="composition manifest from 'integrate'")
     parser.add_argument("--model", help="guideline model document")
     parser.add_argument("--map", help="resource map file")
-    parser.add_argument("--schedule", help="availability schedule file")
+    _add_schedule(parser)
+
+
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", required=True)
+    parser.add_argument("--horizon", type=int, default=None, help="minutes to explore (default: scenario's, else 720)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,29 +387,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="attach //@RES: annotations from a resource map")
     p.add_argument("model")
     p.add_argument("map")
-    _add_shared(p)
+    _add_outputs(p)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("integrate", help="synthesize charts and strengthen guards")
     p.add_argument("model")
     p.add_argument("map")
-    p.add_argument("--schedule")
-    _add_shared(p)
+    _add_schedule(p)
+    _add_outputs(p)
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("simulate", help="run one resolved scenario and write traces")
     _add_composition_source(p)
-    p.add_argument("--scenario", required=True)
+    _add_run(p)
     p.add_argument("--choice", action="append", default=[], metavar="VAR=VALUE")
     p.add_argument("--replay", help="compare the produced trace bytes against this file")
-    _add_shared(p)
+    _add_outputs(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="verify invariants over all enumerated scenarios")
     _add_composition_source(p)
-    p.add_argument("--scenario", required=True)
+    _add_run(p)
     p.add_argument("--properties", required=True)
-    _add_shared(p)
+    p.add_argument("--scenario-cap", type=int, default=chk.DEFAULT_SCENARIO_CAP,
+                   help="largest allowed choice product (default: 10000)")
+    _add_outputs(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("export", help="emit timed-automata text and query sidecar")
@@ -409,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--properties")
     p.add_argument("--flatten-names", action=argparse.BooleanOptionalAction, default=True,
                    help="map dotted names to underscores (default: on)")
-    _add_shared(p)
+    _add_outputs(p)
     p.set_defaults(func=cmd_export)
 
     return parser
@@ -424,7 +434,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ResweaveError as err:
-        if getattr(args, "json_diagnostics", False):
+        if args.json_diagnostics:
             print(json.dumps({"error": str(err)}))
         else:
             print(f"error: {err}", file=sys.stderr)

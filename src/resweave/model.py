@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from . import expr as ex
@@ -124,7 +124,6 @@ class Transition:
     trigger: str | None = None  # event name, "tick", or "every <N>s"
     actions: tuple[Action, ...] = ()
     annotations: tuple[Annotation, ...] = ()
-    priority: int = -1  # declaration index; assigned by StatechartModel
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -144,21 +143,13 @@ class StatechartModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "states", tuple(self.states))
-        # Priority is declaration order, always.
-        object.__setattr__(
-            self,
-            "transitions",
-            tuple(replace(t, priority=i) for i, t in enumerate(self.transitions)),
-        )
+        object.__setattr__(self, "transitions", tuple(self.transitions))
 
     def state(self, name: str) -> State:
         for state in self.states:
             if state.name == name:
                 return state
         raise KeyError(name)
-
-    def variable_kinds(self) -> dict[str, str]:
-        return {v.name: v.kind for v in self.variables}
 
 
 def is_tick_trigger(trigger: str | None) -> bool:
@@ -292,37 +283,22 @@ def _model_from_obj(root) -> StatechartModel:
 def _variable_from_obj(obj, path: str) -> VariableDecl:
     _expect(obj, dict, path, "an object")
     name = _expect(obj.get("name"), str, f"{path}.name", "a string")
-    kind = _expect(obj.get("kind"), str, f"{path}.kind", "a string")
-    if kind not in (KIND_INTEGER, KIND_BOOLEAN):
-        _fail(f"{path}.kind", f"unknown kind {kind!r}")
-    initial = obj.get("initial")
-    if kind == KIND_BOOLEAN:
-        if not isinstance(initial, bool):
-            _fail(f"{path}.initial", "expected a boolean literal")
-    else:
-        if isinstance(initial, bool) or not isinstance(initial, int):
-            _fail(f"{path}.initial", "expected an integer literal")
-        if not ex.INT_MIN <= initial <= ex.INT_MAX:
-            _fail(f"{path}.initial", "integer literal out of 64-bit range")
-    return VariableDecl(name, kind, initial)
+    return VariableDecl(name, obj.get("kind"), obj.get("initial"))
 
 
-def _parse_expr_at(text, path: str) -> ex.Expr:
+def _parse_at(parse, text, path: str):
+    """`parse(text)` for the string at `path`; grammar errors name that path."""
     _expect(text, str, path, "a string")
     try:
-        return ex.parse_expr(text)
-    except ex.ExprSyntaxError as err:
+        return parse(text)
+    except (ModelFormatError, ex.ExprSyntaxError) as err:
         raise ModelFormatError(f"{path}: {err}") from None
 
 
-def _parse_guarded_at(text, keyword: str, path: str) -> GuardedAction:
-    _expect(text, str, path, "a string")
-    try:
-        return parse_guarded_action(text, keyword)
-    except ex.ExprSyntaxError as err:
-        raise ModelFormatError(f"{path}: {err}") from None
-    except ModelFormatError as err:
-        raise ModelFormatError(f"{path}: {err}") from None
+def _strings_at(obj, key: str, path: str, parse) -> tuple:
+    """Parse each string of the optional list `obj[key]`."""
+    items = _expect(obj.get(key, []), list, f"{path}.{key}", "a list")
+    return tuple(_parse_at(parse, item, f"{path}.{key}[{i}]") for i, item in enumerate(items))
 
 
 def _state_from_obj(obj, path: str) -> State:
@@ -332,28 +308,9 @@ def _state_from_obj(obj, path: str) -> State:
         if key not in known:
             _fail(path, f"unknown key {key!r}")
     name = _expect(obj.get("name"), str, f"{path}.name", "a string")
-    entry = [
-        _parse_guarded_at(item, "entry", f"{path}.entry[{i}]")
-        for i, item in enumerate(_expect(obj.get("entry", []), list, f"{path}.entry", "a list"))
-    ]
-    exit_ = [
-        _parse_guarded_at(item, "exit", f"{path}.exit[{i}]")
-        for i, item in enumerate(_expect(obj.get("exit", []), list, f"{path}.exit", "a list"))
-    ]
-    annotations = _annotations_from_obj(obj, path)
-    return State(name, tuple(entry), tuple(exit_), annotations)
-
-
-def _annotations_from_obj(obj, path: str) -> tuple[Annotation, ...]:
-    items = _expect(obj.get("annotations", []), list, f"{path}.annotations", "a list")
-    out = []
-    for i, item in enumerate(items):
-        _expect(item, str, f"{path}.annotations[{i}]", "a string")
-        try:
-            out.append(parse_annotation(item))
-        except ModelFormatError as err:
-            raise ModelFormatError(f"{path}.annotations[{i}]: {err}") from None
-    return tuple(out)
+    entry = _strings_at(obj, "entry", path, lambda text: parse_guarded_action(text, "entry"))
+    exit_ = _strings_at(obj, "exit", path, lambda text: parse_guarded_action(text, "exit"))
+    return State(name, entry, exit_, _strings_at(obj, "annotations", path, parse_annotation))
 
 
 def _transition_from_obj(obj, path: str) -> Transition:
@@ -367,16 +324,10 @@ def _transition_from_obj(obj, path: str) -> Transition:
     trigger = obj.get("trigger")
     if trigger is not None:
         _expect(trigger, str, f"{path}.trigger", "a string")
-    guard = ex.TRUE if "guard" not in obj else _parse_expr_at(obj["guard"], f"{path}.guard")
-    actions = []
-    for i, item in enumerate(_expect(obj.get("actions", []), list, f"{path}.actions", "a list")):
-        _expect(item, str, f"{path}.actions[{i}]", "a string")
-        try:
-            actions.append(parse_action(item))
-        except (ModelFormatError, ex.ExprSyntaxError) as err:
-            raise ModelFormatError(f"{path}.actions[{i}]: {err}") from None
-    annotations = _annotations_from_obj(obj, path)
-    return Transition(source, target, guard, trigger, tuple(actions), annotations)
+    guard = ex.TRUE if "guard" not in obj else _parse_at(ex.parse_expr, obj["guard"], f"{path}.guard")
+    actions = _strings_at(obj, "actions", path, parse_action)
+    annotations = _strings_at(obj, "annotations", path, parse_annotation)
+    return Transition(source, target, guard, trigger, actions, annotations)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +401,8 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
             isinstance(decl.initial, bool) or not isinstance(decl.initial, int)
         ):
             out.append(Diagnostic(path, f"initial {decl.initial!r} does not match kind integer"))
+        elif decl.kind == KIND_INTEGER and not ex.INT_MIN <= decl.initial <= ex.INT_MAX:
+            out.append(Diagnostic(path, f"initial {decl.initial!r} is out of 64-bit range"))
 
     seen_events: dict[str, int] = {}
     for i, event in enumerate(model.events):

@@ -226,10 +226,6 @@ def interface_for_resources(resources) -> tuple[VariableDecl, ...]:
     return tuple(VariableDecl(resource_variable(r), ex.KIND_BOOLEAN, False) for r in seen)
 
 
-def synthesize_resource_interface(resource_map: ResourceMap) -> tuple[VariableDecl, ...]:
-    return interface_for_resources(resource_map.unique_resources())
-
-
 def availability_regions(windows) -> list[tuple[int | float, int | float, bool]]:
     """Partition of all clock values into (lo_exclusive, hi_inclusive, available) runs.
 

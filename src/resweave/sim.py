@@ -48,17 +48,54 @@ class ScenarioError(ResweaveError):
 # Composition
 
 
+class _ChartIndex:
+    def __init__(self, chart: StatechartModel):
+        self.states = {s.name: s for s in chart.states}
+        # (declaration index, transition) per source state, in declaration order
+        self.by_source: dict[str, list[tuple[int, Transition]]] = {}
+        for index, transition in enumerate(chart.transitions):
+            self.by_source.setdefault(transition.source, []).append((index, transition))
+
+
 @dataclass(frozen=True)
 class Composition:
-    """Charts in execution order: timer, then resource charts, then guidelines."""
+    """Charts in execution order: timer, then resource charts, then guidelines.
+
+    Checked and indexed once, when built: at least one chart, unique chart
+    names, every chart valid, and same-name declarations in agreement.
+    """
 
     timer: StatechartModel | None = None
     resources: tuple[StatechartModel, ...] = ()
     guidelines: tuple[StatechartModel, ...] = ()
+    _variables: tuple[VariableDecl, ...] = field(init=False, repr=False, compare=False)
+    indexes: dict[str, _ChartIndex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "resources", tuple(self.resources))
         object.__setattr__(self, "guidelines", tuple(self.guidelines))
+        names = [chart.name for chart in self.charts]
+        if not names:
+            raise SimulationError("composition has no charts")
+        dupes = {n for n in names if names.count(n) > 1}
+        if dupes:
+            raise SimulationError(f"duplicate chart names in composition: {sorted(dupes)}")
+        for chart in self.charts:
+            diagnostics = validate_model(chart)
+            if diagnostics:
+                raise SimulationError(f"chart {chart.name!r} is invalid: {diagnostics[0]}")
+        merged: dict[str, tuple[VariableDecl, str]] = {}
+        for chart in self.charts:
+            for decl in chart.variables:
+                previous = merged.setdefault(decl.name, (decl, chart.name))
+                if previous[0] != decl:
+                    raise SimulationError(
+                        f"variable {decl.name!r} declared as {previous[0].kind}="
+                        f"{previous[0].initial!r} in chart {previous[1]!r} but as "
+                        f"{decl.kind}={decl.initial!r} in chart {chart.name!r}"
+                    )
+        object.__setattr__(self, "_variables", tuple(decl for decl, _ in merged.values()))
+        object.__setattr__(self, "indexes", {chart.name: _ChartIndex(chart) for chart in self.charts})
 
     @property
     def charts(self) -> tuple[StatechartModel, ...]:
@@ -66,20 +103,8 @@ class Composition:
         return head + self.resources + self.guidelines
 
     def merged_variables(self) -> tuple[VariableDecl, ...]:
-        """Union of chart declarations; same-name declarations must agree."""
-        merged: dict[str, tuple[VariableDecl, str]] = {}
-        for chart in self.charts:
-            for decl in chart.variables:
-                previous = merged.get(decl.name)
-                if previous is None:
-                    merged[decl.name] = (decl, chart.name)
-                elif previous[0] != decl:
-                    raise SimulationError(
-                        f"variable {decl.name!r} declared as {previous[0].kind}="
-                        f"{previous[0].initial!r} in chart {previous[1]!r} but as "
-                        f"{decl.kind}={decl.initial!r} in chart {chart.name!r}"
-                    )
-        return tuple(decl for decl, _ in merged.values())
+        """Union of chart declarations, in first-declaration order."""
+        return self._variables
 
     def merged_events(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -87,20 +112,6 @@ class Composition:
             for event in chart.events:
                 seen.setdefault(event, None)
         return tuple(seen)
-
-
-def validate_composition(composition: Composition) -> None:
-    names = [chart.name for chart in composition.charts]
-    if not names:
-        raise SimulationError("composition has no charts")
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise SimulationError(f"duplicate chart names in composition: {sorted(dupes)}")
-    for chart in composition.charts:
-        diagnostics = validate_model(chart)
-        if diagnostics:
-            raise SimulationError(f"chart {chart.name!r} is invalid: {diagnostics[0]}")
-    composition.merged_variables()
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +352,6 @@ def trace_lines(trace: Trace) -> list[str]:
 # Execution
 
 
-class _ChartIndex:
-    def __init__(self, chart: StatechartModel):
-        self.states = {s.name: s for s in chart.states}
-        self.by_source: dict[str, list[Transition]] = {}
-        for transition in chart.transitions:
-            self.by_source.setdefault(transition.source, []).append(transition)
-
-
 @dataclass
 class SimState:
     """Mutable execution context; confine to one thread at a time."""
@@ -358,10 +361,7 @@ class SimState:
     valuation: dict[str, int | bool]
     curT: int
     pending_events: list[str]
-    init_report: StepReport | None
-    initial_active: dict[str, str]
-    initial_valuation: dict[str, int | bool]
-    indexes: dict[str, _ChartIndex]
+    steps: list[StepReport]  # steps[0] is the initialization report (t=0)
     injections_by_time: dict[int, list[Injection]]
 
 
@@ -382,15 +382,16 @@ def _run_guarded_actions(state: SimState, guarded, sets: list) -> None:
             _run_action(state, ga.action, sets)
 
 
-def _fire(state: SimState, chart: StatechartModel, transition: Transition | None, fires: list) -> None:
-    """Fire `transition`, or enter the chart's initial state when it is None."""
-    states = state.indexes[chart.name].states
+def _fire(state: SimState, chart: StatechartModel, index: int | None, fires: list) -> None:
+    """Fire the transition declared at `index`, or enter the initial state when it is None."""
+    states = state.composition.indexes[chart.name].states
     sets: list[tuple[str, int | bool]] = []
     mark = len(state.pending_events)
-    if transition is None:
-        source, target, index = None, chart.initial_state, None
+    if index is None:
+        source, target = None, chart.initial_state
     else:
-        source, target, index = transition.source, transition.target, transition.priority
+        transition = chart.transitions[index]
+        source, target = transition.source, transition.target
         _run_guarded_actions(state, states[source].exit_actions, sets)
         for action in transition.actions:
             _run_action(state, action, sets)
@@ -407,12 +408,13 @@ def _trigger_enabled(state: SimState, transition: Transition) -> bool:
 
 def _chart_cycle(state: SimState, chart: StatechartModel, fires: list, chosen: dict[str, int] | None) -> None:
     if chosen is None:
-        for transition in state.indexes[chart.name].by_source.get(state.active[chart.name], ()):
+        candidates = state.composition.indexes[chart.name].by_source.get(state.active[chart.name], ())
+        for index, transition in candidates:
             if _trigger_enabled(state, transition) and ex.eval_expr(transition.guard, state.valuation):
-                _fire(state, chart, transition, fires)
+                _fire(state, chart, index, fires)
                 return
     elif chart.name in chosen:
-        _fire(state, chart, chart.transitions[chosen[chart.name]], fires)
+        _fire(state, chart, chosen[chart.name], fires)
 
 
 def _inject(state: SimState, injected: list) -> None:
@@ -422,9 +424,10 @@ def _inject(state: SimState, injected: list) -> None:
 
 
 def _report(state: SimState, injected: list, fires: list, before: dict) -> StepReport:
-    """Close the step: net value changes since `before`; events are cleared."""
+    """Close and record the step: net value changes since `before`; events are cleared."""
     deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
     report = StepReport(state.curT, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
+    state.steps.append(report)
     state.pending_events.clear()
     return report
 
@@ -435,41 +438,33 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     The scenario must be fully resolved. Injections scheduled at t=0 are
     applied after the initial values, before any entry action runs.
     """
-    validate_composition(composition)
     if not scenario.resolved:
         raise ScenarioError(
             f"scenario has unresolved choices: {[c.var for c in scenario.choices]}"
         )
     validate_scenario(scenario, composition)
 
-    valuation = {decl.name: decl.initial for decl in composition.merged_variables()}
     # Initial values are applied as the first injections at t=0.
     injections_by_time = {0: [Injection(0, var, value) for var, value in scenario.initial.items()]}
     for injection in scenario.injections:
         injections_by_time.setdefault(injection.t, []).append(injection)
-
     state = SimState(
         composition=composition,
         active={},
-        valuation=valuation,
+        valuation={decl.name: decl.initial for decl in composition.merged_variables()},
         curT=0,
         pending_events=[],
-        init_report=None,
-        initial_active={},
-        initial_valuation={},
-        indexes={chart.name: _ChartIndex(chart) for chart in composition.charts},
+        steps=[],
         injections_by_time=injections_by_time,
     )
     # Baseline for init deltas is the declaration defaults.
-    before = dict(valuation)
+    before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
     _inject(state, injected)
     for chart in composition.charts:
         _fire(state, chart, None, fires)
-    state.init_report = _report(state, injected, fires, before)
-    state.initial_active = dict(state.active)
-    state.initial_valuation = dict(state.valuation)
+    _report(state, injected, fires, before)
     return state
 
 
@@ -495,18 +490,23 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
     return _report(state, injected, fires, before)
 
 
-def _trace(state: SimState, steps: list[StepReport]) -> Trace:
-    return Trace(dict(state.initial_active), dict(state.initial_valuation), tuple(steps))
+def trace_of(state: SimState) -> Trace:
+    """Every step recorded since t=0, with the t=0 active states and valuation.
+
+    Both are rebuilt from the initialization report: it holds one entry per
+    chart, and its deltas are the changes from the declaration defaults.
+    """
+    init = state.steps[0]
+    valuation = {decl.name: decl.initial for decl in state.composition.merged_variables()}
+    valuation.update(init.deltas)
+    return Trace({fire.chart: fire.target for fire in init.fires}, valuation, tuple(state.steps))
 
 
 def run(state: SimState, horizon: int) -> Trace:
-    """Execute macro-steps from a fresh state up to the horizon."""
-    if state.curT != 0:
-        raise SimulationError("run requires a freshly initialized state")
-    steps = [state.init_report]
+    """Execute macro-steps up to the horizon; the trace starts at t=0."""
     while state.curT < horizon:
-        steps.append(macro_step(state))
-    return _trace(state, steps)
+        macro_step(state)
+    return trace_of(state)
 
 
 def replay_trace(composition: Composition, trace: Trace) -> Trace:
@@ -520,7 +520,6 @@ def replay_trace(composition: Composition, trace: Trace) -> Trace:
         raise SimulationError("trace has no initialization step")
     injections = [Injection(step.t, var, value) for step in trace.steps for var, value in step.injected]
     state = init_composition(composition, Scenario(injections=injections))
-    steps = [state.init_report]
     for step in trace.steps[1:]:
-        steps.append(macro_step(state, {fire.chart: fire.index for fire in step.fires}))
-    return _trace(state, steps)
+        macro_step(state, {fire.chart: fire.index for fire in step.fires})
+    return trace_of(state)

@@ -29,6 +29,7 @@ from .sim import (
     Trace,
     init_composition,
     macro_step,
+    trace_of,
 )
 
 DEFAULT_SCENARIO_CAP = 10_000
@@ -173,18 +174,16 @@ def check(
         if not open_properties:
             break
         state = init_composition(composition, resolved)
-        steps = [state.init_report]
         pending: dict[str, int] = {}  # property -> violating step, first only
-        for prop in open_properties:
-            if prop.name not in pending and not eval_invariant(prop, state):
-                pending[prop.name] = 0
-        while state.curT < horizon:
-            steps.append(macro_step(state))
+        while True:
             for prop in open_properties:
                 if prop.name not in pending and not eval_invariant(prop, state):
                     pending[prop.name] = state.curT
+            if state.curT >= horizon:
+                break
+            macro_step(state)
         if pending:
-            trace = Trace(dict(state.initial_active), dict(state.initial_valuation), tuple(steps))
+            trace = trace_of(state)
             for name, step_index in pending.items():
                 violations[name] = Counterexample(resolved, scenario_index, step_index, trace)
     return [

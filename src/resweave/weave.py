@@ -121,15 +121,3 @@ def integration_warnings(model: StatechartModel) -> list[Diagnostic]:
             )
     return out
 
-
-def without_annotations(model: StatechartModel) -> StatechartModel:
-    """The same model with every annotation removed."""
-    states = tuple(replace(s, annotations=()) for s in model.states)
-    transitions = tuple(replace(t, annotations=()) for t in model.transitions)
-    return replace(model, states=states, transitions=transitions)
-
-
-def without_guards(model: StatechartModel) -> StatechartModel:
-    """The same model with every transition guard reset to literal true."""
-    transitions = tuple(replace(t, guard=ex.TRUE) for t in model.transitions)
-    return replace(model, transitions=transitions)

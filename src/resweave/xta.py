@@ -197,7 +197,7 @@ def export_xta(composition: Composition, flatten_names: bool = True) -> str:
     _check_injective(global_names, sanitize, "the global declarations")
 
     # Bake the t=0 entry effects of initial states into the initializers.
-    initial_valuation = init_composition(composition, Scenario()).initial_valuation
+    initial_valuation = init_composition(composition, Scenario()).valuation
 
     lines: list[str] = []
     for decl in variables:

@@ -8,6 +8,7 @@ names are unique. Determinism comes from the caller-supplied Random.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from resweave import expr as ex
 from resweave.model import (
@@ -133,8 +134,6 @@ def gen_map(rng: random.Random) -> ResourceMap:
 
 def gen_annotations(rng: random.Random, model: StatechartModel) -> StatechartModel:
     """Sprinkle explicit annotations onto a generated model (for round-trip tests)."""
-    from dataclasses import replace
-
     states = []
     for state in model.states:
         if rng.random() < 0.3:
@@ -203,3 +202,20 @@ def gen_invariants(rng: random.Random, composition: Composition) -> list[Invaria
             location = (chart.name, state.name)
         invariants.append(Invariant(f"I{i}", location, gen_bool_expr(rng, 2)))
     return invariants
+
+
+# ---------------------------------------------------------------------------
+# Erasure helpers for the weaver-algebra tests
+
+
+def without_annotations(model: StatechartModel) -> StatechartModel:
+    """The same model with every annotation removed."""
+    states = tuple(replace(s, annotations=()) for s in model.states)
+    transitions = tuple(replace(t, annotations=()) for t in model.transitions)
+    return replace(model, states=states, transitions=transitions)
+
+
+def without_guards(model: StatechartModel) -> StatechartModel:
+    """The same model with every transition guard reset to literal true."""
+    transitions = tuple(replace(t, guard=ex.TRUE) for t in model.transitions)
+    return replace(model, transitions=transitions)

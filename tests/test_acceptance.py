@@ -21,7 +21,17 @@ from resweave.resources import (
 from resweave.xta import entry_branches, export_queries, export_xta, scan_xta
 
 from conftest import FIXTURES, GOLDEN
-from generators import gen_annotations, gen_composition, gen_map, gen_model, gen_scenario, gen_windows, gen_invariants
+from generators import (
+    gen_annotations,
+    gen_composition,
+    gen_invariants,
+    gen_map,
+    gen_model,
+    gen_scenario,
+    gen_windows,
+    without_annotations,
+    without_guards,
+)
 from oracle import oracle_check
 
 
@@ -94,7 +104,7 @@ def test_criterion_4_weaver_algebra():
 
             annotated = weave.annotate(model, resource_map)
             # annotation-only delta
-            assert weave.without_annotations(annotated) == model
+            assert without_annotations(annotated) == model
             # idempotence under the dedup rule
             assert weave.annotate(annotated, resource_map) == annotated
 
@@ -110,7 +120,7 @@ def test_criterion_4_weaver_algebra():
             )
             integrated = weave.integrate(prepared)
             # guard-only delta
-            assert weave.without_guards(integrated) == weave.without_guards(prepared)
+            assert without_guards(integrated) == without_guards(prepared)
 
             variables = [v.name for v in prepared.variables]
             for before, after in zip(prepared.transitions, integrated.transitions):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from resweave import cli
+from resweave.errors import ResweaveError
 from resweave.model import parse_model, serialize_model
 from resweave.resources import parse_resource_map, parse_schedule, synthesize_timer
 
@@ -404,3 +406,95 @@ def test_counterexample_trace_matches_simulate(tmp_path):
     simulate = ("simulate", *DELAYED_CHECK[1:9], *resolution, "--out", tmp_path / "sim")
     assert run_cli(*simulate) == 0
     assert cx["trace"] == json.loads((tmp_path / "sim" / "trace.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("annotate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--horizon", "5"),
+        ("annotate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--assume-available"),
+        ("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--scenario-cap", "5"),
+        ("export", "--model", FIXTURES / "stroke_simple.json", "--map", FIXTURES / "stroke_simple.map",
+         "--horizon", "5"),
+    ],
+)
+def test_unread_flag_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", tmp_path) == 2
+    capsys.readouterr()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [("--assume-available",), ("--schedule", FIXTURES / "schedule_delayed_ct.txt")])
+def test_manifest_rejects_schedule_flags(tmp_path, capsys, flag):
+    assert run_cli(
+        "integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map",
+        "--schedule", FIXTURES / "schedule_delayed_ct.txt", "--out", tmp_path / "integ",
+    ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "check", "--manifest", tmp_path / "integ" / "composition.json",
+        "--scenario", FIXTURES / "scenario_simple.json",
+        "--properties", FIXTURES / "props_simple.txt",
+        *flag, "--out", tmp_path / "check",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag[0] in err
+    assert not (tmp_path / "check").exists()
+
+
+@pytest.mark.parametrize(
+    "variable",
+    [
+        {"name": "x", "kind": "float", "initial": 0},
+        {"name": "x", "kind": "integer", "initial": True},
+        {"name": "x", "kind": "integer", "initial": 2**63},
+    ],
+)
+def test_bad_variable_declaration_exits_2(tmp_path, capsys, variable):
+    document = {"name": "Bad", "variables": [variable], "states": [{"name": "s"}], "initial": "s"}
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(document))
+    with pytest.raises(ResweaveError, match=r"variables\[0\]"):
+        parse_model(model.read_text())
+    assert run_cli("annotate", model, FIXTURES / "stroke_simple.map", "--out", tmp_path) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+EXTENDED_CHECK = (
+    "check",
+    "--model", FIXTURES / "stroke_extended.json",
+    "--map", FIXTURES / "stroke_extended.map",
+    "--schedule", FIXTURES / "schedule_extended.txt",
+    "--scenario", FIXTURES / "scenario_extended.json",
+    "--properties", FIXTURES / "props_extended.txt",
+)
+
+DELAYED_SIMULATE = (
+    "simulate", *DELAYED_CHECK[1:9],
+    "--choice", "hemorrhage=false", "--choice", "systolicBP=150", "--choice", "diastolicBP=100",
+)
+
+# sha256 of each output file; a new digest means the written bytes changed.
+PINNED_OUTPUTS = [
+    pytest.param(DELAYED_CHECK, 1, {
+        "P2.counterexample.json": "625c42353075d11c9231c5779c80e516b4443e8914b14de92eb76d0eb88f3458",
+        "P2.trace.txt": "9c001e831fe9323f27c284e01d6eec6b3a6f31b8c1746e43f598278af6b8c10b",
+    }, id="check-delayed"),
+    pytest.param(EXTENDED_CHECK, 1, {
+        "P2.counterexample.json": "b909f1c3c0a9bd890267e433ad3ee5ee04c44bc69dc59ba09ed73b24d2199335",
+        "P2.trace.txt": "459b4bb3ea3544f4cf8bcd51eff20497508d5e600a05b2bbd2f48650e2e21214",
+    }, id="check-extended"),
+    pytest.param(DELAYED_SIMULATE, 0, {
+        "trace.json": "beb2fdc50f37789a56461551a0af178688d706688b5386fae0ababc6611c3f77",
+        "trace.txt": "9c001e831fe9323f27c284e01d6eec6b3a6f31b8c1746e43f598278af6b8c10b",
+    }, id="simulate-delayed"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digests", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, exit_code, digests):
+    assert run_cli(*argv, "--out", tmp_path) == exit_code
+    capsys.readouterr()
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -207,10 +207,6 @@ def test_raised_actions_are_declared_events():
             assert set(m.list_raised_actions(transition)) <= declared
 
 
-def test_priority_is_declaration_order(simple_model):
-    assert [t.priority for t in simple_model.transitions] == list(range(6))
-
-
 def test_trigger_forms():
     assert m.is_tick_trigger("tick")
     assert m.is_tick_trigger("every 60s")

@@ -114,15 +114,15 @@ def test_synthesize_timer_shape():
 
 def test_synthesize_interface_from_map():
     rmap = res.parse_resource_map("CTscan: CT_machine, CT_technician\ngivetPA: tPA\n")
-    decls = res.synthesize_resource_interface(rmap)
+    decls = res.interface_for_resources(rmap.unique_resources())
     assert [d.name for d in decls] == ["RES.CT_machine", "RES.CT_technician", "RES.tPA"]
     assert all(d.kind == "boolean" and d.initial is False for d in decls)
-    assert res.synthesize_resource_interface(res.ResourceMap(())) == ()
+    assert res.interface_for_resources(res.ResourceMap(()).unique_resources()) == ()
 
 
 def test_interface_deduplicates_shared_resource():
     rmap = res.parse_resource_map("givetPA: tPA\ngiveIAtPA: tPA, IA_kit\n")
-    decls = res.synthesize_resource_interface(rmap)
+    decls = res.interface_for_resources(rmap.unique_resources())
     assert [d.name for d in decls] == ["RES.tPA", "RES.IA_kit"]
 
 

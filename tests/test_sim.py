@@ -247,8 +247,9 @@ def test_priority_is_declaration_order():
         initial_state="a",
     )
     state = sim.init_composition(sim.Composition(guidelines=(chart,)), sim.Scenario())
-    sim.macro_step(state)
+    report = sim.macro_step(state)
     assert state.active["P"] == "b"
+    assert report.fires[0].index == 0
 
 
 def test_exit_then_actions_then_entry_order():
@@ -316,11 +317,12 @@ def test_timerless_run_reaches_horizon():
     assert len(sim.run(state, 500).steps) == 501
 
 
-def test_run_requires_fresh_state():
-    state = sim.init_composition(timer_only(), sim.Scenario())
-    sim.macro_step(state)
-    with pytest.raises(sim.SimulationError, match="fresh"):
-        sim.run(state, 10)
+def test_run_from_stepped_state_matches_fresh_run(delayed_composition, simple_scenario):
+    fresh = sim.run(_delayed_state(delayed_composition, simple_scenario), 250)
+    stepped = _delayed_state(delayed_composition, simple_scenario)
+    for _ in range(5):
+        sim.macro_step(stepped)
+    assert sim.run(stepped, 250) == fresh
 
 
 def test_replay_follows_records_not_guards(delayed_composition, ideal_composition, simple_scenario):

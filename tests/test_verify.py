@@ -83,12 +83,10 @@ def test_enumerate_cap():
 
 
 def _observer(active, valuation):
-    state = sim.SimState(
+    return sim.SimState(
         composition=None, active=active, valuation=valuation,
-        curT=0, pending_events=[], init_report=None, initial_active={},
-        initial_valuation={}, indexes={}, injections_by_time={},
+        curT=0, pending_events=[], steps=[], injections_by_time={},
     )
-    return state
 
 
 def test_eval_invariant_implication():

@@ -17,7 +17,7 @@ from resweave.model import (
 )
 from resweave.resources import ResourceMap, interface_for_resources
 
-from generators import gen_map, gen_model
+from generators import gen_map, gen_model, without_annotations, without_guards
 
 
 def test_annotate_stroke_model(simple_model, simple_map):
@@ -77,8 +77,8 @@ def test_annotate_is_idempotent(simple_model, simple_map):
 
 def test_annotate_changes_only_annotations(simple_model, simple_map):
     annotated = weave.annotate(simple_model, simple_map)
-    assert weave.without_annotations(annotated) == weave.without_annotations(simple_model)
-    assert weave.without_annotations(annotated) == simple_model  # fixture starts bare
+    assert without_annotations(annotated) == without_annotations(simple_model)
+    assert without_annotations(annotated) == simple_model  # fixture starts bare
 
 
 def test_collect_annotations():
@@ -133,7 +133,7 @@ def test_integrate_changes_only_guards(simple_model, simple_map):
         weave.annotate(simple_model, simple_map), ("CT_machine", "CT_technician", "tPA")
     )
     integrated = weave.integrate(annotated)
-    assert weave.without_guards(integrated) == weave.without_guards(annotated)
+    assert without_guards(integrated) == without_guards(annotated)
 
 
 def test_integrate_requires_interface(simple_model, simple_map):
