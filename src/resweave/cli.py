@@ -337,14 +337,14 @@ def cmd_export(args) -> int:
     composition, warnings, stem = _load_composition(args)
     _warn(args, warnings)
     out_dir = Path(args.out)
-    document = export_xta(composition, flatten_names=args.flatten_names)
+    document = export_xta(composition)
     xta_path = out_dir / f"{stem}.xta"
     _write_text(xta_path, document)
     _emit(args, f"wrote {xta_path}")
     if args.properties:
         properties = chk.parse_properties(_read_text(args.properties), composition)
         q_path = out_dir / f"{stem}.q"
-        _write_text(q_path, export_queries(properties, flatten_names=args.flatten_names))
+        _write_text(q_path, export_queries(properties))
         _emit(args, f"wrote {q_path}")
     return 0
 
@@ -377,8 +377,15 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", type=int, default=None, help="minutes to explore (default: scenario's, else 720)")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors for `main` to report instead of printing usage; subparsers inherit it."""
+
+    def error(self, message):
+        raise _CommandError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="resweave",
         description="Weave resource availability into statechart guideline models.",
     )
@@ -417,28 +424,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="emit timed-automata text and query sidecar")
     _add_composition_source(p)
     p.add_argument("--properties")
-    p.add_argument("--flatten-names", action=argparse.BooleanOptionalAction, default=True,
-                   help="map dotted names to underscores (default: on)")
     _add_outputs(p)
     p.set_defaults(func=cmd_export)
 
     return parser
 
 
+def _fail(err: ResweaveError, json_diagnostics: bool) -> int:
+    if json_diagnostics:
+        print(json.dumps({"error": str(err)}))
+    else:
+        print(f"error: {err}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # -h printed the help
+        return 0
+    except ResweaveError as err:
+        return _fail(err, "--json-diagnostics" in argv)
     try:
         return args.func(args)
     except ResweaveError as err:
-        if args.json_diagnostics:
-            print(json.dumps({"error": str(err)}))
-        else:
-            print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(err, args.json_diagnostics)
 
 
 if __name__ == "__main__":

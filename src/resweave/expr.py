@@ -2,15 +2,14 @@
 
 Integer/boolean expressions over named variables, used in transition guards,
 guarded entry/exit actions, assignment right-hand sides, and invariant
-predicates. Grammar, loosest binding first:
+predicates. Grammar:
 
-    or-expr   := and-expr ('||' and-expr)*
-    and-expr  := cmp-expr ('&&' cmp-expr)*
-    cmp-expr  := add-expr (('<'|'<='|'>'|'>='|'=='|'!=') add-expr)?
-    add-expr  := mul-expr (('+'|'-') mul-expr)*
-    mul-expr  := unary ('*' unary)*
-    unary     := '!' unary | '-' unary | atom
-    atom      := INT | 'true' | 'false' | IDENT | '(' or-expr ')'
+    expr   := unary (BINOP unary)*
+    unary  := '!' unary | '-' INT | atom
+    atom   := INT | 'true' | 'false' | IDENT | '(' expr ')'
+
+BINOP is any operator of `_BINARY`, loosest binding first: '||'; '&&'; the
+non-chaining comparisons '<' '<=' '>' '>=' '==' '!='; '+' '-'; '*'.
 
 Comparisons apply to integers, logical connectives to booleans, and there is
 no division. Variable names may be dotted (``RES.tPA``). Unary minus is only
@@ -19,10 +18,12 @@ accepted in front of an integer literal and folds into the literal.
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ResweaveError
 
@@ -85,18 +86,40 @@ Expr = Union[IntLit, BoolLit, Var, Not, BinOp]
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
-_CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
-_ARITH_OPS = ("+", "-", "*")
 
-# Precedence for printing/parsing decisions; higher binds tighter.
-_PRECEDENCE = {"||": 1, "&&": 2}
-_PRECEDENCE.update({op: 3 for op in _CMP_OPS})
-_PRECEDENCE.update({"+": 4, "-": 4, "*": 5})
+class _Binary(NamedTuple):
+    precedence: int  # higher binds tighter
+    operand: str  # kind both operands must have
+    result: str
+    apply: Callable
+
+
+# Every binary operator, its syntax, typing and meaning. An operator whose
+# result kind differs from its operand kind (a comparison) does not chain;
+# the others are left-associative.
+_BINARY = {
+    "||": _Binary(1, KIND_BOOLEAN, KIND_BOOLEAN, operator.or_),
+    "&&": _Binary(2, KIND_BOOLEAN, KIND_BOOLEAN, operator.and_),
+    "<": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.lt),
+    "<=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.le),
+    ">": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.gt),
+    ">=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ge),
+    "==": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.eq),
+    "!=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ne),
+    "+": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.add),
+    "-": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.sub),
+    "*": _Binary(5, KIND_INTEGER, KIND_INTEGER, operator.mul),
+}
+
+# What evaluation needs of `_BINARY`: the Python type of both operands, and the operation.
+_EVAL = {op: (bool if spec.operand == KIND_BOOLEAN else int, spec.apply) for op, spec in _BINARY.items()}
+
+_OPERATORS = sorted([*_BINARY, "!", "(", ")"], key=len, reverse=True)  # longest match first
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
-    r"|(?P<op>\|\||&&|<=|>=|==|!=|[-+*!<>()]))"
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + "))"
 )
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -157,44 +180,25 @@ class _Parser:
         return None
 
     def parse(self) -> Expr:
-        result = self.or_expr()
+        result = self.binary(1)
         trailing = self.peek()
         if trailing.kind != "end":
             raise ExprSyntaxError(f"unexpected {trailing.text!r}", trailing.column)
         return result
 
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.accept_op("||"):
-            left = BinOp("||", left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.cmp_expr()
-        while self.accept_op("&&"):
-            left = BinOp("&&", left, self.cmp_expr())
-        return left
-
-    def cmp_expr(self) -> Expr:
-        left = self.add_expr()
-        token = self.accept_op(*_CMP_OPS)
-        if token:
-            return BinOp(token.text, left, self.add_expr())
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while True:
-            token = self.accept_op("+", "-")
-            if not token:
-                return left
-            left = BinOp(token.text, left, self.mul_expr())
-
-    def mul_expr(self) -> Expr:
+    def binary(self, min_precedence: int) -> Expr:
+        """Precedence climbing over `_BINARY`: operators binding at least `min_precedence`."""
         left = self.unary()
-        while self.accept_op("*"):
-            left = BinOp("*", left, self.unary())
-        return left
+        max_precedence = float("inf")
+        while True:
+            token = self.peek()
+            spec = _BINARY.get(token.text) if token.kind == "op" else None
+            if spec is None or not min_precedence <= spec.precedence <= max_precedence:
+                return left
+            self.advance()
+            # Interned: a large model holds thousands of these operator strings.
+            left = BinOp(sys.intern(token.text), left, self.binary(spec.precedence + 1))
+            max_precedence = spec.precedence if _chains(spec) else spec.precedence - 1
 
     def unary(self) -> Expr:
         token = self.accept_op("!")
@@ -222,7 +226,7 @@ class _Parser:
                 return FALSE
             return Var(token.text)
         if token.kind == "op" and token.text == "(":
-            inner = self.or_expr()
+            inner = self.binary(1)
             closing = self.peek()
             if closing.kind != "op" or closing.text != ")":
                 raise ExprSyntaxError("expected ')'", closing.column)
@@ -232,6 +236,10 @@ class _Parser:
             f"expected an operand, found {token.text!r}" if token.text else "unexpected end of expression",
             token.column,
         )
+
+
+def _chains(spec: _Binary) -> bool:
+    return spec.operand == spec.result
 
 
 def _int_literal(text: str, column: int) -> IntLit:
@@ -266,41 +274,25 @@ def _render(expr: Expr, rename) -> str:
         if isinstance(expr.operand, BinOp):
             inner = f"({inner})"
         return f"!{inner}"
-    prec = _PRECEDENCE[expr.op]
-    left = _render_side(expr.left, prec, right_side=False, rename=rename)
-    right = _render_side(expr.right, prec, right_side=True, rename=rename)
-    joiner = f" {expr.op} " if expr.op in ("&&", "||") else expr.op
+    spec = _BINARY[expr.op]
+    left = _render_side(expr.left, spec, right_side=False, rename=rename)
+    right = _render_side(expr.right, spec, right_side=True, rename=rename)
+    joiner = f" {expr.op} " if spec.operand == KIND_BOOLEAN else expr.op  # connectives are spaced
     return f"{left}{joiner}{right}"
 
 
-def _render_side(child: Expr, parent_prec: int, right_side: bool, rename) -> str:
+def _render_side(child: Expr, parent: _Binary, right_side: bool, rename) -> str:
     text = _render(child, rename)
     if not isinstance(child, BinOp):
         return text
-    child_prec = _PRECEDENCE[child.op]
-    # Comparisons do not chain; every same-precedence binary operator here is
-    # left-associative, so a right-side child of equal precedence needs parens.
-    non_assoc = parent_prec == 3
-    if child_prec < parent_prec or (child_prec == parent_prec and (right_side or non_assoc)):
+    child_prec = _BINARY[child.op].precedence
+    # A left-associative parent keeps an equal-precedence child unbracketed
+    # only on its left; a non-chaining parent brackets it on either side.
+    if child_prec < parent.precedence or (
+        child_prec == parent.precedence and (right_side or not _chains(parent))
+    ):
         return f"({text})"
     return text
-
-
-def variables(expr: Expr) -> tuple[str, ...]:
-    """Variable names referenced by the expression, in first-use order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return tuple(seen)
 
 
 def type_of(expr: Expr, kinds: Mapping[str, str]) -> str:
@@ -321,15 +313,14 @@ def type_of(expr: Expr, kinds: Mapping[str, str]) -> str:
         if type_of(expr.operand, kinds) != KIND_BOOLEAN:
             raise ExprTypeError("'!' requires a boolean operand")
         return KIND_BOOLEAN
+    # Type both operands first, so an unknown variable is reported before a
+    # kind mismatch.
     left = type_of(expr.left, kinds)
     right = type_of(expr.right, kinds)
-    if expr.op in ("&&", "||"):
-        if left != KIND_BOOLEAN or right != KIND_BOOLEAN:
-            raise ExprTypeError(f"'{expr.op}' requires boolean operands")
-        return KIND_BOOLEAN
-    if left != KIND_INTEGER or right != KIND_INTEGER:
-        raise ExprTypeError(f"'{expr.op}' requires integer operands")
-    return KIND_BOOLEAN if expr.op in _CMP_OPS else KIND_INTEGER
+    spec = _BINARY[expr.op]
+    if left != spec.operand or right != spec.operand:
+        raise ExprTypeError(f"'{expr.op}' requires {spec.operand} operands")
+    return spec.result
 
 
 def eval_expr(expr: Expr, valuation: Mapping[str, int | bool]) -> int | bool:
@@ -347,30 +338,11 @@ def eval_expr(expr: Expr, valuation: Mapping[str, int | bool]) -> int | bool:
         return not _expect_bool(eval_expr(expr.operand, valuation), "!")
     left = eval_expr(expr.left, valuation)
     right = eval_expr(expr.right, valuation)
-    op = expr.op
-    if op == "&&":
-        return _expect_bool(left, op) and _expect_bool(right, op)
-    if op == "||":
-        return _expect_bool(left, op) or _expect_bool(right, op)
-    left_int = _expect_int(left, op)
-    right_int = _expect_int(right, op)
-    if op == "+":
-        return left_int + right_int
-    if op == "-":
-        return left_int - right_int
-    if op == "*":
-        return left_int * right_int
-    if op == "<":
-        return left_int < right_int
-    if op == "<=":
-        return left_int <= right_int
-    if op == ">":
-        return left_int > right_int
-    if op == ">=":
-        return left_int >= right_int
-    if op == "==":
-        return left_int == right_int
-    return left_int != right_int
+    operand_type, apply = _EVAL[expr.op]
+    if type(left) is not operand_type or type(right) is not operand_type:
+        expect = _expect_bool if operand_type is bool else _expect_int
+        left, right = expect(left, expr.op), expect(right, expr.op)
+    return apply(left, right)
 
 
 def _expect_bool(value, op: str) -> bool:

@@ -123,9 +123,9 @@ def parse_resource_map(text: str) -> ResourceMap:
     return ResourceMap(tuple(entries))
 
 
-def parse_schedule(text: str, default_horizon: int = DEFAULT_HORIZON) -> AvailabilitySchedule:
+def parse_schedule(text: str) -> AvailabilitySchedule:
     entries: dict[str, tuple[Window, ...]] = {}
-    horizon = default_horizon
+    horizon = DEFAULT_HORIZON
     for lineno, line in content_lines(text):
         key, sep, rest = line.partition(":")
         key = key.strip()
@@ -144,12 +144,10 @@ def parse_schedule(text: str, default_horizon: int = DEFAULT_HORIZON) -> Availab
         if key in entries:
             raise ScheduleFormatError(f"line {lineno}: duplicate resource {key!r}")
         windows = []
-        matched_span = 0
         for match in _WINDOW_RE.finditer(rest):
             start = int(match.group(1))
             end = math.inf if match.group(2) == "inf" else int(match.group(2))
             windows.append(Window(start, end))
-            matched_span += 1
         leftovers = _WINDOW_RE.sub("", rest).replace(",", "").strip()
         if not windows or leftovers:
             raise ScheduleFormatError(f"line {lineno}: cannot parse window list {rest.strip()!r}")
@@ -195,14 +193,12 @@ def is_available(windows: tuple[Window, ...] | list[Window], t: int) -> bool:
 # Chart synthesis
 
 
-def synthesize_timer(tick_seconds: int = 60) -> StatechartModel:
-    """One-state chart whose self-loop advances the shared clock each cycle."""
-    if tick_seconds <= 0:
-        raise ValueError("tick_seconds must be positive")
+def synthesize_timer() -> StatechartModel:
+    """One-state chart whose self-loop advances the shared clock each minute."""
     loop = Transition(
         source="timer",
         target="timer",
-        trigger=f"every {tick_seconds}s",
+        trigger="every 60s",
         actions=(Assign(CLOCK_VARIABLE, ex.BinOp("+", ex.Var(CLOCK_VARIABLE), ex.IntLit(1))),),
     )
     return StatechartModel(

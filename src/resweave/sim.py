@@ -359,10 +359,14 @@ class SimState:
     composition: Composition
     active: dict[str, str]
     valuation: dict[str, int | bool]
-    curT: int
     pending_events: list[str]
-    steps: list[StepReport]  # steps[0] is the initialization report (t=0)
+    steps: list[StepReport]  # steps[t] is the report of minute t; steps[0] is initialization
     injections_by_time: dict[int, list[Injection]]
+
+    @property
+    def curT(self) -> int:
+        """The last minute executed."""
+        return len(self.steps) - 1
 
 
 def _run_action(state: SimState, action, sets: list) -> None:
@@ -417,16 +421,16 @@ def _chart_cycle(state: SimState, chart: StatechartModel, fires: list, chosen: d
         _fire(state, chart, chosen[chart.name], fires)
 
 
-def _inject(state: SimState, injected: list) -> None:
-    for injection in state.injections_by_time.get(state.curT, ()):
+def _inject(state: SimState, t: int, injected: list) -> None:
+    for injection in state.injections_by_time.get(t, ()):
         injected.append((injection.var, injection.value))
         state.valuation[injection.var] = injection.value
 
 
-def _report(state: SimState, injected: list, fires: list, before: dict) -> StepReport:
-    """Close and record the step: net value changes since `before`; events are cleared."""
+def _report(state: SimState, t: int, injected: list, fires: list, before: dict) -> StepReport:
+    """Close and record minute `t`: net value changes since `before`; events are cleared."""
     deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
-    report = StepReport(state.curT, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
+    report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
     state.steps.append(report)
     state.pending_events.clear()
     return report
@@ -452,7 +456,6 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
         composition=composition,
         active={},
         valuation={decl.name: decl.initial for decl in composition.merged_variables()},
-        curT=0,
         pending_events=[],
         steps=[],
         injections_by_time=injections_by_time,
@@ -461,10 +464,10 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
-    _inject(state, injected)
+    _inject(state, 0, injected)
     for chart in composition.charts:
         _fire(state, chart, None, fires)
-    _report(state, injected, fires, before)
+    _report(state, 0, injected, fires, before)
     return state
 
 
@@ -475,19 +478,19 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
     chart names to the declaration index to fire instead, without evaluating
     triggers or guards; charts it does not name stay where they are.
     """
-    state.curT += 1
+    t = len(state.steps)
     before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
     composition = state.composition
     if composition.timer is not None:
         _chart_cycle(state, composition.timer, fires, chosen)
-    _inject(state, injected)
+    _inject(state, t, injected)
     for chart in composition.resources:
         _chart_cycle(state, chart, fires, chosen)
     for chart in composition.guidelines:
         _chart_cycle(state, chart, fires, chosen)
-    return _report(state, injected, fires, before)
+    return _report(state, t, injected, fires, before)
 
 
 def trace_of(state: SimState) -> Trace:

@@ -31,16 +31,15 @@ class ExportError(ResweaveError):
     pass
 
 
-def _sanitizer(flatten_names: bool):
-    if flatten_names:
-        return lambda name: name.replace(".", "_")
-    return lambda name: name
+def _flat(name: str) -> str:
+    """Timed-automata identifiers have no dots: `RES.tPA` becomes `RES_tPA`."""
+    return name.replace(".", "_")
 
 
-def _check_injective(names, sanitize, what: str) -> None:
+def _check_injective(names, what: str) -> None:
     mapped: dict[str, str] = {}
     for name in names:
-        flat = sanitize(name)
+        flat = _flat(name)
         if flat in mapped and mapped[flat] != name:
             raise ExportError(
                 f"name flattening collides in {what}: {mapped[flat]!r} and {name!r} both map to {flat!r}"
@@ -67,7 +66,7 @@ def _pick_clock_name(taken: set[str]) -> str:
     return name
 
 
-def _assign_text(action: Assign, sanitize) -> str:
+def _assign_text(action: Assign) -> str:
     value = action.value
     # Compact self-increment, matching the usual clock-process idiom.
     if (
@@ -76,8 +75,8 @@ def _assign_text(action: Assign, sanitize) -> str:
         and value.left == ex.Var(action.target)
         and value.right == ex.IntLit(1)
     ):
-        return f"{sanitize(action.target)}++"
-    return f"{sanitize(action.target)} = {ex.to_text(value, sanitize)}"
+        return f"{_flat(action.target)}++"
+    return f"{_flat(action.target)} = {ex.to_text(value, _flat)}"
 
 
 def _combine_guards(transition_guard: ex.Expr, branch_guard: ex.Expr) -> ex.Expr:
@@ -116,7 +115,7 @@ def _edge_label(guard_text: str, sync: str | None, assigns: list[str]) -> str:
     return "{ " + " ".join(parts) + " }" if parts else "{ }"
 
 
-def _export_edge(chart, transition: Transition, branch, sanitize, lines) -> None:
+def _export_edge(chart, transition: Transition, branch, lines) -> None:
     branch_guard, entry_actions = branch
     where = f"chart {chart.name!r} transition {transition.source}->{transition.target}"
     if transition.trigger is not None and not is_tick_trigger(transition.trigger):
@@ -134,34 +133,34 @@ def _export_edge(chart, transition: Transition, branch, sanitize, lines) -> None
         if isinstance(action, Raise):
             if sync is not None:
                 raise ExportError(f"{where}: more than one raised event on a single edge")
-            sync = sanitize(action.event)
+            sync = _flat(action.event)
         else:
-            assigns.append(_assign_text(action, sanitize))
+            assigns.append(_assign_text(action))
     guard = _combine_guards(transition.guard, branch_guard)
-    guard_text = "" if guard == ex.TRUE else ex.to_text(guard, sanitize)
+    guard_text = "" if guard == ex.TRUE else ex.to_text(guard, _flat)
     lines.append(
-        f"        {sanitize(transition.source)} -> {sanitize(transition.target)} "
+        f"        {_flat(transition.source)} -> {_flat(transition.target)} "
         + _edge_label(guard_text, sync, assigns)
     )
 
 
-def _export_process(chart: StatechartModel, globals_taken: set[str], sanitize) -> list[str]:
+def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str]:
     identifiers = {chart.name}
     identifiers.update(v.name for v in chart.variables)
     identifiers.update(chart.events)
     identifiers.update(s.name for s in chart.states)
-    _check_injective(sorted(identifiers), sanitize, f"chart {chart.name!r}")
+    _check_injective(sorted(identifiers), f"chart {chart.name!r}")
 
-    lines = [f"process {sanitize(chart.name)}() {{"]
+    lines = [f"process {_flat(chart.name)}() {{"]
     if _is_clock_chart(chart):
-        clock = _pick_clock_name(globals_taken | {sanitize(s.name) for s in chart.states})
+        clock = _pick_clock_name(globals_taken | {_flat(s.name) for s in chart.states})
         loop = chart.transitions[0]
-        state_name = sanitize(chart.states[0].name)
+        state_name = _flat(chart.states[0].name)
         assigns = [f"{clock} = 0"]
-        assigns.extend(_assign_text(a, sanitize) for a in loop.actions if isinstance(a, Assign))
+        assigns.extend(_assign_text(a) for a in loop.actions if isinstance(a, Assign))
         guard = f"{clock} >= 1"
         if loop.guard != ex.TRUE:
-            guard += f" && {ex.to_text(loop.guard, sanitize)}"
+            guard += f" && {ex.to_text(loop.guard, _flat)}"
         lines.append(f"    clock {clock};")
         lines.append(f"    state {state_name} {{ {clock} <= 1 }};")
         lines.append(f"    init {state_name};")
@@ -170,14 +169,14 @@ def _export_process(chart: StatechartModel, globals_taken: set[str], sanitize) -
         lines.append("}")
         return lines
 
-    state_names = ", ".join(sanitize(s.name) for s in chart.states)
+    state_names = ", ".join(_flat(s.name) for s in chart.states)
     lines.append(f"    state {state_names};")
-    lines.append(f"    init {sanitize(chart.initial_state)};")
+    lines.append(f"    init {_flat(chart.initial_state)};")
     edges: list[str] = []
     for transition in chart.transitions:
         target = chart.state(transition.target)
         for branch in entry_branches(target.entry_actions):
-            _export_edge(chart, transition, branch, sanitize, edges)
+            _export_edge(chart, transition, branch, edges)
     if edges:
         lines.append("    trans")
         lines.extend(f"{edge}," for edge in edges[:-1])
@@ -186,15 +185,14 @@ def _export_process(chart: StatechartModel, globals_taken: set[str], sanitize) -
     return lines
 
 
-def export_xta(composition: Composition, flatten_names: bool = True) -> str:
+def export_xta(composition: Composition) -> str:
     """Deterministic timed-automata document for the composition."""
-    sanitize = _sanitizer(flatten_names)
     variables = composition.merged_variables()
     events = composition.merged_events()
     chart_names = [chart.name for chart in composition.charts]
 
     global_names = sorted({v.name for v in variables} | set(events) | set(chart_names))
-    _check_injective(global_names, sanitize, "the global declarations")
+    _check_injective(global_names, "the global declarations")
 
     # Bake the t=0 entry effects of initial states into the initializers.
     initial_valuation = init_composition(composition, Scenario()).valuation
@@ -202,28 +200,27 @@ def export_xta(composition: Composition, flatten_names: bool = True) -> str:
     lines: list[str] = []
     for decl in variables:
         keyword = "bool" if decl.kind == ex.KIND_BOOLEAN else "int"
-        lines.append(f"{keyword} {sanitize(decl.name)} = {value_text(initial_valuation[decl.name])};")
+        lines.append(f"{keyword} {_flat(decl.name)} = {value_text(initial_valuation[decl.name])};")
     for event in events:
-        lines.append(f"broadcast chan {sanitize(event)};")
-    taken = {sanitize(name) for name in global_names}
+        lines.append(f"broadcast chan {_flat(event)};")
+    taken = {_flat(name) for name in global_names}
     for chart in composition.charts:
         lines.append("")
-        lines.extend(_export_process(chart, taken, sanitize))
+        lines.extend(_export_process(chart, taken))
     lines.append("")
-    lines.append("system " + ", ".join(sanitize(name) for name in chart_names) + ";")
+    lines.append("system " + ", ".join(_flat(name) for name in chart_names) + ";")
     return "\n".join(lines) + "\n"
 
 
-def export_queries(invariants, flatten_names: bool = True) -> str:
+def export_queries(invariants) -> str:
     """Query sidecar: one `A[] ...` line per invariant, name as a comment."""
-    sanitize = _sanitizer(flatten_names)
     lines = []
     for invariant in invariants:
         lines.append(f"//{invariant.name}")
-        predicate = ex.to_text(invariant.predicate, sanitize)
+        predicate = ex.to_text(invariant.predicate, _flat)
         if invariant.location is not None:
             chart, state = invariant.location
-            lines.append(f"A[] {sanitize(chart)}.{sanitize(state)} imply {predicate}")
+            lines.append(f"A[] {_flat(chart)}.{_flat(state)} imply {predicate}")
         else:
             lines.append(f"A[] {predicate}")
     return "\n".join(lines) + "\n"

@@ -301,6 +301,36 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+USAGE_ERRORS = [
+    (("annotate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--horizon", "5"),
+     "resweave: unrecognized arguments: --horizon 5"),
+    (("check", "--manifest", "x"), "resweave check: the following arguments are required: --scenario, --properties"),
+    (("export", "--model", FIXTURES / "stroke_simple.json", "--map", FIXTURES / "stroke_simple.map",
+      "--no-flatten-names"), "resweave: unrecognized arguments: --no-flatten-names"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_is_one_line(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_json_diagnostics(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", tmp_path, "--json-diagnostics") == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": message}
+
+
+def test_help_exits_0(capsys):
+    assert run_cli("check", "-h") == 0
+    assert capsys.readouterr().out.startswith("usage: resweave check")
+
+
 def test_manifest_roundtrip_matches_in_memory(tmp_path, delayed_composition):
     out = tmp_path / "integ"
     assert run_cli(

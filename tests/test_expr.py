@@ -125,9 +125,76 @@ def test_int_literal_range():
         ex.parse_expr(str(2**63))
 
 
-def test_variables_in_first_use_order():
-    expr = ex.parse_expr("b+a<=c && a>0")
-    assert ex.variables(expr) == ("b", "a", "c")
+_A, _B, _C, _P, _Q, _R = (ex.Var(name) for name in "abcpqr")
+_VALUATION = {"a": 3, "b": 5, "c": -4, "p": False, "q": True, "r": False}
+_KINDS = {"a": "integer", "b": "integer", "c": "integer", "p": "boolean", "q": "boolean", "r": "boolean"}
+
+
+# One case per operator: parsed tree, canonical text, kind and value, written
+# down as literals so that they do not depend on the operator table under test.
+@pytest.mark.parametrize(
+    "text, tree, canonical, kind, value",
+    [
+        ("p || q && !r", ex.BinOp("||", _P, ex.BinOp("&&", _Q, ex.Not(_R))), "p || q && !r", "boolean", True),
+        ("(p || q) && r", ex.BinOp("&&", ex.BinOp("||", _P, _Q), _R), "(p || q) && r", "boolean", False),
+        ("a<b+1", ex.BinOp("<", _A, ex.BinOp("+", _B, ex.IntLit(1))), "a<b+1", "boolean", True),
+        ("a - b <= c*2", ex.BinOp("<=", ex.BinOp("-", _A, _B), ex.BinOp("*", _C, ex.IntLit(2))),
+         "a-b<=c*2", "boolean", False),
+        ("a*2 > b", ex.BinOp(">", ex.BinOp("*", _A, ex.IntLit(2)), _B), "a*2>b", "boolean", True),
+        ("a >= -3", ex.BinOp(">=", _A, ex.IntLit(-3)), "a>=-3", "boolean", True),
+        ("a+b == c", ex.BinOp("==", ex.BinOp("+", _A, _B), _C), "a+b==c", "boolean", False),
+        ("a != b-c", ex.BinOp("!=", _A, ex.BinOp("-", _B, _C)), "a!=b-c", "boolean", True),
+        ("a + (b + c)", ex.BinOp("+", _A, ex.BinOp("+", _B, _C)), "a+(b+c)", "integer", 4),
+        ("a - b - c", ex.BinOp("-", ex.BinOp("-", _A, _B), _C), "a-b-c", "integer", 2),
+        ("a*(b+c)", ex.BinOp("*", _A, ex.BinOp("+", _B, _C)), "a*(b+c)", "integer", 3),
+        ("!(p && q)", ex.Not(ex.BinOp("&&", _P, _Q)), "!(p && q)", "boolean", True),
+        ("a * -2", ex.BinOp("*", _A, ex.IntLit(-2)), "a*-2", "integer", -6),
+    ],
+)
+def test_operator(text, tree, canonical, kind, value):
+    parsed = ex.parse_expr(text)
+    assert parsed == tree
+    assert ex.to_text(parsed) == canonical
+    assert ex.type_of(parsed, _KINDS) == kind
+    assert ex.eval_expr(parsed, _VALUATION) == value
+    assert type(ex.eval_expr(parsed, _VALUATION)) is type(value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a<b<c", "unexpected '<' (column 4)"),
+        ("(a<b<c)", "expected ')' (column 5)"),
+        ("a && b<c<d", "unexpected '<' (column 9)"),
+    ],
+)
+def test_comparisons_do_not_chain(text, message):
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr(text)
+    assert str(err.value) == message
+
+
+def test_type_errors_name_unknown_variables_first():
+    with pytest.raises(ex.ExprTypeError) as err:
+        ex.type_of(ex.parse_expr("p < y"), _KINDS)
+    assert str(err.value) == "unknown variable 'y'"
+    with pytest.raises(ex.ExprTypeError) as err:
+        ex.type_of(ex.parse_expr("p < 1"), _KINDS)
+    assert str(err.value) == "'<' requires integer operands"
+
+
+@pytest.mark.parametrize(
+    "text, valuation, message",
+    [
+        ("a+1", {"a": True}, "'+' applied to non-integer value True"),
+        ("p && q", {"p": 1, "q": True}, "'&&' applied to non-boolean value 1"),
+        ("!a", {"a": 1}, "'!' applied to non-boolean value 1"),
+    ],
+)
+def test_eval_rejects_wrong_kinds(text, valuation, message):
+    with pytest.raises(ex.EvalError) as err:
+        ex.eval_expr(ex.parse_expr(text), valuation)
+    assert str(err.value) == message
 
 
 @settings(max_examples=300)

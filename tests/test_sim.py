@@ -314,7 +314,12 @@ def test_timerless_run_reaches_horizon():
         initial_state="a",
     )
     state = sim.init_composition(sim.Composition(guidelines=(chart,)), sim.Scenario())
-    assert len(sim.run(state, 500).steps) == 501
+    trace = sim.run(state, 500)
+    assert len(trace.steps) == 501
+    # without a timer chart the minute is still counted, by the step record
+    assert state.curT == trace.steps[-1].t == 500
+    with pytest.raises(AttributeError):
+        state.curT = 0
 
 
 def test_run_from_stepped_state_matches_fresh_run(delayed_composition, simple_scenario):

@@ -85,7 +85,7 @@ def test_enumerate_cap():
 def _observer(active, valuation):
     return sim.SimState(
         composition=None, active=active, valuation=valuation,
-        curT=0, pending_events=[], steps=[], injections_by_time={},
+        pending_events=[], steps=[], injections_by_time={},
     )
 
 

@@ -165,10 +165,8 @@ def test_flatten_names_flag():
         states=(State("s"),),
         initial_state="s",
     )
-    flat = export_xta(Composition(guidelines=(chart,)), flatten_names=True)
+    flat = export_xta(Composition(guidelines=(chart,)))
     assert "RES_r" in flat and "RES.r" not in flat
-    kept = export_xta(Composition(guidelines=(chart,)), flatten_names=False)
-    assert "RES.r" in kept
 
 
 def test_deterministic_output(delayed_composition):
