@@ -164,6 +164,8 @@ def load_manifest(path: str) -> sim.Composition:
         root = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise _CommandError(f"{path}: {err.msg} (line {err.lineno})") from None
+    except RecursionError:
+        raise _CommandError(f"{path}: JSON nested too deeply") from None
     if not isinstance(root, dict):
         raise _CommandError(f"{path}: manifest must be a JSON object")
 
@@ -266,6 +268,7 @@ def cmd_simulate(args) -> int:
             f"scenario has unresolved choices {unresolved}; pass --choice var=value for each"
         )
     horizon = _effective_horizon(args, scenario)
+    chk.check_work(1, horizon)
     state = sim.init_composition(composition, scenario)
     trace = sim.run(state, horizon)
     trace_json = sim.trace_to_json(trace)

@@ -33,6 +33,13 @@ INT_MAX = 2**63 - 1
 KIND_INTEGER = "integer"
 KIND_BOOLEAN = "boolean"
 
+# The deepest expression tree accepted, in nodes from the root to a leaf, and
+# the most '(' and '!' one expression may nest. It keeps every recursive walk
+# of a tree (evaluation, printing, typing, code generation) far from Python's
+# recursion limit, and the code `compile_expr` generates inside CPython's
+# limit of 200 nested brackets.
+MAX_DEPTH = 100
+
 
 class ExprError(ResweaveError):
     pass
@@ -92,23 +99,24 @@ class _Binary(NamedTuple):
     operand: str  # kind both operands must have
     result: str
     apply: Callable
+    python: str  # the Python operator `compile_expr` emits; strict in both operands, like `apply`
 
 
 # Every binary operator, its syntax, typing and meaning. An operator whose
 # result kind differs from its operand kind (a comparison) does not chain;
 # the others are left-associative.
 _BINARY = {
-    "||": _Binary(1, KIND_BOOLEAN, KIND_BOOLEAN, operator.or_),
-    "&&": _Binary(2, KIND_BOOLEAN, KIND_BOOLEAN, operator.and_),
-    "<": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.lt),
-    "<=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.le),
-    ">": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.gt),
-    ">=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ge),
-    "==": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.eq),
-    "!=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ne),
-    "+": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.add),
-    "-": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.sub),
-    "*": _Binary(5, KIND_INTEGER, KIND_INTEGER, operator.mul),
+    "||": _Binary(1, KIND_BOOLEAN, KIND_BOOLEAN, operator.or_, "|"),
+    "&&": _Binary(2, KIND_BOOLEAN, KIND_BOOLEAN, operator.and_, "&"),
+    "<": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.lt, "<"),
+    "<=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.le, "<="),
+    ">": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.gt, ">"),
+    ">=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ge, ">="),
+    "==": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.eq, "=="),
+    "!=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ne, "!="),
+    "+": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.add, "+"),
+    "-": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.sub, "-"),
+    "*": _Binary(5, KIND_INTEGER, KIND_INTEGER, operator.mul, "*"),
 }
 
 # What evaluation needs of `_BINARY`: the Python type of both operands, and the operation.
@@ -161,9 +169,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent; each method returns the tree it parsed and its depth."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0  # '(' and '!' whose operand is being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -180,30 +191,33 @@ class _Parser:
         return None
 
     def parse(self) -> Expr:
-        result = self.binary(1)
+        result, _ = self.binary(1)
         trailing = self.peek()
         if trailing.kind != "end":
             raise ExprSyntaxError(f"unexpected {trailing.text!r}", trailing.column)
         return result
 
-    def binary(self, min_precedence: int) -> Expr:
+    def binary(self, min_precedence: int) -> tuple[Expr, int]:
         """Precedence climbing over `_BINARY`: operators binding at least `min_precedence`."""
-        left = self.unary()
+        left, depth = self.unary()
         max_precedence = float("inf")
         while True:
             token = self.peek()
             spec = _BINARY.get(token.text) if token.kind == "op" else None
             if spec is None or not min_precedence <= spec.precedence <= max_precedence:
-                return left
+                return left, depth
             self.advance()
+            right, right_depth = self.binary(spec.precedence + 1)
             # Interned: a large model holds thousands of these operator strings.
-            left = BinOp(sys.intern(token.text), left, self.binary(spec.precedence + 1))
+            left = BinOp(sys.intern(token.text), left, right)
+            depth = _deeper(max(depth, right_depth), token)
             max_precedence = spec.precedence if _chains(spec) else spec.precedence - 1
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         token = self.accept_op("!")
         if token:
-            return Not(self.unary())
+            operand, depth = self.nested(token, self.unary)
+            return Not(operand), _deeper(depth, token)
         token = self.accept_op("-")
         if token:
             operand = self.peek()
@@ -212,21 +226,21 @@ class _Parser:
                     "unary '-' is only allowed before an integer literal", token.column
                 )
             self.advance()
-            return _int_literal("-" + operand.text, operand.column)
+            return _int_literal("-" + operand.text, operand.column), 1
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         token = self.advance()
         if token.kind == "int":
-            return _int_literal(token.text, token.column)
+            return _int_literal(token.text, token.column), 1
         if token.kind == "ident":
             if token.text == "true":
-                return TRUE
+                return TRUE, 1
             if token.text == "false":
-                return FALSE
-            return Var(token.text)
+                return FALSE, 1
+            return Var(token.text), 1
         if token.kind == "op" and token.text == "(":
-            inner = self.binary(1)
+            inner = self.nested(token, lambda: self.binary(1))
             closing = self.peek()
             if closing.kind != "op" or closing.text != ")":
                 raise ExprSyntaxError("expected ')'", closing.column)
@@ -236,6 +250,26 @@ class _Parser:
             f"expected an operand, found {token.text!r}" if token.text else "unexpected end of expression",
             token.column,
         )
+
+    def nested(self, token: _Token, parse):
+        """`parse()` the operand of a '(' or '!', at most MAX_DEPTH of them deep."""
+        if self.nesting == MAX_DEPTH:
+            raise _too_deep(token)
+        self.nesting += 1
+        result = parse()
+        self.nesting -= 1
+        return result
+
+
+def _deeper(depth: int, token: _Token) -> int:
+    """The depth of the node `token` makes over a subtree `depth` deep."""
+    if depth == MAX_DEPTH:
+        raise _too_deep(token)
+    return depth + 1
+
+
+def _too_deep(token: _Token) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", token.column)
 
 
 def _chains(spec: _Binary) -> bool:
@@ -343,6 +377,47 @@ def eval_expr(expr: Expr, valuation: Mapping[str, int | bool]) -> int | bool:
         expect = _expect_bool if operand_type is bool else _expect_int
         left, right = expect(left, expr.op), expect(right, expr.op)
     return apply(left, right)
+
+
+def compile_expr(expr: Expr, kinds: Mapping[str, str]) -> Callable[[Mapping[str, int | bool]], int | bool]:
+    """One Python function of the valuation that computes what `eval_expr` does.
+
+    The tree is type-checked against `kinds` first (ExprTypeError if it is
+    ill-typed): the generated code relies on it, because its operators do not
+    check the kinds of their operands the way `eval_expr` does.
+    """
+    type_of(expr, kinds)
+    return eval(f"lambda v: {_python(expr)}", {"__builtins__": {}})
+
+
+def _python(expr: Expr) -> str:
+    if isinstance(expr, (IntLit, BoolLit)):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return f"v[{expr.name!r}]"
+    if isinstance(expr, Not):
+        return f"not {_python_operand(expr.operand)}"
+    spec = _BINARY[expr.op]
+    # Python's precedences differ from ours ('&' binds tighter than '<'), so
+    # every compound operand is bracketed, except the left operand of a
+    # chaining operator applied again: a long conjunction stays flat.
+    chained = isinstance(expr.left, BinOp) and expr.left.op == expr.op and _chains(spec)
+    left = _python(expr.left) if chained else _python_operand(expr.left)
+    return f"{left} {spec.python} {_python_operand(expr.right)}"
+
+
+def _python_operand(expr: Expr) -> str:
+    text = _python(expr)
+    return f"({text})" if isinstance(expr, (Not, BinOp)) else text
+
+
+def depth(expr: Expr) -> int:
+    """Nodes on the longest path from the root to a leaf."""
+    if isinstance(expr, Not):
+        return 1 + depth(expr.operand)
+    if isinstance(expr, BinOp):
+        return 1 + max(depth(expr.left), depth(expr.right))
+    return 1
 
 
 def _expect_bool(value, op: str) -> bool:

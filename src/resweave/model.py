@@ -237,6 +237,8 @@ def parse_model(text: str) -> StatechartModel:
         root = json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelFormatError(err.msg, err.lineno, err.colno) from None
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply") from None
     model = _model_from_obj(root)
     diagnostics = validate_model(model)
     if diagnostics:

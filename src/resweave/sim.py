@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ResweaveError
@@ -48,13 +49,56 @@ class ScenarioError(ResweaveError):
 # Composition
 
 
+class _StateCode(NamedTuple):
+    """A state's expressions, compiled.
+
+    Each action is a triple (guard, target, value): guard is None when the
+    action is unconditional; target is None for raising the event `value`,
+    else `value` is the compiled right-hand side assigned to it.
+    """
+
+    entry: tuple
+    exit: tuple
+    leaving: tuple  # (declaration index, trigger event or None, guard or None) per outgoing transition
+    actions: dict  # declaration index -> the compiled actions of that outgoing transition
+
+
 class _ChartIndex:
-    def __init__(self, chart: StatechartModel):
+    """A chart's states and outgoing transitions by name, and each state's
+    compiled expressions, built the first time the chart is in that state."""
+
+    def __init__(self, chart: StatechartModel, compile):
+        self.chart = chart
         self.states = {s.name: s for s in chart.states}
         # (declaration index, transition) per source state, in declaration order
         self.by_source: dict[str, list[tuple[int, Transition]]] = {}
         for index, transition in enumerate(chart.transitions):
             self.by_source.setdefault(transition.source, []).append((index, transition))
+        self._compile = compile
+        self._code: dict[str, _StateCode] = {}
+
+    def code(self, name: str) -> _StateCode:
+        code = self._code.get(name)
+        if code is None:
+            state, leaving = self.states[name], self.by_source.get(name, ())
+            code = self._code[name] = _StateCode(
+                tuple(self._action(ga.action, ga.guard) for ga in state.entry_actions),
+                tuple(self._action(ga.action, ga.guard) for ga in state.exit_actions),
+                tuple(
+                    (index, None if is_tick_trigger(t.trigger) else t.trigger, self._guard(t.guard))
+                    for index, t in leaving
+                ),
+                {index: tuple(self._action(a, ex.TRUE) for a in t.actions) for index, t in leaving},
+            )
+        return code
+
+    def _guard(self, guard: ex.Expr):
+        return None if guard == ex.TRUE else self._compile(guard)
+
+    def _action(self, action, guard: ex.Expr) -> tuple:
+        if isinstance(action, Raise):
+            return self._guard(guard), None, action.event
+        return self._guard(guard), action.target, self._compile(action.value)
 
 
 @dataclass(frozen=True)
@@ -62,14 +106,17 @@ class Composition:
     """Charts in execution order: timer, then resource charts, then guidelines.
 
     Checked and indexed once, when built: at least one chart, unique chart
-    names, every chart valid, and same-name declarations in agreement.
+    names, every chart valid, and same-name declarations in agreement. An
+    expression is compiled the first time it is evaluated, and kept.
     """
 
     timer: StatechartModel | None = None
     resources: tuple[StatechartModel, ...] = ()
     guidelines: tuple[StatechartModel, ...] = ()
     _variables: tuple[VariableDecl, ...] = field(init=False, repr=False, compare=False)
+    kinds: dict[str, str] = field(init=False, repr=False, compare=False)  # variable -> kind
     indexes: dict[str, _ChartIndex] = field(init=False, repr=False, compare=False)
+    _compiled: dict = field(init=False, repr=False, compare=False)  # id(expr) -> (expr, function)
 
     def __post_init__(self):
         object.__setattr__(self, "resources", tuple(self.resources))
@@ -95,7 +142,11 @@ class Composition:
                         f"{decl.kind}={decl.initial!r} in chart {chart.name!r}"
                     )
         object.__setattr__(self, "_variables", tuple(decl for decl, _ in merged.values()))
-        object.__setattr__(self, "indexes", {chart.name: _ChartIndex(chart) for chart in self.charts})
+        object.__setattr__(self, "kinds", {decl.name: decl.kind for decl in self._variables})
+        object.__setattr__(self, "_compiled", {})
+        object.__setattr__(
+            self, "indexes", {chart.name: _ChartIndex(chart, self.compiled) for chart in self.charts}
+        )
 
     @property
     def charts(self) -> tuple[StatechartModel, ...]:
@@ -105,6 +156,15 @@ class Composition:
     def merged_variables(self) -> tuple[VariableDecl, ...]:
         """Union of chart declarations, in first-declaration order."""
         return self._variables
+
+    def compiled(self, expr: ex.Expr):
+        """`expr` as a function of the valuation (`ex.compile_expr` against the
+        merged declarations), compiled on the first call for this tree."""
+        entry = self._compiled.get(id(expr))
+        if entry is None:
+            # The tree is kept with its function, so its id is not reused.
+            entry = self._compiled[id(expr)] = (expr, ex.compile_expr(expr, self.kinds))
+        return entry[1]
 
     def merged_events(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -169,6 +229,8 @@ def parse_scenario(text: str) -> Scenario:
         root = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{err.msg} (line {err.lineno}, column {err.colno})") from None
+    except RecursionError:
+        raise ScenarioError("JSON nested too deeply") from None
     if not isinstance(root, dict):
         raise ScenarioError("scenario document must be a JSON object")
     known = {"initial", "injections", "choices", "horizon"}
@@ -229,7 +291,7 @@ def _is_literal(value) -> bool:
 
 def validate_scenario(scenario: Scenario, composition: Composition) -> None:
     """Check every referenced variable is declared with a matching kind."""
-    kinds = {v.name: v.kind for v in composition.merged_variables()}
+    kinds = composition.kinds
 
     def check(var: str, value, where: str) -> None:
         kind = kinds.get(var)
@@ -354,7 +416,12 @@ def trace_lines(trace: Trace) -> list[str]:
 
 @dataclass
 class SimState:
-    """Mutable execution context; confine to one thread at a time."""
+    """Mutable execution context; confine to one thread at a time.
+
+    A recording state keeps every step's report in `steps`. One that does
+    not record keeps none: its steps skip the valuation copy, the deltas
+    and the fire and step records.
+    """
 
     composition: Composition
     active: dict[str, str]
@@ -362,33 +429,36 @@ class SimState:
     pending_events: list[str]
     steps: list[StepReport]  # steps[t] is the report of minute t; steps[0] is initialization
     injections_by_time: dict[int, list[Injection]]
+    record: bool = True
+    _minute: int = field(default=0, init=False, repr=False)
 
     @property
     def curT(self) -> int:
         """The last minute executed."""
-        return len(self.steps) - 1
+        return self._minute
 
 
-def _run_action(state: SimState, action, sets: list) -> None:
-    """Raise an event, or assign and record the write if it changes the value."""
-    if isinstance(action, Raise):
-        state.pending_events.append(action.event)
-        return
-    value = ex.eval_expr(action.value, state.valuation)
-    if state.valuation[action.target] != value:
-        sets.append((action.target, value))
-        state.valuation[action.target] = value
+def _run_actions(state: SimState, actions: tuple, sets: list) -> None:
+    """Run compiled actions (see `_StateCode`); value-changing writes go to `sets`."""
+    valuation = state.valuation
+    for guard, target, value in actions:
+        if guard is not None and not guard(valuation):
+            continue
+        if target is None:
+            state.pending_events.append(value)
+            continue
+        new = value(valuation)
+        if valuation[target] != new:
+            sets.append((target, new))
+            valuation[target] = new
 
 
-def _run_guarded_actions(state: SimState, guarded, sets: list) -> None:
-    for ga in guarded:
-        if ex.eval_expr(ga.guard, state.valuation):
-            _run_action(state, ga.action, sets)
+def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list | None) -> None:
+    """Fire the transition declared at `index`, or enter the initial state when it is None.
 
-
-def _fire(state: SimState, chart: StatechartModel, index: int | None, fires: list) -> None:
-    """Fire the transition declared at `index`, or enter the initial state when it is None."""
-    states = state.composition.indexes[chart.name].states
+    The fire is recorded in `fires` unless it is None.
+    """
+    chart = charts.chart
     sets: list[tuple[str, int | bool]] = []
     mark = len(state.pending_events)
     if index is None:
@@ -396,29 +466,25 @@ def _fire(state: SimState, chart: StatechartModel, index: int | None, fires: lis
     else:
         transition = chart.transitions[index]
         source, target = transition.source, transition.target
-        _run_guarded_actions(state, states[source].exit_actions, sets)
-        for action in transition.actions:
-            _run_action(state, action, sets)
+        code = charts.code(source)
+        _run_actions(state, code.exit, sets)
+        _run_actions(state, code.actions[index], sets)
     state.active[chart.name] = target
-    _run_guarded_actions(state, states[target].entry_actions, sets)
-    fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
+    _run_actions(state, charts.code(target).entry, sets)
+    if fires is not None:
+        fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
 
 
-def _trigger_enabled(state: SimState, transition: Transition) -> bool:
-    if transition.trigger is None or is_tick_trigger(transition.trigger):
-        return True
-    return transition.trigger in state.pending_events
-
-
-def _chart_cycle(state: SimState, chart: StatechartModel, fires: list, chosen: dict[str, int] | None) -> None:
+def _chart_cycle(state: SimState, chart: StatechartModel, fires: list | None, chosen: dict[str, int] | None) -> None:
+    charts = state.composition.indexes[chart.name]
     if chosen is None:
-        candidates = state.composition.indexes[chart.name].by_source.get(state.active[chart.name], ())
-        for index, transition in candidates:
-            if _trigger_enabled(state, transition) and ex.eval_expr(transition.guard, state.valuation):
-                _fire(state, chart, index, fires)
+        valuation = state.valuation
+        for index, event, guard in charts.code(state.active[chart.name]).leaving:
+            if (event is None or event in state.pending_events) and (guard is None or guard(valuation)):
+                _fire(state, charts, index, fires)
                 return
     elif chart.name in chosen:
-        _fire(state, chart, chosen[chart.name], fires)
+        _fire(state, charts, chosen[chart.name], fires)
 
 
 def _inject(state: SimState, t: int, injected: list) -> None:
@@ -427,20 +493,29 @@ def _inject(state: SimState, t: int, injected: list) -> None:
         state.valuation[injection.var] = injection.value
 
 
-def _report(state: SimState, t: int, injected: list, fires: list, before: dict) -> StepReport:
-    """Close and record minute `t`: net value changes since `before`; events are cleared."""
-    deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
-    report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
-    state.steps.append(report)
+def _report(state: SimState, t: int, injected: list, fires: list | None, before: dict | None) -> StepReport:
+    """Close minute `t`: net value changes since `before`; events are cleared.
+
+    A recording state keeps the report; one that does not gets a report
+    that holds only `t`.
+    """
+    state._minute = t
+    if state.record:
+        deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
+        report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
+        state.steps.append(report)
+    else:
+        report = StepReport(t, (), (), (), {})
     state.pending_events.clear()
     return report
 
 
-def init_composition(composition: Composition, scenario: Scenario) -> SimState:
+def init_composition(composition: Composition, scenario: Scenario, record: bool = True) -> SimState:
     """Build the t=0 state: defaults, then scenario values, then initial entries.
 
     The scenario must be fully resolved. Injections scheduled at t=0 are
-    applied after the initial values, before any entry action runs.
+    applied after the initial values, before any entry action runs. With
+    `record=False` the state keeps no step reports (see `SimState`).
     """
     if not scenario.resolved:
         raise ScenarioError(
@@ -459,14 +534,15 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
         pending_events=[],
         steps=[],
         injections_by_time=injections_by_time,
+        record=record,
     )
     # Baseline for init deltas is the declaration defaults.
-    before = dict(state.valuation)
+    before = dict(state.valuation) if record else None
     injected: list[tuple[str, int | bool]] = []
-    fires: list[FireRecord] = []
+    fires: list[FireRecord] | None = [] if record else None
     _inject(state, 0, injected)
-    for chart in composition.charts:
-        _fire(state, chart, None, fires)
+    for charts in composition.indexes.values():
+        _fire(state, charts, None, fires)
     _report(state, 0, injected, fires, before)
     return state
 
@@ -476,12 +552,13 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
 
     By default each chart fires its first enabled transition. `chosen` maps
     chart names to the declaration index to fire instead, without evaluating
-    triggers or guards; charts it does not name stay where they are.
+    triggers or guards; charts it does not name stay where they are. Returns
+    the step's report, which holds only `t` when the state does not record.
     """
-    t = len(state.steps)
-    before = dict(state.valuation)
+    t = state.curT + 1
+    before = dict(state.valuation) if state.record else None
     injected: list[tuple[str, int | bool]] = []
-    fires: list[FireRecord] = []
+    fires: list[FireRecord] | None = [] if state.record else None
     composition = state.composition
     if composition.timer is not None:
         _chart_cycle(state, composition.timer, fires, chosen)
@@ -499,6 +576,8 @@ def trace_of(state: SimState) -> Trace:
     Both are rebuilt from the initialization report: it holds one entry per
     chart, and its deltas are the changes from the declaration defaults.
     """
+    if not state.record:
+        raise SimulationError("the state does not record its steps")
     init = state.steps[0]
     valuation = {decl.name: decl.initial for decl in state.composition.merged_variables()}
     valuation.update(init.deltas)

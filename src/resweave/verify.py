@@ -29,10 +29,13 @@ from .sim import (
     Trace,
     init_composition,
     macro_step,
-    trace_of,
+    run,
 )
 
 DEFAULT_SCENARIO_CAP = 10_000
+# The most scenario-minutes, scenarios × (horizon + 1), that one check or
+# simulation may run: the default cap at the default horizon fits.
+WORK_BUDGET = 10_000_000
 
 _PROPERTY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*A\[\]\s*(.*\S)\s*\Z")
 _LOCATION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)\s+imply\s+(.*\S)\s*\Z")
@@ -43,6 +46,10 @@ class PropertyError(ResweaveError):
 
 
 class ScenarioCapError(ResweaveError):
+    pass
+
+
+class WorkBudgetError(ResweaveError):
     pass
 
 
@@ -104,9 +111,8 @@ def _check_invariant_names(invariant: Invariant, composition: Composition, linen
             raise PropertyError(f"line {lineno}: unknown chart {chart_name!r}")
         if state_name not in {s.name for s in chart.states}:
             raise PropertyError(f"line {lineno}: unknown state {state_name!r} in chart {chart_name!r}")
-    kinds = {v.name: v.kind for v in composition.merged_variables()}
     try:
-        kind = ex.type_of(invariant.predicate, kinds)
+        kind = ex.type_of(invariant.predicate, composition.kinds)
     except ex.ExprTypeError as err:
         raise PropertyError(f"line {lineno}: {err}") from None
     if kind != ex.KIND_BOOLEAN:
@@ -143,13 +149,27 @@ def enumerate_scenarios(scenario: Scenario, cap: int = DEFAULT_SCENARIO_CAP) -> 
     return resolved
 
 
+def check_work(scenarios: int, horizon: int) -> None:
+    """Refuse a run of more than WORK_BUDGET scenario-minutes."""
+    work = scenarios * (horizon + 1)
+    if work > WORK_BUDGET:
+        raise WorkBudgetError(
+            f"{scenarios} scenario(s) x {horizon + 1} minutes is above the work budget of "
+            f"{WORK_BUDGET} scenario-minutes; lower the horizon or narrow the choices"
+        )
+
+
 def eval_invariant(invariant: Invariant, state: SimState) -> bool:
-    """Implication at an observation point: inactive location or true predicate."""
+    """Implication at an observation point: inactive location or true predicate.
+
+    The predicate is compiled against the state's composition, which
+    type-checks it, the first time it is evaluated.
+    """
     if invariant.location is not None:
         chart, state_name = invariant.location
         if state.active.get(chart) != state_name:
             return True
-    return bool(ex.eval_expr(invariant.predicate, state.valuation))
+    return bool(state.composition.compiled(invariant.predicate)(state.valuation))
 
 
 def check(
@@ -164,16 +184,18 @@ def check(
     A property holds iff its invariant is true at initialization and after
     every macro-step of every resolved scenario. The counterexample is the
     earliest violating step of the first violating scenario in enumeration
-    order.
+    order. Scenarios run without recording; a violating one, being
+    deterministic, is run again with recording for its trace.
     """
     properties = list(properties)
     resolved_scenarios = enumerate_scenarios(scenario, cap)
+    check_work(len(resolved_scenarios), horizon)
     violations: dict[str, Counterexample] = {}
     for scenario_index, resolved in enumerate(resolved_scenarios):
         open_properties = [p for p in properties if p.name not in violations]
         if not open_properties:
             break
-        state = init_composition(composition, resolved)
+        state = init_composition(composition, resolved, record=False)
         pending: dict[str, int] = {}  # property -> violating step, first only
         while True:
             for prop in open_properties:
@@ -183,7 +205,7 @@ def check(
                 break
             macro_step(state)
         if pending:
-            trace = trace_of(state)
+            trace = run(init_composition(composition, resolved), horizon)
             for name, step_index in pending.items():
                 violations[name] = Counterexample(resolved, scenario_index, step_index, trace)
     return [

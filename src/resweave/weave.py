@@ -74,7 +74,8 @@ def integrate(model: StatechartModel) -> StatechartModel:
     """Strengthen guards from annotations; only guards change.
 
     Requires a declared RES.* variable for every annotated resource (the
-    resource interface must be merged into the model first).
+    resource interface must be merged into the model first), and no
+    strengthened guard may be nested deeper than `ex.MAX_DEPTH`.
     """
     declared = {v.name for v in model.variables}
     for element in (*model.states, *model.transitions):
@@ -85,27 +86,29 @@ def integrate(model: StatechartModel) -> StatechartModel:
                     f"{resource_variable(resource)!r} is not declared; synthesize the interface first"
                 )
 
-    guards = [t.guard for t in model.transitions]
     incoming: dict[str, list[int]] = {}
     for index, transition in enumerate(model.transitions):
         incoming.setdefault(transition.target, []).append(index)
-
+    added: list[tuple[str, ...]] = [() for _ in model.transitions]  # state resources, then transition ones
     for state in model.states:
         resources = collect_annotations(state)
-        if not resources:
-            continue
         for index in incoming.get(state.name, ()):
-            guards[index] = strengthen_guard(guards[index], resources)
+            added[index] += resources
     for index, transition in enumerate(model.transitions):
-        resources = collect_annotations(transition)
-        if resources:
-            guards[index] = strengthen_guard(guards[index], resources)
+        added[index] += collect_annotations(transition)
 
-    transitions = tuple(
-        replace(t, guard=g) if g is not t.guard else t
-        for t, g in zip(model.transitions, guards)
-    )
-    return replace(model, transitions=transitions)
+    transitions = []
+    for index, (transition, resources) in enumerate(zip(model.transitions, added)):
+        if resources:
+            if ex.depth(transition.guard) + len(resources) > ex.MAX_DEPTH:
+                raise IntegrationError(
+                    f"transitions[{index}]({transition.source}->{transition.target}): the guard "
+                    f"strengthened with {len(resources)} resources is nested deeper than "
+                    f"{ex.MAX_DEPTH} levels"
+                )
+            transition = replace(transition, guard=strengthen_guard(transition.guard, resources))
+        transitions.append(transition)
+    return replace(model, transitions=tuple(transitions))
 
 
 def integration_warnings(model: StatechartModel) -> list[Diagnostic]:

@@ -528,3 +528,59 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, exit_code, digests):
     capsys.readouterr()
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _deep_inputs(tmp_path) -> dict:
+    """One over-deep input of each kind, keyed by the flag that reads it."""
+    deep_json = "[" * 100_000
+    model = json.loads((FIXTURES / "stroke_simple.json").read_text())
+    model["transitions"][0]["guard"] = "curT" + "+1" * 3000 + ">=0"
+    files = {
+        "parens.props": "P: A[] " + "(" * 3000 + "curT>=0" + ")" * 3000 + "\n",
+        "chain.props": "P: A[] curT" + "+1" * 3000 + ">=0\n",
+        "model.json": deep_json,
+        "guard.json": json.dumps(model),
+        "scenario.json": deep_json,
+        "composition.json": deep_json,
+        "wide.map": "CTscan: " + ", ".join(f"r{i}" for i in range(150)) + "\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: tmp_path / name for name in files}
+
+
+@pytest.mark.parametrize(
+    "replace",
+    [
+        {"--properties": "parens.props"},
+        {"--properties": "chain.props"},
+        {"--model": "model.json"},
+        {"--model": "guard.json"},
+        {"--scenario": "scenario.json"},
+        {"--map": "wide.map"},
+        {"--manifest": "composition.json", "--model": None, "--map": None, "--schedule": None},
+    ],
+    ids=["properties-brackets", "properties-chain", "model-json", "model-guard", "scenario-json",
+         "map-conjunction", "manifest-json"],
+)
+def test_deep_nesting_exits_2(tmp_path, capsys, replace):
+    deep = _deep_inputs(tmp_path)
+    argv = list(DELAYED_CHECK)
+    for flag, name in replace.items():
+        if flag in argv:
+            at = argv.index(flag)
+            del argv[at:at + 2]
+        if name is not None:
+            argv += [flag, deep[name]]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "deeper than" in err or "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv", [DELAYED_CHECK, DELAYED_SIMULATE], ids=["check", "simulate"])
+def test_horizon_over_work_budget_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--horizon", "99999999999", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "work budget" in err
+    assert not any(tmp_path.iterdir())

@@ -203,3 +203,91 @@ def test_roundtrip_generated(seed):
     rng = random.Random(seed)
     expr = gen_expr(rng, depth=4)
     assert ex.parse_expr(ex.to_text(expr)) == expr
+
+
+_COMPILE_KINDS = {"a": "integer", "b": "integer", "RES.n": "integer", "p": "boolean", "RES.x": "boolean"}
+_INT_VARS = [name for name, kind in _COMPILE_KINDS.items() if kind == "integer"]
+_BOOL_VARS = [name for name, kind in _COMPILE_KINDS.items() if kind == "boolean"]
+
+
+def _typed_tree(rng: random.Random, kind: str, depth: int) -> ex.Expr:
+    """A well-typed tree of `kind`, exactly `depth` deep: a spine of random
+    operators, each with a shallow operand on a random side."""
+    if depth == 1:
+        if kind == ex.KIND_INTEGER:
+            if rng.random() < 0.5:
+                return ex.Var(rng.choice(_INT_VARS))
+            return ex.IntLit(rng.choice([rng.randint(-9, 9), rng.randint(ex.INT_MIN, ex.INT_MAX)]))
+        return ex.Var(rng.choice(_BOOL_VARS)) if rng.random() < 0.5 else ex.BoolLit(rng.random() < 0.5)
+    operators = [op for op, spec in ex._BINARY.items() if spec.result == kind]
+    op = rng.choice(operators + (["!"] if kind == ex.KIND_BOOLEAN else []))
+    if op == "!":
+        return ex.Not(_typed_tree(rng, kind, depth - 1))
+    operand = ex._BINARY[op].operand
+    deep = _typed_tree(rng, operand, depth - 1)
+    shallow = _typed_tree(rng, operand, rng.randint(1, min(3, depth - 1)))
+    return ex.BinOp(op, deep, shallow) if rng.random() < 0.5 else ex.BinOp(op, shallow, deep)
+
+
+_VALUATIONS = st.fixed_dictionaries({
+    name: st.integers(ex.INT_MIN, ex.INT_MAX) if kind == ex.KIND_INTEGER else st.booleans()
+    for name, kind in _COMPILE_KINDS.items()
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([ex.KIND_BOOLEAN, ex.KIND_INTEGER]),
+    st.integers(1, ex.MAX_DEPTH),
+    st.integers(0, 2**32),
+    _VALUATIONS,
+)
+def test_compiled_matches_eval(kind, depth, seed, valuation):
+    tree = _typed_tree(random.Random(seed), kind, depth)
+    assert ex.depth(tree) == depth
+    compiled = ex.compile_expr(tree, _COMPILE_KINDS)(valuation)
+    expected = ex.eval_expr(tree, valuation)
+    assert compiled == expected
+    assert type(compiled) is type(expected)
+
+
+@pytest.mark.parametrize("op", [op for op, spec in ex._BINARY.items() if spec.operand == spec.result])
+def test_compiled_left_chain_at_depth_bound(op):
+    operand = "p" if ex._BINARY[op].operand == ex.KIND_BOOLEAN else "a"
+    tree = ex.parse_expr(f" {op} ".join([operand] * ex.MAX_DEPTH))
+    assert ex.depth(tree) == ex.MAX_DEPTH
+    valuation = {"a": 3, "p": True}
+    assert ex.compile_expr(tree, _COMPILE_KINDS)(valuation) == ex.eval_expr(tree, valuation)
+
+
+def test_compile_rejects_ill_typed_trees():
+    with pytest.raises(ex.ExprTypeError, match="requires integer operands"):
+        ex.compile_expr(ex.parse_expr("p + 1"), _COMPILE_KINDS)
+    with pytest.raises(ex.ExprTypeError, match="unknown variable 'y'"):
+        ex.compile_expr(ex.parse_expr("y"), _COMPILE_KINDS)
+
+
+_DEEPEST = ex.MAX_DEPTH - 1  # operators or '!' over one leaf
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: "a" + "+1" * n,  # a left chain, built without recursion
+        lambda n: "p" + " && (p" * n + ")" * n,  # right-nested in brackets
+        lambda n: "!" * n + "p",
+    ],
+)
+def test_depth_bound(build):
+    assert ex.depth(ex.parse_expr(build(_DEEPEST))) == ex.MAX_DEPTH
+    with pytest.raises(ex.ExprSyntaxError, match=f"nested deeper than {ex.MAX_DEPTH} levels"):
+        ex.parse_expr(build(_DEEPEST + 1))
+    with pytest.raises(ex.ExprSyntaxError, match=f"nested deeper than {ex.MAX_DEPTH} levels"):
+        ex.parse_expr(build(3000))
+
+
+def test_redundant_brackets_count_toward_the_bound():
+    assert ex.parse_expr("(" * ex.MAX_DEPTH + "p" + ")" * ex.MAX_DEPTH) == ex.Var("p")
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr("(" * (ex.MAX_DEPTH + 1) + "p" + ")" * (ex.MAX_DEPTH + 1))
+    assert str(err.value) == f"expression nested deeper than {ex.MAX_DEPTH} levels (column {ex.MAX_DEPTH + 1})"

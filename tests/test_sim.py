@@ -357,6 +357,25 @@ def test_replay_on_generated_compositions():
             assert sim.trace_to_json(replayed) == sim.trace_to_json(trace)
 
 
+def test_unrecorded_run_matches_recorded():
+    rng = random.Random(43)
+    for _ in range(25):
+        composition = gen_composition(rng)
+        scenario = gen_scenario(rng, horizon=40)
+        for resolved in _small_resolutions(scenario):
+            recorded = sim.init_composition(composition, resolved)
+            unrecorded = sim.init_composition(composition, resolved, record=False)
+            for t in range(1, 41):
+                assert sim.macro_step(unrecorded) == sim.StepReport(t, (), (), (), {})
+                sim.macro_step(recorded)
+                assert (unrecorded.curT, unrecorded.active, unrecorded.valuation) == (
+                    recorded.curT, recorded.active, recorded.valuation,
+                )
+            assert unrecorded.steps == [] and len(recorded.steps) == 41
+            with pytest.raises(sim.SimulationError, match="does not record"):
+                sim.trace_of(unrecorded)
+
+
 def _small_resolutions(scenario):
     if scenario.resolved:
         return [scenario]

@@ -82,14 +82,14 @@ def test_enumerate_cap():
     assert len(verify.enumerate_scenarios(scenario, cap=200)) == 200
 
 
-def _observer(active, valuation):
+def _observer(composition, active, valuation):
     return sim.SimState(
-        composition=None, active=active, valuation=valuation,
+        composition=composition, active=active, valuation=valuation,
         pending_events=[], steps=[], injections_by_time={},
     )
 
 
-def test_eval_invariant_implication():
+def test_eval_invariant_implication(delayed_composition):
     p1 = verify.Invariant(
         "P1",
         ("Stroke", "tPA"),
@@ -97,11 +97,11 @@ def test_eval_invariant_implication():
     )
     bad = {"systolicBP": 190, "diastolicBP": 100, "hemorrhage": False}
     # antecedent false: holds regardless of the blood pressure values
-    assert verify.eval_invariant(p1, _observer({"Stroke": "NeuAss"}, bad)) is True
-    assert verify.eval_invariant(p1, _observer({"Stroke": "tPA"}, bad)) is False
+    assert verify.eval_invariant(p1, _observer(delayed_composition, {"Stroke": "NeuAss"}, bad)) is True
+    assert verify.eval_invariant(p1, _observer(delayed_composition, {"Stroke": "tPA"}, bad)) is False
     p2 = verify.Invariant("P2", ("Stroke", "tPAcheck"), ex.parse_expr("tpaT-onsetT<=180"))
     ok = {"tpaT": 100, "onsetT": 0}
-    assert verify.eval_invariant(p2, _observer({"Stroke": "tPAcheck"}, ok)) is True
+    assert verify.eval_invariant(p2, _observer(delayed_composition, {"Stroke": "tPAcheck"}, ok)) is True
 
 
 def _props(composition, fixtures_dir, name):
@@ -197,3 +197,66 @@ def test_check_matches_oracle_on_random_compositions():
             if not holds:
                 cx = verdict.counterexample
                 assert (cx.scenario_index, cx.step_index) == first
+                assert cx.trace == sim.run(sim.init_composition(composition, cx.scenario), 30)
+
+
+@pytest.mark.parametrize(
+    "composition, scenario, properties",
+    [
+        ("delayed_composition", "simple_scenario", "props_simple.txt"),
+        ("extended_composition", "extended_scenario", "props_extended.txt"),
+    ],
+)
+def test_counterexample_trace_is_a_recorded_run(request, fixtures_dir, composition, scenario, properties):
+    composition = request.getfixturevalue(composition)
+    verdicts = verify.check(
+        composition, request.getfixturevalue(scenario), _props(composition, fixtures_dir, properties), 720
+    )
+    failed = [v.counterexample for v in verdicts if not v.holds]
+    assert failed
+    for cx in failed:
+        assert cx.trace == sim.run(sim.init_composition(composition, cx.scenario), 720)
+
+
+def _count_fire_records(monkeypatch) -> list:
+    built = []
+
+    class Counted(sim.FireRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sim, "FireRecord", Counted)
+    return built
+
+
+def test_passing_check_builds_no_fire_records(monkeypatch, ideal_composition, simple_scenario, fixtures_dir):
+    properties = _props(ideal_composition, fixtures_dir, "props_simple.txt")
+    built = _count_fire_records(monkeypatch)
+    verdicts = verify.check(ideal_composition, simple_scenario, properties, 720)
+    assert all(v.holds for v in verdicts)
+    assert built == []
+
+
+def test_violating_scenario_is_run_again_with_records(monkeypatch, delayed_composition, simple_scenario, fixtures_dir):
+    properties = _props(delayed_composition, fixtures_dir, "props_simple.txt")
+    built = _count_fire_records(monkeypatch)
+    (cx,) = [v.counterexample for v in verify.check(delayed_composition, simple_scenario, properties, 720) if v.counterexample]
+    assert len(built) == sum(len(step.fires) for step in cx.trace.steps) > 0
+
+
+def test_work_budget():
+    # the default scenario cap at the default horizon fits
+    verify.check_work(verify.DEFAULT_SCENARIO_CAP, 720)
+    verify.check_work(1, verify.WORK_BUDGET - 1)
+    with pytest.raises(verify.WorkBudgetError, match="work budget"):
+        verify.check_work(1, verify.WORK_BUDGET)
+    with pytest.raises(verify.WorkBudgetError, match="work budget"):
+        verify.check_work(2, verify.WORK_BUDGET // 2)
+
+
+def test_check_refuses_work_over_budget_before_stepping(monkeypatch, delayed_composition, simple_scenario, fixtures_dir):
+    properties = _props(delayed_composition, fixtures_dir, "props_simple.txt")
+    monkeypatch.setattr(verify, "init_composition", None)  # never reached
+    with pytest.raises(verify.WorkBudgetError):
+        verify.check(delayed_composition, simple_scenario, properties, 99_999_999_999)
