@@ -135,7 +135,13 @@ def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
 
 
 def write_manifest(composition: sim.Composition, out_dir: Path, guideline_names: dict[str, str]) -> Path:
-    """Write the composition charts plus the manifest listing them in execution order."""
+    """Write the composition charts plus the manifest listing them in execution order.
+
+    Nothing is written when a chart's file name is the manifest's own.
+    """
+    for chart in composition.charts:
+        if guideline_names.get(chart.name, f"{chart.name}.json") == "composition.json":
+            raise _CommandError(f"chart {chart.name!r} would overwrite the manifest composition.json")
     manifest: dict = {"timer": None, "resources": [], "guidelines": [], "variables": []}
     if composition.timer is not None:
         name = f"{composition.timer.name}.json"

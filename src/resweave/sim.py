@@ -290,13 +290,16 @@ def _is_literal(value) -> bool:
 
 
 def validate_scenario(scenario: Scenario, composition: Composition) -> None:
-    """Check every referenced variable is declared with a matching kind."""
+    """Check every referenced variable is declared with a matching kind, and
+    every value is a boolean or a 64-bit integer."""
     kinds = composition.kinds
 
     def check(var: str, value, where: str) -> None:
         kind = kinds.get(var)
         if kind is None:
             raise ScenarioError(f"{where} references undeclared variable {var!r}")
+        if not _is_literal(value):
+            raise ScenarioError(f"{where}: value {value!r} of {var!r} is not a boolean or a 64-bit integer")
         is_bool = isinstance(value, bool)
         if (kind == ex.KIND_BOOLEAN) != is_bool:
             raise ScenarioError(f"{where}: value {value!r} does not match {kind} variable {var!r}")
@@ -318,8 +321,7 @@ def validate_scenario(scenario: Scenario, composition: Composition) -> None:
 # Traces
 
 
-@dataclass(frozen=True)
-class FireRecord:
+class FireRecord(NamedTuple):
     """One chart's activity in a step: a fired transition or an initial entry."""
 
     chart: str
@@ -330,11 +332,10 @@ class FireRecord:
     raised: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     t: int
     injected: tuple[tuple[str, int | bool], ...]
-    fires: tuple[FireRecord, ...]
+    fires: tuple[FireRecord, ...]  # no self-loop that set nothing and raised nothing
     raised: tuple[str, ...]
     deltas: dict[str, int | bool]  # net value changes across the step
 
@@ -387,8 +388,8 @@ def value_text(value: int | bool) -> str:
 def trace_lines(trace: Trace) -> list[str]:
     """Human-readable step log, one line per injection or chart activity.
 
-    State-preserving no-ops (initial entries and self-loop re-entries that
-    change nothing) are omitted; the JSON trace keeps them.
+    Initial entries that change nothing are omitted; the JSON trace keeps
+    them, because `trace_of` rebuilds the initial states from them.
     """
     lines = []
     for step in trace.steps:
@@ -401,8 +402,6 @@ def trace_lines(trace: Trace) -> list[str]:
                     continue
             else:
                 head = f"t={step.t} chart={fire.chart} fire={fire.source}->{fire.target}"
-                if fire.source == fire.target and not fire.sets and not fire.raised:
-                    continue
             parts = [head]
             parts.extend(f"set {var}={value_text(value)}" for var, value in fire.sets)
             parts.extend(f"raise {event}" for event in fire.raised)
@@ -416,12 +415,7 @@ def trace_lines(trace: Trace) -> list[str]:
 
 @dataclass
 class SimState:
-    """Mutable execution context; confine to one thread at a time.
-
-    A recording state keeps every step's report in `steps`. One that does
-    not record keeps none: its steps skip the valuation copy, the deltas
-    and the fire and step records.
-    """
+    """Mutable execution context; confine to one thread at a time."""
 
     composition: Composition
     active: dict[str, str]
@@ -429,13 +423,11 @@ class SimState:
     pending_events: list[str]
     steps: list[StepReport]  # steps[t] is the report of minute t; steps[0] is initialization
     injections_by_time: dict[int, list[Injection]]
-    record: bool = True
-    _minute: int = field(default=0, init=False, repr=False)
 
     @property
     def curT(self) -> int:
         """The last minute executed."""
-        return self._minute
+        return len(self.steps) - 1
 
 
 def _run_actions(state: SimState, actions: tuple, sets: list) -> None:
@@ -453,10 +445,11 @@ def _run_actions(state: SimState, actions: tuple, sets: list) -> None:
             valuation[target] = new
 
 
-def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list | None) -> None:
+def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list) -> None:
     """Fire the transition declared at `index`, or enter the initial state when it is None.
 
-    The fire is recorded in `fires` unless it is None.
+    The fire is recorded in `fires` unless it is a self-loop that set
+    nothing and raised nothing.
     """
     chart = charts.chart
     sets: list[tuple[str, int | bool]] = []
@@ -471,11 +464,11 @@ def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list |
         _run_actions(state, code.actions[index], sets)
     state.active[chart.name] = target
     _run_actions(state, charts.code(target).entry, sets)
-    if fires is not None:
+    if source != target or sets or len(state.pending_events) > mark:
         fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
 
 
-def _chart_cycle(state: SimState, chart: StatechartModel, fires: list | None, chosen: dict[str, int] | None) -> None:
+def _chart_cycle(state: SimState, chart: StatechartModel, fires: list, chosen: dict[str, int] | None) -> None:
     charts = state.composition.indexes[chart.name]
     if chosen is None:
         valuation = state.valuation
@@ -493,29 +486,20 @@ def _inject(state: SimState, t: int, injected: list) -> None:
         state.valuation[injection.var] = injection.value
 
 
-def _report(state: SimState, t: int, injected: list, fires: list | None, before: dict | None) -> StepReport:
-    """Close minute `t`: net value changes since `before`; events are cleared.
-
-    A recording state keeps the report; one that does not gets a report
-    that holds only `t`.
-    """
-    state._minute = t
-    if state.record:
-        deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
-        report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
-        state.steps.append(report)
-    else:
-        report = StepReport(t, (), (), (), {})
+def _report(state: SimState, t: int, injected: list, fires: list, before: dict) -> StepReport:
+    """Record minute `t`: net value changes since `before`; events are cleared."""
+    deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
+    report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
+    state.steps.append(report)
     state.pending_events.clear()
     return report
 
 
-def init_composition(composition: Composition, scenario: Scenario, record: bool = True) -> SimState:
+def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     """Build the t=0 state: defaults, then scenario values, then initial entries.
 
     The scenario must be fully resolved. Injections scheduled at t=0 are
-    applied after the initial values, before any entry action runs. With
-    `record=False` the state keeps no step reports (see `SimState`).
+    applied after the initial values, before any entry action runs.
     """
     if not scenario.resolved:
         raise ScenarioError(
@@ -534,12 +518,11 @@ def init_composition(composition: Composition, scenario: Scenario, record: bool 
         pending_events=[],
         steps=[],
         injections_by_time=injections_by_time,
-        record=record,
     )
     # Baseline for init deltas is the declaration defaults.
-    before = dict(state.valuation) if record else None
+    before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
-    fires: list[FireRecord] | None = [] if record else None
+    fires: list[FireRecord] = []
     _inject(state, 0, injected)
     for charts in composition.indexes.values():
         _fire(state, charts, None, fires)
@@ -552,13 +535,12 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
 
     By default each chart fires its first enabled transition. `chosen` maps
     chart names to the declaration index to fire instead, without evaluating
-    triggers or guards; charts it does not name stay where they are. Returns
-    the step's report, which holds only `t` when the state does not record.
+    triggers or guards; charts it does not name stay where they are.
     """
     t = state.curT + 1
-    before = dict(state.valuation) if state.record else None
+    before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
-    fires: list[FireRecord] | None = [] if state.record else None
+    fires: list[FireRecord] = []
     composition = state.composition
     if composition.timer is not None:
         _chart_cycle(state, composition.timer, fires, chosen)
@@ -576,8 +558,6 @@ def trace_of(state: SimState) -> Trace:
     Both are rebuilt from the initialization report: it holds one entry per
     chart, and its deltas are the changes from the declaration defaults.
     """
-    if not state.record:
-        raise SimulationError("the state does not record its steps")
     init = state.steps[0]
     valuation = {decl.name: decl.initial for decl in state.composition.merged_variables()}
     valuation.update(init.deltas)

@@ -29,7 +29,7 @@ from .sim import (
     Trace,
     init_composition,
     macro_step,
-    run,
+    trace_of,
 )
 
 DEFAULT_SCENARIO_CAP = 10_000
@@ -119,16 +119,6 @@ def _check_invariant_names(invariant: Invariant, composition: Composition, linen
         raise PropertyError(f"line {lineno}: predicate must be boolean-typed")
 
 
-def properties_to_text(invariants) -> str:
-    lines = []
-    for inv in invariants:
-        if inv.location is not None:
-            lines.append(f"{inv.name}: A[] {inv.location[0]}.{inv.location[1]} imply {ex.to_text(inv.predicate)}")
-        else:
-            lines.append(f"{inv.name}: A[] {ex.to_text(inv.predicate)}")
-    return "\n".join(lines) + "\n"
-
-
 def enumerate_scenarios(scenario: Scenario, cap: int = DEFAULT_SCENARIO_CAP) -> list[Scenario]:
     """Cartesian product over choice domains, lexicographic by declaration."""
     size = 1
@@ -184,8 +174,8 @@ def check(
     A property holds iff its invariant is true at initialization and after
     every macro-step of every resolved scenario. The counterexample is the
     earliest violating step of the first violating scenario in enumeration
-    order. Scenarios run without recording; a violating one, being
-    deterministic, is run again with recording for its trace.
+    order. Each scenario runs once; a violating one's recorded steps are its
+    trace.
     """
     properties = list(properties)
     resolved_scenarios = enumerate_scenarios(scenario, cap)
@@ -195,7 +185,7 @@ def check(
         open_properties = [p for p in properties if p.name not in violations]
         if not open_properties:
             break
-        state = init_composition(composition, resolved, record=False)
+        state = init_composition(composition, resolved)
         pending: dict[str, int] = {}  # property -> violating step, first only
         while True:
             for prop in open_properties:
@@ -205,7 +195,7 @@ def check(
                 break
             macro_step(state)
         if pending:
-            trace = run(init_composition(composition, resolved), horizon)
+            trace = trace_of(state)
             for name, step_index in pending.items():
                 violations[name] = Counterexample(resolved, scenario_index, step_index, trace)
     return [

@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from resweave import cli
+from resweave import cli, sim
 from resweave.errors import ResweaveError
 from resweave.model import parse_model, serialize_model
 from resweave.resources import parse_resource_map, parse_schedule, synthesize_timer
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN
 
 
 def run_cli(*argv) -> int:
@@ -508,15 +508,15 @@ DELAYED_SIMULATE = (
 # sha256 of each output file; a new digest means the written bytes changed.
 PINNED_OUTPUTS = [
     pytest.param(DELAYED_CHECK, 1, {
-        "P2.counterexample.json": "625c42353075d11c9231c5779c80e516b4443e8914b14de92eb76d0eb88f3458",
+        "P2.counterexample.json": "4cbd732839607b0fcd0363d664c82785bb13f9928878659d2f3267dae59b7c57",
         "P2.trace.txt": "9c001e831fe9323f27c284e01d6eec6b3a6f31b8c1746e43f598278af6b8c10b",
     }, id="check-delayed"),
     pytest.param(EXTENDED_CHECK, 1, {
-        "P2.counterexample.json": "b909f1c3c0a9bd890267e433ad3ee5ee04c44bc69dc59ba09ed73b24d2199335",
+        "P2.counterexample.json": "d747f30ded2c33f49168f45259008ce7a124d6951155dfde89774da9f74b942a",
         "P2.trace.txt": "459b4bb3ea3544f4cf8bcd51eff20497508d5e600a05b2bbd2f48650e2e21214",
     }, id="check-extended"),
     pytest.param(DELAYED_SIMULATE, 0, {
-        "trace.json": "beb2fdc50f37789a56461551a0af178688d706688b5386fae0ababc6611c3f77",
+        "trace.json": "8e7b534709c2acc576ed252c213f73e7c65c3a89d28d257b29dff5791fe31a49",
         "trace.txt": "9c001e831fe9323f27c284e01d6eec6b3a6f31b8c1746e43f598278af6b8c10b",
     }, id="simulate-delayed"),
 ]
@@ -584,3 +584,83 @@ def test_horizon_over_work_budget_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "work budget" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_integrate_refuses_chart_named_like_the_manifest(tmp_path, capsys):
+    resource_map = tmp_path / "clash.map"
+    resource_map.write_text("CTscan: composition\ngivetPA: tPA\n")
+    out = tmp_path / "out"
+    argv = ("integrate", FIXTURES / "stroke_simple.json", resource_map, "--assume-available", "--out", out)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "composition.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, exit_code", [(2**63 - 1, 0), (2**63, 2)])
+def test_choice_is_range_checked(tmp_path, capsys, value, exit_code):
+    argv = [*DELAYED_SIMULATE, "--horizon", "5", "--out", tmp_path]
+    argv[argv.index("systolicBP=150")] = f"systolicBP={value}"
+    assert run_cli(*argv) == exit_code
+    err = capsys.readouterr().err
+    if exit_code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(value) in err
+    else:
+        assert json.loads((tmp_path / "trace.json").read_text())["initial_valuation"]["systolicBP"] == value
+
+
+def _trace_from_json(text: str):
+    """Rebuild a `Trace` from `trace.json` text, field by field."""
+    root = json.loads(text)
+    steps = tuple(
+        sim.StepReport(
+            t=step["t"],
+            injected=tuple(tuple(pair) for pair in step["injected"]),
+            fires=tuple(
+                sim.FireRecord(f["chart"], f["source"], f["target"], f["index"],
+                               tuple(tuple(pair) for pair in f["sets"]), tuple(f["raised"]))
+                for f in step["fires"]
+            ),
+            raised=tuple(step["raised"]),
+            deltas=step["deltas"],
+        )
+        for step in root["steps"]
+    )
+    return sim.Trace(root["initial_active"], root["initial_valuation"], steps)
+
+
+def test_trace_with_no_op_fires_replays_to_simulate_bytes(tmp_path, capsys, delayed_composition):
+    # Written before no-op self-loop re-entries were left out of trace.json;
+    # replaying it fires them again, and they are not recorded.
+    old = (GOLDEN / "delayed_ct_h25_with_noops.trace.json").read_text(encoding="utf-8")
+    assert run_cli(*DELAYED_SIMULATE, "--horizon", "25", "--out", tmp_path) == 0
+    capsys.readouterr()
+    written = (tmp_path / "trace.json").read_text(encoding="utf-8")
+    assert len(written) < len(old)
+    replayed = sim.replay_trace(delayed_composition, _trace_from_json(old))
+    assert sim.trace_to_json(replayed) == written
+
+
+@pytest.mark.parametrize(
+    "model, map_name, schedule, scenario, choices",
+    [
+        ("stroke_simple.json", "stroke_simple.map", "schedule_delayed_ct.txt", "scenario_simple.json",
+         ("hemorrhage=false", "systolicBP=150", "diastolicBP=100")),
+        ("stroke_extended.json", "stroke_extended.map", "schedule_extended.txt", "scenario_extended.json",
+         ("hemorrhage=false", "systolicBP=150", "bpControlled=false")),
+    ],
+    ids=["delayed", "extended"],
+)
+def test_simulated_trace_replays_on_the_manifest(tmp_path, capsys, model, map_name, schedule, scenario, choices):
+    setup, out = tmp_path / "setup", tmp_path / "simulate"
+    assert run_cli("integrate", FIXTURES / model, FIXTURES / map_name,
+                   "--schedule", FIXTURES / schedule, "--out", setup) == 0
+    manifest = setup / "composition.json"
+    argv = ["simulate", "--manifest", manifest, "--scenario", FIXTURES / scenario, "--out", out]
+    for choice in choices:
+        argv += ["--choice", choice]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    text = (out / "trace.json").read_text(encoding="utf-8")
+    replayed = sim.replay_trace(cli.load_manifest(str(manifest)), _trace_from_json(text))
+    assert sim.trace_to_json(replayed) == text

@@ -47,12 +47,6 @@ def test_parse_properties_comments_and_errors(delayed_composition):
         verify.parse_properties("P: A[] curT+1", delayed_composition)
 
 
-def test_properties_roundtrip(delayed_composition):
-    text = "P1: A[] Stroke.tPA imply systolicBP<=185 && diastolicBP<=110 && !hemorrhage\nQ: A[] curT>=0\n"
-    parsed = verify.parse_properties(text, delayed_composition)
-    assert verify.properties_to_text(parsed) == text
-
-
 def test_enumerate_single_choice():
     scenario = sim.Scenario(choices=(sim.Choice("hemorrhage", (False, True)),))
     resolved = verify.enumerate_scenarios(scenario)
@@ -218,31 +212,29 @@ def test_counterexample_trace_is_a_recorded_run(request, fixtures_dir, compositi
         assert cx.trace == sim.run(sim.init_composition(composition, cx.scenario), 720)
 
 
-def _count_fire_records(monkeypatch) -> list:
-    built = []
+@pytest.mark.parametrize(
+    "composition, properties, explored",
+    [
+        ("ideal_composition", "P1: A[] true\n", 8),  # all hold: every scenario
+        ("delayed_composition", "P1: A[] true\nP2: A[] Stroke.tPAcheck imply tpaT-onsetT<=180\n", 8),
+        ("delayed_composition", "P1: A[] curT<5\n", 1),  # violated in the first scenario
+    ],
+    ids=["ideal-all-hold", "delayed-p2-fails", "delayed-fails-at-once"],
+)
+def test_check_runs_each_scenario_once(monkeypatch, request, simple_scenario, composition, properties, explored):
+    composition = request.getfixturevalue(composition)
+    calls = []
 
-    class Counted(sim.FireRecord):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counted(composition, scenario):
+        calls.append(scenario)
+        return sim.init_composition(composition, scenario)
 
-    monkeypatch.setattr(sim, "FireRecord", Counted)
-    return built
-
-
-def test_passing_check_builds_no_fire_records(monkeypatch, ideal_composition, simple_scenario, fixtures_dir):
-    properties = _props(ideal_composition, fixtures_dir, "props_simple.txt")
-    built = _count_fire_records(monkeypatch)
-    verdicts = verify.check(ideal_composition, simple_scenario, properties, 720)
-    assert all(v.holds for v in verdicts)
-    assert built == []
-
-
-def test_violating_scenario_is_run_again_with_records(monkeypatch, delayed_composition, simple_scenario, fixtures_dir):
-    properties = _props(delayed_composition, fixtures_dir, "props_simple.txt")
-    built = _count_fire_records(monkeypatch)
-    (cx,) = [v.counterexample for v in verify.check(delayed_composition, simple_scenario, properties, 720) if v.counterexample]
-    assert len(built) == sum(len(step.fires) for step in cx.trace.steps) > 0
+    monkeypatch.setattr(verify, "init_composition", counted)
+    verdicts = verify.check(composition, simple_scenario, verify.parse_properties(properties, composition), 720)
+    assert calls == verify.enumerate_scenarios(simple_scenario)[:explored]
+    for verdict in verdicts:
+        if not verdict.holds:
+            assert verdict.counterexample.scenario == calls[verdict.counterexample.scenario_index]
 
 
 def test_work_budget():
