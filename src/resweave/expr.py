@@ -18,6 +18,8 @@ accepted in front of an integer literal and folds into the literal.
 
 from __future__ import annotations
 
+import bisect
+import math
 import operator
 import re
 import sys
@@ -409,6 +411,97 @@ def _python(expr: Expr) -> str:
 def _python_operand(expr: Expr) -> str:
     text = _python(expr)
     return f"({text})" if isinstance(expr, (Not, BinOp)) else text
+
+
+def compile_bound(
+    expr: Expr, kinds: Mapping[str, str], clock: str
+) -> Callable[[Mapping[str, int | bool]], int | float] | None:
+    """When `expr` can next change value as the integer variable `clock` counts up.
+
+    Returns a function of the valuation giving the least value above the
+    current value of `clock` at which `expr` may evaluate differently, all
+    other variables kept (`math.inf` if it never does), or None when `expr`
+    does not read `clock`. The bound comes from the comparisons whose
+    operands differ by a linear function of `clock`: `curT > 20`,
+    `curT - onsetT <= 180`, `2*curT == k`. A comparison of fixed values
+    gets its breakpoints once, here. Any other use of `clock`, such as
+    `curT*curT > k` or an integer expression that reads it, bounds the
+    change to the next value.
+    """
+    fixed: set[int] = set()
+    moving = []  # (comparison, slope function, offset function) of a linear difference
+    steps = False
+
+    def visit(node: Expr) -> None:
+        nonlocal steps
+        if isinstance(node, Not):
+            visit(node.operand)
+        elif isinstance(node, BinOp) and _BINARY[node.op].operand == KIND_BOOLEAN:
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, BinOp) and _BINARY[node.op].result == KIND_BOOLEAN:
+            difference = BinOp("-", node.left, node.right)
+            degree = _degree(difference, clock)
+            if degree > 1:
+                steps = True
+            elif degree == 1:
+                # Linear: difference = slope * clock + offset, both free of the clock.
+                offset = _at(difference, clock, 0)
+                slope = BinOp("-", _at(difference, clock, 1), offset)
+                compare = _BINARY[node.op].apply
+                try:
+                    fixed.update(_crossings(compare, eval_expr(slope, {}), eval_expr(offset, {})))
+                except EvalError:  # it reads other variables too: solved at each call
+                    moving.append((compare, compile_expr(slope, kinds), compile_expr(offset, kinds)))
+        elif _degree(node, clock):
+            steps = True
+
+    visit(expr)
+    if steps:
+        return lambda v: v[clock] + 1
+    if not fixed and not moving:
+        return None
+    breakpoints = sorted(fixed)
+
+    def bound(v: Mapping[str, int | bool]) -> int | float:
+        now = v[clock]
+        index = bisect.bisect_right(breakpoints, now)
+        best = breakpoints[index] if index < len(breakpoints) else math.inf
+        for compare, slope, offset in moving:
+            for value in _crossings(compare, slope(v), offset(v)):
+                if now < value < best:
+                    best = value
+        return best
+
+    return bound
+
+
+def _degree(expr: Expr, name: str) -> int:
+    """The degree of an integer expression as a polynomial in the variable `name`."""
+    if isinstance(expr, Var):
+        return int(expr.name == name)
+    if isinstance(expr, BinOp):
+        left, right = _degree(expr.left, name), _degree(expr.right, name)
+        return left + right if expr.op == "*" else max(left, right)
+    return 0
+
+
+def _at(expr: Expr, name: str, value: int) -> Expr:
+    """An integer expression with the variable `name` replaced by `value`."""
+    if isinstance(expr, Var) and expr.name == name:
+        return IntLit(value)
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, _at(expr.left, name, value), _at(expr.right, name, value))
+    return expr
+
+
+def _crossings(compare: Callable, slope: int, offset: int) -> list[int]:
+    """Each integer x at which `compare(slope*x + offset, 0)` differs from its value at x - 1."""
+    if not slope:
+        return []
+    # The line crosses zero at -offset/slope: only its ceiling or its floor plus one can flip it.
+    candidates = {-(offset // slope), -offset // slope + 1}
+    return [x for x in candidates if compare(slope * x + offset, 0) != compare(slope * (x - 1) + offset, 0)]
 
 
 def depth(expr: Expr) -> int:

@@ -18,6 +18,18 @@ Scenario documents are UTF-8 JSON:
 
 A scenario must be fully resolved (no choices) before simulation; choice
 enumeration lives in `check`.
+
+Idle minutes are recorded without being run. A minute is idle when the
+synthesized timer's fire is its only record and nothing was injected: only
+`curT` changed. After one, `run` and `check` call `skip_idle`, which
+appends the same record, with its own `curT`, for each following minute
+and moves the clock on, so every record and every output byte is what
+running each minute gives. It stops at the next injection, at the horizon,
+and at the first minute at which an expression the idle minute evaluated
+(or an invariant `check` still observes) may change value, solved from its
+comparisons linear in `curT`; any other use of `curT` stops it at the next
+minute. A composition whose timer is not `synthesize_timer()` runs every
+minute. `macro_step` is the only code that runs a minute.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .model import (
     is_tick_trigger,
     validate_model,
 )
+from .resources import CLOCK_VARIABLE, synthesize_timer
 
 class SimulationError(ResweaveError):
     pass
@@ -107,7 +120,8 @@ class Composition:
 
     Checked and indexed once, when built: at least one chart, unique chart
     names, every chart valid, and same-name declarations in agreement. An
-    expression is compiled the first time it is evaluated, and kept.
+    expression is compiled the first time it is evaluated, and its clock
+    bound built the first time an idle minute needs it; both are kept.
     """
 
     timer: StatechartModel | None = None
@@ -116,7 +130,12 @@ class Composition:
     _variables: tuple[VariableDecl, ...] = field(init=False, repr=False, compare=False)
     kinds: dict[str, str] = field(init=False, repr=False, compare=False)  # variable -> kind
     indexes: dict[str, _ChartIndex] = field(init=False, repr=False, compare=False)
-    _compiled: dict = field(init=False, repr=False, compare=False)  # id(expr) -> (expr, function)
+    _compiled: dict = field(init=False, repr=False, compare=False)  # id(expr) -> function
+    # function -> its tree, which stays alive here, so its id is not reused
+    _sources: dict = field(init=False, repr=False, compare=False)
+    _bounds: dict = field(init=False, repr=False, compare=False)  # function -> clock bound or None
+    # Whether idle minutes may be skipped: the timer is the synthesized clock.
+    skips_idle: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "resources", tuple(self.resources))
@@ -144,6 +163,9 @@ class Composition:
         object.__setattr__(self, "_variables", tuple(decl for decl, _ in merged.values()))
         object.__setattr__(self, "kinds", {decl.name: decl.kind for decl in self._variables})
         object.__setattr__(self, "_compiled", {})
+        object.__setattr__(self, "_sources", {})
+        object.__setattr__(self, "_bounds", {})
+        object.__setattr__(self, "skips_idle", self.timer == synthesize_timer())
         object.__setattr__(
             self, "indexes", {chart.name: _ChartIndex(chart, self.compiled) for chart in self.charts}
         )
@@ -160,11 +182,18 @@ class Composition:
     def compiled(self, expr: ex.Expr):
         """`expr` as a function of the valuation (`ex.compile_expr` against the
         merged declarations), compiled on the first call for this tree."""
-        entry = self._compiled.get(id(expr))
-        if entry is None:
-            # The tree is kept with its function, so its id is not reused.
-            entry = self._compiled[id(expr)] = (expr, ex.compile_expr(expr, self.kinds))
-        return entry[1]
+        function = self._compiled.get(id(expr))
+        if function is None:
+            function = self._compiled[id(expr)] = ex.compile_expr(expr, self.kinds)
+            self._sources[function] = expr
+        return function
+
+    def bound(self, function):
+        """`ex.compile_bound` over the clock of the tree that `function` was
+        compiled from by `compiled`, built on the first call for it."""
+        if function not in self._bounds:
+            self._bounds[function] = ex.compile_bound(self._sources[function], self.kinds, CLOCK_VARIABLE)
+        return self._bounds[function]
 
     def merged_events(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -423,6 +452,7 @@ class SimState:
     pending_events: list[str]
     steps: list[StepReport]  # steps[t] is the report of minute t; steps[0] is initialization
     injections_by_time: dict[int, list[Injection]]
+    minutes_skipped: int = 0  # minutes recorded by `skip_idle` without being run
 
     @property
     def curT(self) -> int:
@@ -552,6 +582,65 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
     return _report(state, t, injected, fires, before)
 
 
+def skip_idle(state: SimState, horizon: int, watched: tuple[ex.Expr, ...] = ()) -> None:
+    """After an idle minute (see the module docstring), record the idle
+    minutes that follow it without running them.
+
+    The skip ends before the next injection, after the horizon, or at the
+    first minute at which one of these may change value (`Composition.bound`):
+    the event-free leaving guards of each active state up to the first one
+    enabled, the guards and right-hand sides run by that transition, and
+    `watched` (the invariants a check still observes).
+    """
+    report = state.steps[-1]
+    composition = state.composition
+    if not report.t or report.injected or len(report.fires) != 1 or not composition.skips_idle:
+        return
+    t, valuation = report.t, state.valuation
+    now = valuation[CLOCK_VARIABLE]
+    stop = min([horizon + 1, *(due for due in state.injections_by_time if due > t)])  # the first minute that must run
+    for bound in _idle_bounds(state, watched):
+        if stop <= t + 1:
+            return
+        if bound is not None:
+            stop = min(stop, t + bound(valuation) - now)
+    chart, source, target, index = report.fires[0][:4]
+    for minute in range(t + 1, stop):
+        clock = now + minute - t
+        fire = FireRecord(chart, source, target, index, ((CLOCK_VARIABLE, clock),), ())
+        state.steps.append(StepReport(minute, (), (fire,), (), {CLOCK_VARIABLE: clock}))
+    if stop > t + 1:
+        valuation[CLOCK_VARIABLE] = now + stop - 1 - t
+        state.minutes_skipped += stop - 1 - t
+
+
+def _idle_bounds(state: SimState, watched: tuple[ex.Expr, ...]):
+    """The clock bounds of what an idle minute in `state` evaluates, and of `watched`."""
+    composition, valuation = state.composition, state.valuation
+    bound = composition.bound
+    for expr in watched:
+        yield bound(composition.compiled(expr))
+    for chart in composition.guidelines + composition.resources:
+        charts = composition.indexes[chart.name]
+        code = charts.code(state.active[chart.name])
+        for index, event, guard in code.leaving:
+            if event is not None:  # no event is pending in an idle minute
+                continue
+            if guard is not None:
+                yield bound(guard)
+                if not guard(valuation):
+                    continue
+            entry = charts.code(chart.transitions[index].target).entry
+            for action_guard, target, value in (*code.exit, *code.actions[index], *entry):
+                if action_guard is not None:
+                    yield bound(action_guard)
+                    if not action_guard(valuation):
+                        continue
+                if target is not None:
+                    yield bound(value)
+            break
+
+
 def trace_of(state: SimState) -> Trace:
     """Every step recorded since t=0, with the t=0 active states and valuation.
 
@@ -565,9 +654,10 @@ def trace_of(state: SimState) -> Trace:
 
 
 def run(state: SimState, horizon: int) -> Trace:
-    """Execute macro-steps up to the horizon; the trace starts at t=0."""
+    """Execute macro-steps up to the horizon, skipping idle minutes; the trace starts at t=0."""
     while state.curT < horizon:
         macro_step(state)
+        skip_idle(state, horizon)
     return trace_of(state)
 
 

@@ -29,6 +29,7 @@ from .sim import (
     Trace,
     init_composition,
     macro_step,
+    skip_idle,
     trace_of,
 )
 
@@ -175,7 +176,8 @@ def check(
     every macro-step of every resolved scenario. The counterexample is the
     earliest violating step of the first violating scenario in enumeration
     order. Each scenario runs once; a violating one's recorded steps are its
-    trace.
+    trace. Idle minutes are recorded without being run (`sim.skip_idle`):
+    an invariant still observed keeps its value over them.
     """
     properties = list(properties)
     resolved_scenarios = enumerate_scenarios(scenario, cap)
@@ -187,10 +189,13 @@ def check(
             break
         state = init_composition(composition, resolved)
         pending: dict[str, int] = {}  # property -> violating step, first only
+        watched = tuple(p.predicate for p in open_properties)  # those not yet violated
         while True:
             for prop in open_properties:
                 if prop.name not in pending and not eval_invariant(prop, state):
                     pending[prop.name] = state.curT
+                    watched = tuple(p.predicate for p in open_properties if p.name not in pending)
+            skip_idle(state, horizon, watched)
             if state.curT >= horizon:
                 break
             macro_step(state)

@@ -24,7 +24,8 @@ import re
 from . import expr as ex
 from .errors import ResweaveError
 from .model import Assign, Raise, StatechartModel, Transition, is_tick_trigger
-from .sim import Composition, Scenario, init_composition, value_text
+# perfbench/tracer.py wraps `xta.init_composition` by name, so the name stays importable here.
+from .sim import Composition, init_composition, value_text  # noqa: F401
 
 
 class ExportError(ResweaveError):
@@ -194,8 +195,14 @@ def export_xta(composition: Composition) -> str:
     global_names = sorted({v.name for v in variables} | set(events) | set(chart_names))
     _check_injective(global_names, "the global declarations")
 
-    # Bake the t=0 entry effects of initial states into the initializers.
-    initial_valuation = init_composition(composition, Scenario()).valuation
+    # Bake the t=0 entry effects of initial states into the initializers, in
+    # the order `sim.init_composition` runs them, evaluated without compiling.
+    initial_valuation = {decl.name: decl.initial for decl in variables}
+    for chart in composition.charts:
+        for guarded in chart.state(chart.initial_state).entry_actions:
+            action = guarded.action
+            if isinstance(action, Assign) and ex.eval_expr(guarded.guard, initial_valuation):
+                initial_valuation[action.target] = ex.eval_expr(action.value, initial_valuation)
 
     lines: list[str] = []
     for decl in variables:

@@ -21,7 +21,14 @@ from resweave.model import (
     Transition,
     VariableDecl,
 )
-from resweave.resources import ResourceMap, Window
+from resweave.resources import (
+    CLOCK_VARIABLE,
+    ResourceMap,
+    Window,
+    interface_for_resources,
+    synthesize_resource_chart,
+    synthesize_timer,
+)
 from resweave.sim import Choice, Composition, Injection, Scenario
 from resweave.verify import Invariant
 
@@ -171,6 +178,127 @@ def gen_composition(rng: random.Random, max_charts: int = 3) -> Composition:
         for i in range(n_charts)
     )
     return Composition(timer=None, resources=(), guidelines=guidelines)
+
+
+def gen_clock_comparison(rng: random.Random, horizon: int) -> ex.Expr:
+    """A comparison that reads curT: mostly linear in it, alone or with another
+    variable, sometimes not linear (curT*curT)."""
+    clock = ex.Var(CLOCK_VARIABLE)
+    roll = rng.random()
+    if roll < 0.35:
+        side = clock
+    elif roll < 0.55:
+        side = ex.BinOp(rng.choice("+-"), clock, ex.Var(rng.choice(INT_VARS)))
+    elif roll < 0.7:
+        side = ex.BinOp("*", ex.IntLit(rng.choice((-3, -2, 2, 3))), clock)
+    elif roll < 0.8:
+        side = ex.BinOp("*", ex.Var(rng.choice(INT_VARS)), clock)  # a slope read from a variable
+    elif roll < 0.9:
+        side = ex.BinOp("-", ex.Var(rng.choice(INT_VARS)), ex.BinOp("*", ex.IntLit(2), clock))
+    else:
+        side = ex.BinOp("*", clock, clock)
+    bound = ex.IntLit(rng.randint(-10, 2 * horizon))
+    sides = (side, bound) if rng.random() < 0.7 else (bound, side)
+    return ex.BinOp(rng.choice(_CMP), *sides)
+
+
+def gen_timed_guard(rng: random.Random, horizon: int, flags: tuple[str, ...]) -> ex.Expr:
+    """A boolean expression built around clock comparisons and RES.* flags."""
+    guard = gen_clock_comparison(rng, horizon)
+    roll = rng.random()
+    if roll < 0.3:
+        guard = ex.BinOp("&&", guard, gen_bool_expr(rng, 1))
+    elif roll < 0.45:
+        guard = ex.BinOp("||", guard, gen_clock_comparison(rng, horizon))
+    elif roll < 0.55:
+        guard = ex.Not(guard)
+    if flags and rng.random() < 0.4:
+        guard = ex.BinOp("&&", guard, ex.Var(rng.choice(flags)))
+    return guard
+
+
+def gen_timed_composition(rng: random.Random, horizon: int, max_charts: int = 2) -> Composition:
+    """The synthesized timer, resource charts from `gen_windows`,
+    and guidelines whose guards and entry actions read curT: runs with idle
+    minutes whose skips end at bounds of many kinds."""
+    resources = tuple(rng.sample(RESOURCES, rng.randint(0, 3)))
+    interface = interface_for_resources(resources)
+    flags = tuple(decl.name for decl in interface)
+    variables = _variable_pool(rng) + (VariableDecl(CLOCK_VARIABLE, ex.KIND_INTEGER, 0),) + interface
+    guidelines = []
+    for i in range(rng.randint(1, max_charts)):
+        model = _additive(gen_model(rng, name=f"G{i}", max_states=4, with_triggers=True, variables=variables))
+        transitions = tuple(
+            replace(t, guard=gen_timed_guard(rng, horizon, flags)) if rng.random() < 0.75 else t
+            for t in model.transitions
+        )
+        states = []
+        for state in model.states:
+            entry = [
+                replace(ga, guard=gen_timed_guard(rng, horizon, flags)) if rng.random() < 0.5 else ga
+                for ga in state.entry_actions
+            ]
+            if rng.random() < 0.2:  # an integer right-hand side that reads the clock
+                entry.append(GuardedAction(Assign(rng.choice(INT_VARS), ex.Var(CLOCK_VARIABLE))))
+            if rng.random() < 0.3:  # a boolean one, which keeps its value between breakpoints
+                entry.append(GuardedAction(Assign(rng.choice(BOOL_VARS), gen_timed_guard(rng, horizon, flags))))
+            states.append(replace(state, entry_actions=tuple(entry)))
+            if rng.random() < 0.4:  # re-entered while nothing else fires, as a resource chart is
+                guard = gen_timed_guard(rng, horizon, flags) if rng.random() < 0.5 else ex.TRUE
+                transitions += (Transition(state.name, state.name, guard=guard),)
+            if model.events and rng.random() < 0.3:  # first in line, but only when its event is raised
+                target = rng.choice(model.states).name
+                transitions = (Transition(state.name, target, trigger=rng.choice(model.events)),) + transitions
+        guidelines.append(replace(model, states=tuple(states), transitions=transitions))
+    return Composition(
+        timer=synthesize_timer(),
+        resources=tuple(synthesize_resource_chart(r, gen_windows(rng, horizon)) for r in resources),
+        guidelines=tuple(guidelines),
+    )
+
+
+def _additive(model: StatechartModel) -> StatechartModel:
+    """`model` with '+' for every '*' of its assignments: a product assigned
+    every minute would double its integer's width each minute."""
+
+    def expr(node: ex.Expr) -> ex.Expr:
+        if isinstance(node, ex.BinOp):
+            return ex.BinOp("+" if node.op == "*" else node.op, expr(node.left), expr(node.right))
+        return node
+
+    def action(a):
+        return replace(a, value=expr(a.value)) if isinstance(a, Assign) else a
+
+    def guarded(actions):
+        return tuple(replace(ga, action=action(ga.action)) for ga in actions)
+
+    states = tuple(
+        replace(s, entry_actions=guarded(s.entry_actions), exit_actions=guarded(s.exit_actions)) for s in model.states
+    )
+    transitions = tuple(replace(t, actions=tuple(map(action, t.actions))) for t in model.transitions)
+    return replace(model, states=states, transitions=transitions)
+
+
+def gen_timed_invariants(rng: random.Random, composition: Composition, horizon: int) -> list[Invariant]:
+    flags = tuple(v.name for v in composition.merged_variables() if v.name.startswith("RES."))
+    invariants = gen_invariants(rng, composition)
+    for i in range(len(invariants), len(invariants) + rng.randint(1, 3)):
+        location = None
+        if rng.random() < 0.4:
+            chart = rng.choice(composition.guidelines)
+            location = (chart.name, rng.choice(chart.states).name)
+        invariants.append(Invariant(f"I{i}", location, gen_timed_guard(rng, horizon, flags)))
+    return invariants
+
+
+def gen_timed_scenario(rng: random.Random, horizon: int) -> Scenario:
+    """`gen_scenario`, with an injection due at the horizon and sometimes a clock set ahead."""
+    scenario = gen_scenario(rng, horizon)
+    injections = scenario.injections + (Injection(horizon, rng.choice(BOOL_VARS), rng.random() < 0.5),)
+    initial = dict(scenario.initial)
+    if rng.random() < 0.2:
+        initial[CLOCK_VARIABLE] = rng.randint(1, horizon)
+    return replace(scenario, initial=initial, injections=injections)
 
 
 def gen_scenario(rng: random.Random, horizon: int) -> Scenario:

@@ -3,14 +3,15 @@
 Where the checker watches live simulator states, this oracle enumerates the
 choice product with its own recursion, records full traces, reconstructs the
 valuation and active states per step from the trace deltas, and scans every
-step with inlined implication logic. Only the simulator and the expression
-evaluator are shared.
+step with inlined implication logic. It runs every minute with its own
+`macro_step` loop, so it shares no idle-minute skipping with `run` and
+`check`. Only `macro_step` and the expression evaluator are shared.
 """
 
 from __future__ import annotations
 
 from resweave import expr as ex
-from resweave.sim import Composition, Scenario, init_composition, run
+from resweave.sim import Composition, Scenario, init_composition, macro_step, trace_of
 
 
 def _resolutions(scenario: Scenario) -> list[Scenario]:
@@ -41,7 +42,10 @@ def oracle_check(
         prop.name: (True, None) for prop in properties
     }
     for scenario_index, resolved in enumerate(_resolutions(scenario)):
-        trace = run(init_composition(composition, resolved), horizon)
+        state = init_composition(composition, resolved)
+        while state.curT < horizon:
+            macro_step(state)
+        trace = trace_of(state)
         valuation = dict(trace.initial_valuation)
         active = dict(trace.initial_active)
         for step_index, step in enumerate(trace.steps):

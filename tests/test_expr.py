@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -291,3 +292,46 @@ def test_redundant_brackets_count_toward_the_bound():
     with pytest.raises(ex.ExprSyntaxError) as err:
         ex.parse_expr("(" * (ex.MAX_DEPTH + 1) + "p" + ")" * (ex.MAX_DEPTH + 1))
     assert str(err.value) == f"expression nested deeper than {ex.MAX_DEPTH} levels (column {ex.MAX_DEPTH + 1})"
+
+
+_CLOCK_KINDS = {"curT": ex.KIND_INTEGER, "a": ex.KIND_INTEGER, "p": ex.KIND_BOOLEAN}
+
+
+@pytest.mark.parametrize(
+    "text, exact",
+    [
+        ("curT > 20", True),
+        ("curT <= 5 && curT > 2", True),
+        ("curT - a > 180", True),
+        ("2*curT <= a", True),
+        ("curT == 7", True),
+        ("curT != a", True),
+        ("a*curT < 40", True),
+        ("0 - curT*3 + a == -10", True),
+        ("!(3*curT - 2*a >= 5) || p", True),
+        ("curT*curT > 50", False),
+        ("curT + 1", False),
+        ("(curT - curT)*curT > 0", False),
+    ],
+)
+def test_clock_bound_is_the_next_change(text, exact):
+    """The bound is above the clock and no later than the first value at which
+    the expression changes; for linear comparisons it is that value."""
+    expr = ex.parse_expr(text)
+    bound = ex.compile_bound(expr, _CLOCK_KINDS, "curT")
+    rng = random.Random(text)
+    for _ in range(200):
+        valuation = {"curT": rng.randint(-50, 100), "a": rng.randint(-30, 300), "p": rng.random() < 0.5}
+        now, value = valuation["curT"], ex.eval_expr(expr, valuation)
+        changes = [x for x in range(now + 1, now + 400) if ex.eval_expr(expr, {**valuation, "curT": x}) != value]
+        first = changes[0] if changes else math.inf
+        assert now < bound(valuation) <= first
+        if exact and first < now + 300:
+            assert bound(valuation) == first
+        if not exact:
+            assert bound(valuation) == now + 1
+
+
+def test_clock_bound_of_clock_free_expression_is_none():
+    for text in ("a > 3", "p || a*a == 4", "a + 1", "true"):
+        assert ex.compile_bound(ex.parse_expr(text), _CLOCK_KINDS, "curT") is None

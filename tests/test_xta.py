@@ -2,6 +2,7 @@ import pytest
 
 from resweave import expr as ex
 from resweave import verify
+from resweave.expr import compile_expr
 from resweave.model import (
     Assign,
     GuardedAction,
@@ -192,3 +193,16 @@ def test_scanner_flags_problems():
     assert any("ghost" in p for p in scan_xta(broken))
     assert any("brace" in p for p in scan_xta("process P() {\nsystem P;\n"))
     assert any("system" in p for p in scan_xta("int x = 0;\n"))
+
+
+def test_export_compiles_no_expression(monkeypatch, extended_composition):
+    compiled = []
+
+    def counted(expr, kinds):
+        compiled.append(expr)
+        return compile_expr(expr, kinds)
+
+    monkeypatch.setattr(ex, "compile_expr", counted)
+    fresh = Composition(extended_composition.timer, extended_composition.resources, extended_composition.guidelines)
+    assert export_xta(fresh) == export_xta(extended_composition)
+    assert compiled == []
