@@ -142,8 +142,7 @@ def is_reserved_word(name: str) -> bool:
     return name in _RESERVED
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "end"
     text: str
     column: int  # 1-based
@@ -160,11 +159,8 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             col = len(text) - len(stripped) + 1
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", col)
-        for kind in ("int", "ident", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind) + 1))
-                break
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
         pos = match.end()
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens

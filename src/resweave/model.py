@@ -13,7 +13,11 @@ annotations appear as strings:
 Charts are flat: no composite or history states. Hierarchy is expressed by
 composing several charts in parallel (see `sim`). All types are immutable
 values after construction; semantic invariants are checked by
-`validate_model`, which `parse_model` runs before returning.
+`validate_model`. A model object is validated at most once: its
+`diagnostics` are computed on first use and kept, and both `parse_model`
+and `sim.Composition` read them. Within one document each distinct string
+is parsed once, and so is each distinct expression text, so equal strings
+share one tree.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Union
 
 from . import expr as ex
@@ -146,10 +151,18 @@ class StatechartModel:
         object.__setattr__(self, "transitions", tuple(self.transitions))
 
     def state(self, name: str) -> State:
-        for state in self.states:
-            if state.name == name:
-                return state
-        raise KeyError(name)
+        """The first state called `name`; KeyError if there is none."""
+        return self._states_by_name[name]
+
+    @cached_property
+    def _states_by_name(self) -> dict[str, State]:
+        # Built in reverse, so that of two states with one name the first is kept.
+        return {state.name: state for state in reversed(self.states)}
+
+    @cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """`validate_model(self)`, computed on first use and kept."""
+        return tuple(validate_model(self))
 
 
 def is_tick_trigger(trigger: str | None) -> bool:
@@ -180,13 +193,14 @@ def action_to_text(action: Action) -> str:
     return f"{action.target} = {ex.to_text(action.value)}"
 
 
-def parse_action(text: str) -> Action:
+def parse_action(text: str, parse_expr=ex.parse_expr) -> Action:
+    """The action of `text`; its right-hand side is read by `parse_expr`."""
     match = _RAISE_RE.match(text.strip())
     if match:
         return Raise(match.group(1))
     match = _ASSIGN_RE.match(text.strip())
     if match:
-        return Assign(match.group(1), ex.parse_expr(match.group(2)))
+        return Assign(match.group(1), parse_expr(match.group(2)))
     raise ModelFormatError(f"cannot parse action {text!r}: expected 'var = expr' or 'raise Event'")
 
 
@@ -197,14 +211,15 @@ def guarded_action_to_text(ga: GuardedAction, keyword: str) -> str:
     return f"{keyword}[{ex.to_text(ga.guard)}]/ {action_to_text(ga.action)}"
 
 
-def parse_guarded_action(text: str, keyword: str) -> GuardedAction:
+def parse_guarded_action(text: str, keyword: str, parse_expr=ex.parse_expr) -> GuardedAction:
+    """The guarded action of `text`; its expressions are read by `parse_expr`."""
     match = _ON_ACTION_RE.match(text.strip())
     if not match or match.group(1) != keyword:
         raise ModelFormatError(
             f"cannot parse {keyword} action {text!r}: expected '{keyword}[guard]/ action'"
         )
-    guard = ex.parse_expr(match.group(2)) if match.group(2) is not None else ex.TRUE
-    return GuardedAction(parse_action(match.group(3)), guard)
+    guard = parse_expr(match.group(2)) if match.group(2) is not None else ex.TRUE
+    return GuardedAction(parse_action(match.group(3), parse_expr), guard)
 
 
 def annotation_to_text(annotation: Annotation) -> str:
@@ -240,9 +255,8 @@ def parse_model(text: str) -> StatechartModel:
     except RecursionError:
         raise ModelFormatError("JSON nested too deeply") from None
     model = _model_from_obj(root)
-    diagnostics = validate_model(model)
-    if diagnostics:
-        raise ModelSemanticsError(diagnostics)
+    if model.diagnostics:
+        raise ModelSemanticsError(list(model.diagnostics))
     return model
 
 
@@ -258,6 +272,16 @@ def _expect(obj, types, path: str, what: str):
 
 def _model_from_obj(root) -> StatechartModel:
     _expect(root, dict, "$", "an object")
+    # This document's parsers, by the key its strings sit under; each parses a
+    # distinct text once, and they go when the document is parsed.
+    expr = cache(ex.parse_expr)
+    parsers = {
+        "guard": expr,
+        "entry": cache(lambda text: parse_guarded_action(text, "entry", expr)),
+        "exit": cache(lambda text: parse_guarded_action(text, "exit", expr)),
+        "actions": cache(lambda text: parse_action(text, expr)),
+        "annotations": cache(parse_annotation),
+    }
     known = {"name", "variables", "events", "states", "transitions", "initial"}
     for key in root:
         if key not in known:
@@ -271,11 +295,11 @@ def _model_from_obj(root) -> StatechartModel:
     for i, obj in enumerate(_expect(root.get("events", []), list, "events", "a list")):
         events.append(_expect(obj, str, f"events[{i}]", "a string"))
     states = [
-        _state_from_obj(obj, f"states[{i}]")
+        _state_from_obj(obj, f"states[{i}]", parsers)
         for i, obj in enumerate(_expect(root.get("states", []), list, "states", "a list"))
     ]
     transitions = [
-        _transition_from_obj(obj, f"transitions[{i}]")
+        _transition_from_obj(obj, f"transitions[{i}]", parsers)
         for i, obj in enumerate(_expect(root.get("transitions", []), list, "transitions", "a list"))
     ]
     initial = _expect(root.get("initial", ""), str, "initial", "a string")
@@ -297,25 +321,25 @@ def _parse_at(parse, text, path: str):
         raise ModelFormatError(f"{path}: {err}") from None
 
 
-def _strings_at(obj, key: str, path: str, parse) -> tuple:
-    """Parse each string of the optional list `obj[key]`."""
+def _strings_at(obj, key: str, path: str, parsers) -> tuple:
+    """Parse each string of the optional list `obj[key]` with `parsers[key]`."""
     items = _expect(obj.get(key, []), list, f"{path}.{key}", "a list")
-    return tuple(_parse_at(parse, item, f"{path}.{key}[{i}]") for i, item in enumerate(items))
+    return tuple(_parse_at(parsers[key], item, f"{path}.{key}[{i}]") for i, item in enumerate(items))
 
 
-def _state_from_obj(obj, path: str) -> State:
+def _state_from_obj(obj, path: str, parsers) -> State:
     _expect(obj, dict, path, "an object")
     known = {"name", "entry", "exit", "annotations"}
     for key in obj:
         if key not in known:
             _fail(path, f"unknown key {key!r}")
     name = _expect(obj.get("name"), str, f"{path}.name", "a string")
-    entry = _strings_at(obj, "entry", path, lambda text: parse_guarded_action(text, "entry"))
-    exit_ = _strings_at(obj, "exit", path, lambda text: parse_guarded_action(text, "exit"))
-    return State(name, entry, exit_, _strings_at(obj, "annotations", path, parse_annotation))
+    entry = _strings_at(obj, "entry", path, parsers)
+    exit_ = _strings_at(obj, "exit", path, parsers)
+    return State(name, entry, exit_, _strings_at(obj, "annotations", path, parsers))
 
 
-def _transition_from_obj(obj, path: str) -> Transition:
+def _transition_from_obj(obj, path: str, parsers) -> Transition:
     _expect(obj, dict, path, "an object")
     known = {"source", "target", "trigger", "guard", "actions", "annotations"}
     for key in obj:
@@ -326,9 +350,9 @@ def _transition_from_obj(obj, path: str) -> Transition:
     trigger = obj.get("trigger")
     if trigger is not None:
         _expect(trigger, str, f"{path}.trigger", "a string")
-    guard = ex.TRUE if "guard" not in obj else _parse_at(ex.parse_expr, obj["guard"], f"{path}.guard")
-    actions = _strings_at(obj, "actions", path, parse_action)
-    annotations = _strings_at(obj, "annotations", path, parse_annotation)
+    guard = ex.TRUE if "guard" not in obj else _parse_at(parsers["guard"], obj["guard"], f"{path}.guard")
+    actions = _strings_at(obj, "actions", path, parsers)
+    annotations = _strings_at(obj, "annotations", path, parsers)
     return Transition(source, target, guard, trigger, actions, annotations)
 
 

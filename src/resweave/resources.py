@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import expr as ex
 from .errors import ResweaveError
@@ -66,10 +67,13 @@ class ResourceMap:
         )
 
     def get(self, action: str) -> tuple[str, ...] | None:
-        for key, resources in self.entries:
-            if key == action:
-                return resources
-        return None
+        """The resources of the first entry for `action`, or None."""
+        return self._by_action.get(action)
+
+    @cached_property
+    def _by_action(self) -> dict[str, tuple[str, ...]]:
+        # Built in reverse, so that of two entries for one action the first is kept.
+        return dict(reversed(self.entries))
 
     def unique_resources(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

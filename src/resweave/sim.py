@@ -35,19 +35,15 @@ minute. `macro_step` is the only code that runs a minute.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ResweaveError
-from .model import (
-    Raise,
-    StatechartModel,
-    Transition,
-    VariableDecl,
-    is_tick_trigger,
-    validate_model,
-)
+from .model import Raise, StatechartModel, Transition, VariableDecl, is_tick_trigger
+# perfbench/tracer.py wraps `sim.validate_model` by name, so the name stays importable here.
+from .model import validate_model  # noqa: F401
 from .resources import CLOCK_VARIABLE, synthesize_timer
 
 class SimulationError(ResweaveError):
@@ -82,7 +78,6 @@ class _ChartIndex:
 
     def __init__(self, chart: StatechartModel, compile):
         self.chart = chart
-        self.states = {s.name: s for s in chart.states}
         # (declaration index, transition) per source state, in declaration order
         self.by_source: dict[str, list[tuple[int, Transition]]] = {}
         for index, transition in enumerate(chart.transitions):
@@ -93,7 +88,7 @@ class _ChartIndex:
     def code(self, name: str) -> _StateCode:
         code = self._code.get(name)
         if code is None:
-            state, leaving = self.states[name], self.by_source.get(name, ())
+            state, leaving = self.chart.state(name), self.by_source.get(name, ())
             code = self._code[name] = _StateCode(
                 tuple(self._action(ga.action, ga.guard) for ga in state.entry_actions),
                 tuple(self._action(ga.action, ga.guard) for ga in state.exit_actions),
@@ -119,9 +114,11 @@ class Composition:
     """Charts in execution order: timer, then resource charts, then guidelines.
 
     Checked and indexed once, when built: at least one chart, unique chart
-    names, every chart valid, and same-name declarations in agreement. An
-    expression is compiled the first time it is evaluated, and its clock
-    bound built the first time an idle minute needs it; both are kept.
+    names, every chart valid (read from its kept `diagnostics`, so a chart
+    `parse_model` returned is not validated again), and same-name
+    declarations in agreement. An expression is compiled the first time it
+    is evaluated, and its clock bound built the first time an idle minute
+    needs it; both are kept.
     """
 
     timer: StatechartModel | None = None
@@ -140,16 +137,15 @@ class Composition:
     def __post_init__(self):
         object.__setattr__(self, "resources", tuple(self.resources))
         object.__setattr__(self, "guidelines", tuple(self.guidelines))
-        names = [chart.name for chart in self.charts]
-        if not names:
+        if not self.charts:
             raise SimulationError("composition has no charts")
-        dupes = {n for n in names if names.count(n) > 1}
+        counts = Counter(chart.name for chart in self.charts)
+        dupes = sorted(name for name, count in counts.items() if count > 1)
         if dupes:
-            raise SimulationError(f"duplicate chart names in composition: {sorted(dupes)}")
+            raise SimulationError(f"duplicate chart names in composition: {dupes}")
         for chart in self.charts:
-            diagnostics = validate_model(chart)
-            if diagnostics:
-                raise SimulationError(f"chart {chart.name!r} is invalid: {diagnostics[0]}")
+            if chart.diagnostics:
+                raise SimulationError(f"chart {chart.name!r} is invalid: {chart.diagnostics[0]}")
         merged: dict[str, tuple[VariableDecl, str]] = {}
         for chart in self.charts:
             for decl in chart.variables:
@@ -460,8 +456,11 @@ class SimState:
         return len(self.steps) - 1
 
 
-def _run_actions(state: SimState, actions: tuple, sets: list) -> None:
-    """Run compiled actions (see `_StateCode`); value-changing writes go to `sets`."""
+def _run_actions(state: SimState, chart: str, actions: tuple, sets: list) -> None:
+    """Run compiled actions (see `_StateCode`) of `chart`; value-changing writes go to `sets`.
+
+    A write that changes an integer to a value outside 64 bits raises SimulationError.
+    """
     valuation = state.valuation
     for guard, target, value in actions:
         if guard is not None and not guard(valuation):
@@ -471,6 +470,11 @@ def _run_actions(state: SimState, actions: tuple, sets: list) -> None:
             continue
         new = value(valuation)
         if valuation[target] != new:
+            if type(new) is int and not ex.INT_MIN <= new <= ex.INT_MAX:
+                raise SimulationError(
+                    f"chart {chart!r} at minute {state.curT + 1}: {target!r} would be set to a value "
+                    "outside the 64-bit range"
+                )
             sets.append((target, new))
             valuation[target] = new
 
@@ -490,10 +494,10 @@ def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list) 
         transition = chart.transitions[index]
         source, target = transition.source, transition.target
         code = charts.code(source)
-        _run_actions(state, code.exit, sets)
-        _run_actions(state, code.actions[index], sets)
+        _run_actions(state, chart.name, code.exit, sets)
+        _run_actions(state, chart.name, code.actions[index], sets)
     state.active[chart.name] = target
-    _run_actions(state, charts.code(target).entry, sets)
+    _run_actions(state, chart.name, charts.code(target).entry, sets)
     if source != target or sets or len(state.pending_events) > mark:
         fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
 

@@ -95,13 +95,13 @@ def entry_branches(entry_actions) -> list[tuple[ex.Expr, list]]:
     unguarded actions in declaration order; a single unconditional branch
     when no guarded entry actions exist.
     """
-    conditional = [ga for ga in entry_actions if ga.guard != ex.TRUE]
+    conditional = [i for i, ga in enumerate(entry_actions) if ga.guard != ex.TRUE]
     if not conditional:
         return [(ex.TRUE, [ga.action for ga in entry_actions])]
     branches = []
     for chosen in conditional:
-        actions = [ga.action for ga in entry_actions if ga.guard == ex.TRUE or ga is chosen]
-        branches.append((chosen.guard, actions))
+        actions = [ga.action for i, ga in enumerate(entry_actions) if ga.guard == ex.TRUE or i == chosen]
+        branches.append((entry_actions[chosen].guard, actions))
     return branches
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from resweave import cli, sim
 from resweave.errors import ResweaveError
-from resweave.model import parse_model, serialize_model
+from resweave.model import parse_model, serialize_model, validate_model
 from resweave.resources import parse_resource_map, parse_schedule, synthesize_timer
 
 from conftest import FIXTURES, GOLDEN
@@ -664,3 +665,78 @@ def test_simulated_trace_replays_on_the_manifest(tmp_path, capsys, model, map_na
     text = (out / "trace.json").read_text(encoding="utf-8")
     replayed = sim.replay_trace(cli.load_manifest(str(manifest)), _trace_from_json(text))
     assert sim.trace_to_json(replayed) == text
+
+
+def test_load_manifest_validates_each_chart_once(tmp_path, capsys, monkeypatch):
+    assert run_cli("integrate", FIXTURES / "stroke_extended.json", FIXTURES / "stroke_extended.map",
+                   "--schedule", FIXTURES / "schedule_extended.txt", "--out", tmp_path) == 0
+    capsys.readouterr()
+    validated = []
+    for name in ("resweave.model.validate_model", "resweave.sim.validate_model"):  # every name it is called by
+        monkeypatch.setattr(name, lambda chart: validated.append(chart) or validate_model(chart))
+    composition = cli.load_manifest(str(tmp_path / "composition.json"))
+    assert len(composition.charts) == 11
+    assert sorted(map(id, validated)) == sorted(map(id, composition.charts))
+
+
+GROWING = {
+    "name": "Grow",
+    "variables": [{"name": "a", "kind": "integer", "initial": 2}, {"name": "b", "kind": "integer", "initial": 2}],
+    "states": [{"name": "s"}],
+    "transitions": [{"source": "s", "target": "s", "actions": ["a = a * b"]}],
+    "initial": "s",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_integer_written_outside_64_bits_exits_2(tmp_path, capsys, command):
+    files = {"grow.json": json.dumps(GROWING), "empty.map": "", "scenario.json": "{}", "grow.props": "P: A[] a > 0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [command, "--model", tmp_path / "grow.json", "--map", tmp_path / "empty.map",
+            "--scenario", tmp_path / "scenario.json", "--horizon", "100", "--out", tmp_path / "out"]
+    if command == "check":
+        argv += ["--properties", tmp_path / "grow.props"]
+    assert run_cli(*argv) == 2
+    # `a` is 2**(t+1) after minute t, so minute 62 would write 2**63.
+    assert capsys.readouterr().err == (
+        "error: chart 'Grow' at minute 62: 'a' would be set to a value outside the 64-bit range\n"
+    )
+
+
+# sha256 of the outputs for the benchmark's large-guideline workload at seed 1000:
+# 2,000 states, 3,998 transitions, 200 resource charts. "integrate" is taken over
+# the name and bytes of each file it wrote, in name order.
+LARGE_GUIDELINE_DIGESTS = {
+    "integrate": "4e9248088418f36044e9082dcd28414bd0e0e2e64d9788d8eac54f816046cbc6",
+    "composition.xta": "8edee7499091d5c8e700797b0567d1a83daa2f05c645c6d1975be0ff1f17bce7",
+    "composition.q": "d628baa1ed952403343cf2223fb3c91426845615a6bd460c02925877e7e468a8",
+    "P2.counterexample.json": "1531c0dcbc8e228acee64ce5a877abc440c8f0aba513da8452f76a28e73d115a",
+    "trace.json": "f4b9a93b7c15ec1da151a42bbf492b06af771ba6bc62c01bbf808e67b7049f09",
+}
+
+
+def test_large_guideline_outputs_are_pinned(tmp_path, capsys):
+    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(FIXTURES.parent / "perfbench"))
+    (config,) = workloads.build("large-guideline", 1000, tmp_path / "in", FIXTURES.parent)
+    setup = tmp_path / "integrate"
+    assert run_cli("integrate", config["model"], config["map"], "--schedule", config["schedule"], "--out", setup) == 0
+    manifest = ("--manifest", setup / "composition.json")
+    assert run_cli("check", *manifest, "--scenario", config["scenario"], "--properties", config["properties"],
+                   "--out", tmp_path) == 1
+    choices = [arg for var, value in config["simulate"].items() for arg in ("--choice", f"{var}={json.dumps(value)}")]
+    assert run_cli("simulate", *manifest, "--scenario", config["scenario"], *choices, "--out", tmp_path) == 0
+    assert run_cli("export", *manifest, "--properties", config["properties"], "--out", tmp_path) == 0
+    capsys.readouterr()
+    assert len(list(setup.iterdir())) == 203  # the manifest, the timer, 200 resource charts, the guideline
+    written = hashlib.sha256()
+    for path in sorted(setup.iterdir()):
+        written.update(path.name.encode("utf-8"))
+        written.update(path.read_bytes())
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in LARGE_GUIDELINE_DIGESTS if name != "integrate"}
+    assert {"integrate": written.hexdigest(), **digests} == LARGE_GUIDELINE_DIGESTS

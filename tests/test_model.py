@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -225,3 +227,59 @@ def test_valid_generated_models_pass_validation():
     rng = random.Random(5)
     for _ in range(100):
         assert m.validate_model(gen_model(rng, with_triggers=True)) == []
+
+
+def test_state_lookup_by_name():
+    model = m.StatechartModel(
+        "Dup", states=(m.State("s", exit_actions=(m.GuardedAction(m.Raise("e")),)), m.State("s"), m.State("t")),
+        initial_state="s",
+    )
+    assert model.state("s") is model.states[0]
+    assert model.state("t") is model.states[2]
+    with pytest.raises(KeyError):
+        model.state("u")
+    assert replace(model, states=(m.State("u"),)).state("u") == m.State("u")
+
+
+def test_each_distinct_expression_text_is_parsed_once(monkeypatch):
+    texts = []
+
+    class CountingParser(ex._Parser):
+        def __init__(self, text):
+            texts.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(ex, "_Parser", CountingParser)
+    model = m.parse_model(json.dumps({
+        "name": "Shared",
+        "variables": [{"name": "n", "kind": "integer", "initial": 0}],
+        "states": [
+            {"name": "a", "entry": ["entry/ n = n + 1", "entry[n > 1]/ n = n + 1"], "exit": ["exit/ n = n + 1"]},
+            {"name": "b", "entry": ["entry/ n = n + 1"]},
+        ],
+        "transitions": [
+            {"source": "a", "target": "b", "guard": "n > 1", "actions": ["n = n + 1"]},
+            {"source": "b", "target": "a", "guard": "n > 1"},
+            {"source": "b", "target": "b", "guard": "n>1"},
+        ],
+        "initial": "a",
+    }))
+    assert sorted(texts) == ["n + 1", "n > 1", "n>1"]
+    a, b = model.states
+    guards = [t.guard for t in model.transitions]
+    assert a.entry_actions[0] is b.entry_actions[0]
+    assert guards[0] is guards[1] is a.entry_actions[1].guard
+    assert guards[2] == guards[0]
+    assert model.transitions[0].actions[0].value is a.exit_actions[0].action.value
+
+
+def test_diagnostics_are_computed_once_per_model(monkeypatch):
+    calls = []
+    original = m.validate_model
+    monkeypatch.setattr(m, "validate_model", lambda model: calls.append(model) or original(model))
+    model = m.parse_model(MINIMAL)
+    assert model.diagnostics == () and calls == [model]
+    bad = replace(model, initial_state="gone")
+    expected = (m.Diagnostic("initial", "initial state 'gone' is not a declared state"),)
+    assert bad.diagnostics == bad.diagnostics == expected
+    assert calls == [model, bad]

@@ -40,6 +40,13 @@ def test_parse_map_duplicate_and_empty_list():
         res.parse_resource_map("a:")
 
 
+def test_map_get_returns_first_entry_of_a_repeated_action():
+    hand_built = res.ResourceMap((("CTscan", ("a",)), ("givetPA", ("b",)), ("CTscan", ("c",))))
+    assert hand_built.get("CTscan") == ("a",)
+    assert hand_built.get("givetPA") == ("b",)
+    assert hand_built.get("other") is None
+
+
 def test_parse_schedule_stroke_case():
     schedule = res.parse_schedule(
         "CT_machine: (200, inf)\nCT_technician: (200, inf)\ntPA: (-1, inf)\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -77,6 +78,13 @@ def test_duplicate_chart_names_rejected():
     a = StatechartModel("A", states=(State("s"),), initial_state="s")
     with pytest.raises(sim.SimulationError, match="duplicate"):
         sim.init_composition(sim.Composition(guidelines=(a, a)), sim.Scenario())
+
+
+def test_hand_built_invalid_chart_rejected():
+    bad = StatechartModel("Bad", states=(State("s"),), initial_state="gone")
+    message = "chart 'Bad' is invalid: initial: initial state 'gone' is not a declared state"
+    with pytest.raises(sim.SimulationError, match=re.escape(message)):
+        sim.Composition(guidelines=(bad,))
 
 
 def test_quiet_chart_reports_no_fires():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from resweave import expr as ex
@@ -11,6 +13,7 @@ from resweave.model import (
     StatechartModel,
     Transition,
     VariableDecl,
+    parse_model,
 )
 from resweave.sim import Composition
 from resweave.xta import ExportError, entry_branches, export_queries, export_xta, scan_xta
@@ -104,6 +107,33 @@ def test_entry_branch_splitting():
     assert "a -> b { guard x==0 && x>0; assign x = 1, y = 2; }" in document
     assert "a -> b { guard x==0 && x<=0; assign x = 1, y = 3; }" in document
     assert scan_xta(document) == []
+
+
+def test_identical_guarded_entries_split_once_each():
+    # Equal strings of one document parse to one shared object, so the split
+    # must tell the two entries apart by position, not by identity.
+    chart = parse_model(json.dumps({
+        "name": "Twice",
+        "variables": [{"name": "a", "kind": "integer", "initial": 0}],
+        "states": [{"name": "A"}, {"name": "B", "entry": ["entry[a>1]/ a = a + 1"] * 2}],
+        "transitions": [{"source": "A", "target": "B"}],
+        "initial": "A",
+    }))
+    first, second = chart.state("B").entry_actions
+    assert first is second
+    assert export_xta(Composition(guidelines=(chart,))) == (
+        "int a = 0;\n"
+        "\n"
+        "process Twice() {\n"
+        "    state A, B;\n"
+        "    init A;\n"
+        "    trans\n"
+        "        A -> B { guard a>1; assign a++; },\n"
+        "        A -> B { guard a>1; assign a++; };\n"
+        "}\n"
+        "\n"
+        "system Twice;\n"
+    )
 
 
 def test_event_trigger_is_rejected():
