@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import verify as chk
@@ -139,26 +140,18 @@ def write_manifest(composition: sim.Composition, out_dir: Path, guideline_names:
 
     Nothing is written when a chart's file name is the manifest's own.
     """
+    names = {chart.name: guideline_names.get(chart.name, f"{chart.name}.json") for chart in composition.charts}
+    for chart, name in names.items():
+        if name == "composition.json":
+            raise _CommandError(f"chart {chart!r} would overwrite the manifest composition.json")
     for chart in composition.charts:
-        if guideline_names.get(chart.name, f"{chart.name}.json") == "composition.json":
-            raise _CommandError(f"chart {chart.name!r} would overwrite the manifest composition.json")
-    manifest: dict = {"timer": None, "resources": [], "guidelines": [], "variables": []}
-    if composition.timer is not None:
-        name = f"{composition.timer.name}.json"
-        _write_text(out_dir / name, serialize_model(composition.timer))
-        manifest["timer"] = name
-    for chart in composition.resources:
-        name = f"{chart.name}.json"
-        _write_text(out_dir / name, serialize_model(chart))
-        manifest["resources"].append(name)
-    for chart in composition.guidelines:
-        name = guideline_names.get(chart.name, f"{chart.name}.json")
-        _write_text(out_dir / name, serialize_model(chart))
-        manifest["guidelines"].append(name)
-    manifest["variables"] = [
-        {"name": v.name, "kind": v.kind, "initial": v.initial}
-        for v in composition.merged_variables()
-    ]
+        _write_text(out_dir / names[chart.name], serialize_model(chart))
+    manifest = {
+        "timer": names[composition.timer.name] if composition.timer is not None else None,
+        "resources": [names[chart.name] for chart in composition.resources],
+        "guidelines": [names[chart.name] for chart in composition.guidelines],
+        "variables": [asdict(v) for v in composition.merged_variables()],
+    }
     path = out_dir / "composition.json"
     _write_text(path, json.dumps(manifest, indent=2) + "\n")
     return path
@@ -266,7 +259,12 @@ def cmd_simulate(args) -> int:
     _warn(args, warnings)
     scenario = _load_scenario(args, composition)
     if args.choice:
-        assignment = dict(_parse_choice(item) for item in args.choice)
+        assignment: dict[str, int | bool] = {}
+        for item in args.choice:
+            var, value = _parse_choice(item)
+            if var in assignment:
+                raise _CommandError(f"--choice gives {var!r} more than one value")
+            assignment[var] = value
         scenario = scenario.resolve(assignment)
     if not scenario.resolved:
         unresolved = [c.var for c in scenario.choices]
@@ -297,10 +295,9 @@ def _parse_choice(item: str) -> tuple[str, int | bool]:
         raise _CommandError(f"--choice expects var=value, got {item!r}")
     if raw in ("true", "false"):
         return var, raw == "true"
-    try:
-        return var, int(raw)
-    except ValueError:
-        raise _CommandError(f"--choice value {raw!r} is not an int or true/false") from None
+    if not re.fullmatch(r"-?\d+", raw):  # an integer as schedule windows and expressions write it
+        raise _CommandError(f"--choice value {raw!r} is not an int or true/false")
+    return var, int(raw)
 
 
 def cmd_check(args) -> int:
@@ -321,7 +318,7 @@ def cmd_check(args) -> int:
                 "property": verdict.property,
                 "scenario_index": cx.scenario_index,
                 "step_index": cx.step_index,
-                "scenario": json.loads(sim.serialize_scenario(cx.scenario)),
+                "scenario": sim.scenario_to_dict(cx.scenario),
                 "trace": sim.trace_to_dict(cx.trace),
             }
             _write_text(cx_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

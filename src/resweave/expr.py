@@ -14,6 +14,11 @@ non-chaining comparisons '<' '<=' '>' '>=' '==' '!='; '+' '-'; '*'.
 Comparisons apply to integers, logical connectives to booleans, and there is
 no division. Variable names may be dotted (``RES.tPA``). Unary minus is only
 accepted in front of an integer literal and folds into the literal.
+
+One printer, `_render`, writes a tree as canonical text (`to_text`), as
+timed-automata text (`to_text` with a renaming) and as the Python that
+`compile_expr` generates; a table of words (`true`/`!`/`&&`/`||` against
+`True`/`not`/`and`/`or`) is all that differs.
 """
 
 from __future__ import annotations
@@ -101,24 +106,23 @@ class _Binary(NamedTuple):
     operand: str  # kind both operands must have
     result: str
     apply: Callable
-    python: str  # the Python operator `compile_expr` emits; strict in both operands, like `apply`
 
 
 # Every binary operator, its syntax, typing and meaning. An operator whose
 # result kind differs from its operand kind (a comparison) does not chain;
 # the others are left-associative.
 _BINARY = {
-    "||": _Binary(1, KIND_BOOLEAN, KIND_BOOLEAN, operator.or_, "|"),
-    "&&": _Binary(2, KIND_BOOLEAN, KIND_BOOLEAN, operator.and_, "&"),
-    "<": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.lt, "<"),
-    "<=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.le, "<="),
-    ">": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.gt, ">"),
-    ">=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ge, ">="),
-    "==": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.eq, "=="),
-    "!=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ne, "!="),
-    "+": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.add, "+"),
-    "-": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.sub, "-"),
-    "*": _Binary(5, KIND_INTEGER, KIND_INTEGER, operator.mul, "*"),
+    "||": _Binary(1, KIND_BOOLEAN, KIND_BOOLEAN, operator.or_),
+    "&&": _Binary(2, KIND_BOOLEAN, KIND_BOOLEAN, operator.and_),
+    "<": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.lt),
+    "<=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.le),
+    ">": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.gt),
+    ">=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ge),
+    "==": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.eq),
+    "!=": _Binary(3, KIND_INTEGER, KIND_BOOLEAN, operator.ne),
+    "+": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.add),
+    "-": _Binary(4, KIND_INTEGER, KIND_INTEGER, operator.sub),
+    "*": _Binary(5, KIND_INTEGER, KIND_INTEGER, operator.mul),
 }
 
 # What evaluation needs of `_BINARY`: the Python type of both operands, and the operation.
@@ -291,30 +295,43 @@ def to_text(expr: Expr, rename=None) -> str:
 
     `rename` optionally maps variable names, e.g. for identifier flattening.
     """
-    return _render(expr, rename)
+    return _render(expr, rename, _TEXT_WORDS)
 
 
-def _render(expr: Expr, rename) -> str:
+# The spelling of the words that differ between expression text and the
+# Python `compile_expr` generates. Printing Python through `_render` is sound
+# on the well-typed trees `compile_expr` accepts. Python ranks `or` < `and` <
+# `not` < comparisons < `+ -` < `*`, the order of `_BINARY`; a `!` is only
+# ever an operand of `!`, `&&` or `||`, and `_render` brackets every `BinOp`
+# under it. `_render` never leaves two comparisons unbracketed next to each
+# other, so Python chains none. And on booleans, `and`/`or` give the same
+# bool as the strict `&&`/`||`.
+_TEXT_WORDS = {"true": "true", "false": "false", "!": "!", "&&": "&&", "||": "||"}
+_PYTHON_WORDS = {"true": "True", "false": "False", "!": "not ", "&&": "and", "||": "or"}
+
+
+def _render(expr: Expr, rename, words: Mapping[str, str]) -> str:
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
+        return words["true" if expr.value else "false"]
     if isinstance(expr, Var):
         return rename(expr.name) if rename else expr.name
     if isinstance(expr, Not):
-        inner = _render(expr.operand, rename)
+        inner = _render(expr.operand, rename, words)
         if isinstance(expr.operand, BinOp):
             inner = f"({inner})"
-        return f"!{inner}"
+        return words["!"] + inner
     spec = _BINARY[expr.op]
-    left = _render_side(expr.left, spec, right_side=False, rename=rename)
-    right = _render_side(expr.right, spec, right_side=True, rename=rename)
-    joiner = f" {expr.op} " if spec.operand == KIND_BOOLEAN else expr.op  # connectives are spaced
+    left = _render_side(expr.left, spec, False, rename, words)
+    right = _render_side(expr.right, spec, True, rename, words)
+    op = words.get(expr.op, expr.op)
+    joiner = f" {op} " if spec.operand == KIND_BOOLEAN else op  # connectives are spaced
     return f"{left}{joiner}{right}"
 
 
-def _render_side(child: Expr, parent: _Binary, right_side: bool, rename) -> str:
-    text = _render(child, rename)
+def _render_side(child: Expr, parent: _Binary, right_side: bool, rename, words: Mapping[str, str]) -> str:
+    text = _render(child, rename, words)
     if not isinstance(child, BinOp):
         return text
     child_prec = _BINARY[child.op].precedence
@@ -385,28 +402,7 @@ def compile_expr(expr: Expr, kinds: Mapping[str, str]) -> Callable[[Mapping[str,
     check the kinds of their operands the way `eval_expr` does.
     """
     type_of(expr, kinds)
-    return eval(f"lambda v: {_python(expr)}", {"__builtins__": {}})
-
-
-def _python(expr: Expr) -> str:
-    if isinstance(expr, (IntLit, BoolLit)):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return f"v[{expr.name!r}]"
-    if isinstance(expr, Not):
-        return f"not {_python_operand(expr.operand)}"
-    spec = _BINARY[expr.op]
-    # Python's precedences differ from ours ('&' binds tighter than '<'), so
-    # every compound operand is bracketed, except the left operand of a
-    # chaining operator applied again: a long conjunction stays flat.
-    chained = isinstance(expr.left, BinOp) and expr.left.op == expr.op and _chains(spec)
-    left = _python(expr.left) if chained else _python_operand(expr.left)
-    return f"{left} {spec.python} {_python_operand(expr.right)}"
-
-
-def _python_operand(expr: Expr) -> str:
-    text = _python(expr)
-    return f"({text})" if isinstance(expr, (Not, BinOp)) else text
+    return eval(f"lambda v: {_render(expr, 'v[{!r}]'.format, _PYTHON_WORDS)}", {"__builtins__": {}})
 
 
 def compile_bound(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from typing import Union
 
@@ -363,9 +363,7 @@ def _transition_from_obj(obj, path: str, parsers) -> Transition:
 def serialize_model(model: StatechartModel) -> str:
     """Canonical document text; parse_model(serialize_model(m)) == m."""
     root: dict = {"name": model.name}
-    root["variables"] = [
-        {"name": v.name, "kind": v.kind, "initial": v.initial} for v in model.variables
-    ]
+    root["variables"] = [asdict(v) for v in model.variables]
     root["events"] = list(model.events)
     root["states"] = [_state_to_obj(s) for s in model.states]
     root["transitions"] = [_transition_to_obj(t) for t in model.transitions]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 from . import expr as ex
@@ -293,15 +293,15 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(dict(initial), tuple(injections), tuple(choices), horizon)
 
 
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """The JSON object of a scenario, as `serialize_scenario` writes it: its
+    fields, each record an object; `injections`, `choices` and `horizon` only when set."""
+    fields = asdict(scenario).items()
+    return {name: value for name, value in fields if name == "initial" or value not in ((), None)}
+
+
 def serialize_scenario(scenario: Scenario) -> str:
-    root: dict = {"initial": dict(scenario.initial)}
-    if scenario.injections:
-        root["injections"] = [{"t": i.t, "var": i.var, "value": i.value} for i in scenario.injections]
-    if scenario.choices:
-        root["choices"] = [{"var": c.var, "domain": list(c.domain)} for c in scenario.choices]
-    if scenario.horizon is not None:
-        root["horizon"] = scenario.horizon
-    return json.dumps(root, indent=2, sort_keys=True) + "\n"
+    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
 
 
 def _as_list(obj, what: str) -> list:
@@ -373,31 +373,17 @@ class Trace:
 
 
 def trace_to_dict(trace: Trace) -> dict:
-    """The JSON object of a trace, as `trace_to_json` writes it."""
-    return {
-        "initial_active": trace.initial_active,
-        "initial_valuation": trace.initial_valuation,
-        "steps": [
-            {
-                "t": step.t,
-                "injected": [[var, value] for var, value in step.injected],
-                "fires": [
-                    {
-                        "chart": fire.chart,
-                        "source": fire.source,
-                        "target": fire.target,
-                        "index": fire.index,
-                        "sets": [[var, value] for var, value in fire.sets],
-                        "raised": list(fire.raised),
-                    }
-                    for fire in step.fires
-                ],
-                "raised": list(step.raised),
-                "deltas": step.deltas,
-            }
-            for step in trace.steps
-        ],
-    }
+    """The JSON object of a trace, as `trace_to_json` writes it: the trace and
+    each record in it an object of its fields (`json` writes tuples as lists)."""
+    return _fields(dict(vars(trace)))
+
+
+def _fields(fields: dict) -> dict:
+    """`fields` with each tuple of records in it replaced by a list of their field objects."""
+    for name, value in fields.items():
+        if isinstance(value, tuple) and value and hasattr(value[0], "_asdict"):
+            fields[name] = [_fields(item._asdict()) for item in value]
+    return fields
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -471,12 +457,14 @@ def _run_actions(state: SimState, chart: str, actions: tuple, sets: list) -> Non
         new = value(valuation)
         if valuation[target] != new:
             if type(new) is int and not ex.INT_MIN <= new <= ex.INT_MAX:
-                raise SimulationError(
-                    f"chart {chart!r} at minute {state.curT + 1}: {target!r} would be set to a value "
-                    "outside the 64-bit range"
-                )
+                raise SimulationError(out_of_range(chart, state.curT + 1, target))
             sets.append((target, new))
             valuation[target] = new
+
+
+def out_of_range(chart: str, minute: int, target: str) -> str:
+    """Why a write of an integer outside 64 bits to `target` is refused."""
+    return f"chart {chart!r} at minute {minute}: {target!r} would be set to a value outside the 64-bit range"
 
 
 def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list) -> None:

@@ -14,7 +14,9 @@ Variable initializers are the values after composition initialization, which
 bakes the t=0 entry effects of initial states into the declarations.
 
 The exportable subset excludes event-triggered transitions, guarded exit
-actions, and edges that would carry more than one raise.
+actions, edges that would carry more than one raise, one name used for more
+than one of a variable, an event and a chart (the document declares them in
+one namespace), and t=0 entry effects that set an integer outside 64 bits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import expr as ex
 from .errors import ResweaveError
 from .model import Assign, Raise, StatechartModel, Transition, is_tick_trigger
 # perfbench/tracer.py wraps `xta.init_composition` by name, so the name stays importable here.
-from .sim import Composition, init_composition, value_text  # noqa: F401
+from .sim import Composition, init_composition, out_of_range, value_text  # noqa: F401
 
 
 class ExportError(ResweaveError):
@@ -105,7 +107,7 @@ def entry_branches(entry_actions) -> list[tuple[ex.Expr, list]]:
     return branches
 
 
-def _edge_label(guard_text: str, sync: str | None, assigns: list[str]) -> str:
+def _edge(transition: Transition, guard_text: str, sync: str | None, assigns: list[str]) -> str:
     parts = []
     if guard_text:
         parts.append(f"guard {guard_text};")
@@ -113,7 +115,8 @@ def _edge_label(guard_text: str, sync: str | None, assigns: list[str]) -> str:
         parts.append(f"sync {sync}!;")
     if assigns:
         parts.append("assign " + ", ".join(assigns) + ";")
-    return "{ " + " ".join(parts) + " }" if parts else "{ }"
+    label = "{ " + " ".join(parts) + " }" if parts else "{ }"
+    return f"        {_flat(transition.source)} -> {_flat(transition.target)} {label}"
 
 
 def _export_edge(chart, transition: Transition, branch, lines) -> None:
@@ -139,10 +142,7 @@ def _export_edge(chart, transition: Transition, branch, lines) -> None:
             assigns.append(_assign_text(action))
     guard = _combine_guards(transition.guard, branch_guard)
     guard_text = "" if guard == ex.TRUE else ex.to_text(guard, _flat)
-    lines.append(
-        f"        {_flat(transition.source)} -> {_flat(transition.target)} "
-        + _edge_label(guard_text, sync, assigns)
-    )
+    lines.append(_edge(transition, guard_text, sync, assigns))
 
 
 def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str]:
@@ -153,31 +153,25 @@ def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str
     _check_injective(sorted(identifiers), f"chart {chart.name!r}")
 
     lines = [f"process {_flat(chart.name)}() {{"]
+    edges: list[str] = []
     if _is_clock_chart(chart):
         clock = _pick_clock_name(globals_taken | {_flat(s.name) for s in chart.states})
         loop = chart.transitions[0]
-        state_name = _flat(chart.states[0].name)
-        assigns = [f"{clock} = 0"]
-        assigns.extend(_assign_text(a) for a in loop.actions if isinstance(a, Assign))
         guard = f"{clock} >= 1"
-        if loop.guard != ex.TRUE:
-            guard += f" && {ex.to_text(loop.guard, _flat)}"
+        if loop.guard != ex.TRUE:  # the clock test as a leaf, so a `||` guard is bracketed
+            guard = ex.to_text(ex.conjoin(ex.Var(guard), loop.guard), _flat)
+        assigns = [f"{clock} = 0", *(_assign_text(a) for a in loop.actions)]
+        edges.append(_edge(loop, guard, None, assigns))
         lines.append(f"    clock {clock};")
-        lines.append(f"    state {state_name} {{ {clock} <= 1 }};")
-        lines.append(f"    init {state_name};")
-        lines.append("    trans")
-        lines.append(f"        {state_name} -> {state_name} {{ guard {guard}; assign " + ", ".join(assigns) + "; };")
-        lines.append("}")
-        return lines
-
-    state_names = ", ".join(_flat(s.name) for s in chart.states)
-    lines.append(f"    state {state_names};")
+        states = f"{_flat(loop.source)} {{ {clock} <= 1 }}"
+    else:
+        for transition in chart.transitions:
+            target = chart.state(transition.target)
+            for branch in entry_branches(target.entry_actions):
+                _export_edge(chart, transition, branch, edges)
+        states = ", ".join(_flat(s.name) for s in chart.states)
+    lines.append(f"    state {states};")
     lines.append(f"    init {_flat(chart.initial_state)};")
-    edges: list[str] = []
-    for transition in chart.transitions:
-        target = chart.state(transition.target)
-        for branch in entry_branches(target.entry_actions):
-            _export_edge(chart, transition, branch, edges)
     if edges:
         lines.append("    trans")
         lines.extend(f"{edge}," for edge in edges[:-1])
@@ -192,7 +186,13 @@ def export_xta(composition: Composition) -> str:
     events = composition.merged_events()
     chart_names = [chart.name for chart in composition.charts]
 
-    global_names = sorted({v.name for v in variables} | set(events) | set(chart_names))
+    # Variables, channels and processes share one namespace.
+    kinds: dict[str, str] = {}
+    for kind, names in (("variable", [v.name for v in variables]), ("event", events), ("chart", chart_names)):
+        for name in names:
+            if kinds.setdefault(name, kind) != kind:
+                raise ExportError(f"{name!r} names both a {kinds[name]} and a {kind}, which share one namespace")
+    global_names = sorted(kinds)
     _check_injective(global_names, "the global declarations")
 
     # Bake the t=0 entry effects of initial states into the initializers, in
@@ -202,7 +202,10 @@ def export_xta(composition: Composition) -> str:
         for guarded in chart.state(chart.initial_state).entry_actions:
             action = guarded.action
             if isinstance(action, Assign) and ex.eval_expr(guarded.guard, initial_valuation):
-                initial_valuation[action.target] = ex.eval_expr(action.value, initial_valuation)
+                value = ex.eval_expr(action.value, initial_valuation)
+                if not ex.INT_MIN <= value <= ex.INT_MAX:
+                    raise ExportError(out_of_range(chart.name, 0, action.target))
+                initial_valuation[action.target] = value
 
     lines: list[str] = []
     for decl in variables:
@@ -252,20 +255,25 @@ _XTA_KEYWORDS = {"guard", "sync", "assign", "true", "false"}
 def scan_xta(text: str) -> list[str]:
     """Well-formedness problems in a produced document; empty when clean.
 
-    Checks balanced braces, section shape, and that every identifier used in
-    an edge label or invariant is declared (global variable/channel, local
-    clock, or location where appropriate).
+    Checks balanced braces, section shape, that no global identifier
+    (variable, channel or process) is declared twice, and that every
+    identifier used in an edge label or invariant is declared (global
+    variable/channel, local clock, or location where appropriate).
     """
     problems: list[str] = []
     if text.count("{") != text.count("}"):
         problems.append("unbalanced braces")
 
-    globals_seen: set[str] = set()
+    globals_seen: set[str] = set()  # variables and channels
     process_names: list[str] = []
     in_process = False
     locations: set[str] = set()
     locals_seen: set[str] = set()
     saw_system = False
+
+    def declare(name: str, lineno: int) -> None:
+        if name in globals_seen or name in process_names:  # one namespace
+            problems.append(f"line {lineno}: global identifier {name!r} declared twice")
 
     def check_expr_idents(fragment: str, where: str) -> None:
         for ident in _IDENT_SCAN.findall(fragment):
@@ -280,13 +288,16 @@ def scan_xta(text: str) -> list[str]:
             continue
         if not in_process:
             if match := _DECL_RE.match(line):
+                declare(match.group(2), lineno)
                 globals_seen.add(match.group(2))
                 check_expr_idents(match.group(3), f"line {lineno}")
                 continue
             if match := _CHAN_RE.match(line):
+                declare(match.group(1), lineno)
                 globals_seen.add(match.group(1))
                 continue
             if match := _PROCESS_RE.match(line):
+                declare(match.group(1), lineno)
                 in_process = True
                 process_names.append(match.group(1))
                 locations = set()

@@ -740,3 +740,69 @@ def test_large_guideline_outputs_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in LARGE_GUIDELINE_DIGESTS if name != "integrate"}
     assert {"integrate": written.hexdigest(), **digests} == LARGE_GUIDELINE_DIGESTS
+
+
+GROWING_AT_ENTRY = {
+    "name": "Grow",
+    "variables": [{"name": "a", "kind": "integer", "initial": 2**62}],
+    "states": [{"name": "s", "entry": ["entry/ a = a * 4"]}],
+    "transitions": [],
+    "initial": "s",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "export"])
+def test_integer_set_outside_64_bits_at_time_zero_exits_2(tmp_path, capsys, command):
+    files = {"grow.json": json.dumps(GROWING_AT_ENTRY), "empty.map": "", "scenario.json": "{}"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [command, "--model", tmp_path / "grow.json", "--map", tmp_path / "empty.map", "--out", tmp_path / "out"]
+    if command == "simulate":
+        argv += ["--scenario", tmp_path / "scenario.json", "--horizon", "5"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        "error: chart 'Grow' at minute 0: 'a' would be set to a value outside the 64-bit range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, other", [("orderCT", "variable"), ("CTscan", "event")])
+def test_export_refuses_a_chart_named_like_a_global(tmp_path, capsys, name, other):
+    model = json.loads((FIXTURES / "stroke_simple.json").read_text(encoding="utf-8"))
+    model["name"] = name
+    (tmp_path / "renamed.json").write_text(json.dumps(model))
+    argv = ("export", "--model", tmp_path / "renamed.json", "--map", FIXTURES / "stroke_simple.map",
+            "--assume-available", "--out", tmp_path / "out")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {name!r} names both a {other} and a chart, which share one namespace\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "choices, message",
+    [
+        (["systolicBP=150", "systolicBP=190"], "--choice gives 'systolicBP' more than one value"),
+        (["systolicBP=150", "systolicBP=150"], "--choice gives 'systolicBP' more than one value"),
+        (["systolicBP=1_50"], "--choice value '1_50' is not an int or true/false"),
+        (["systolicBP= +150"], "--choice value ' +150' is not an int or true/false"),
+        (["systolicBP=+150"], "--choice value '+150' is not an int or true/false"),
+        (["systolicBP=150 "], "--choice value '150 ' is not an int or true/false"),
+    ],
+    ids=["twice", "twice-alike", "underscore", "space-plus", "plus", "trailing-space"],
+)
+def test_choice_is_one_integer_literal_per_variable(tmp_path, capsys, choices, message):
+    argv = [*DELAYED_SIMULATE, "--horizon", "5", "--out", tmp_path / "out"]
+    index = argv.index("systolicBP=150")
+    argv[index - 1:index + 1] = [arg for choice in choices for arg in ("--choice", choice)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_choice_takes_a_negative_integer_literal(tmp_path):
+    argv = [*DELAYED_SIMULATE, "--horizon", "5", "--out", tmp_path]
+    argv[argv.index("systolicBP=150")] = "systolicBP=-7"
+    assert run_cli(*argv) == 0
+    assert json.loads((tmp_path / "trace.json").read_text())["initial_valuation"]["systolicBP"] == -7

@@ -268,6 +268,63 @@ def test_compile_rejects_ill_typed_trees():
         ex.compile_expr(ex.parse_expr("y"), _COMPILE_KINDS)
 
 
+_PAIR_KINDS = {"a": ex.KIND_INTEGER, "b": ex.KIND_INTEGER, "p": ex.KIND_BOOLEAN, "q": ex.KIND_BOOLEAN}
+_A, _B, _P, _Q = (ex.Var(name) for name in _PAIR_KINDS)
+_LEAVES = {
+    ex.KIND_INTEGER: [_A, _B, ex.IntLit(ex.INT_MIN), ex.IntLit(ex.INT_MAX)],
+    ex.KIND_BOOLEAN: [_P, _Q, ex.TRUE, ex.FALSE],
+}
+
+
+def _one_level(kind: str) -> list[ex.Expr]:
+    """Every tree of `kind` at most one operator deep: each leaf, `!` and each operator of `_BINARY` over leaves."""
+    trees = _LEAVES[kind] + ([ex.Not(_P)] if kind == ex.KIND_BOOLEAN else [])
+    for op, spec in ex._BINARY.items():
+        if spec.result == kind:
+            trees.append(ex.BinOp(op, *((_A, _B) if spec.operand == ex.KIND_INTEGER else (_P, _Q))))
+    return trees
+
+
+def _two_level_trees():
+    """A parent from `_BINARY` or `!` over every one-level child on each side."""
+    for op, spec in ex._BINARY.items():
+        for left in _one_level(spec.operand):
+            for right in _one_level(spec.operand):
+                yield ex.BinOp(op, left, right)
+    for operand in _one_level(ex.KIND_BOOLEAN):
+        yield ex.Not(operand)
+
+
+def _right_chain(op: str, leaf: ex.Expr) -> ex.Expr:
+    tree = leaf
+    for _ in range(ex.MAX_DEPTH - 1):
+        tree = ex.BinOp(op, leaf, tree) if op != "!" else ex.Not(tree)
+    return tree
+
+
+_CHAINS = [_right_chain("&&", _P), _right_chain("||", _Q), _right_chain("-", _A), _right_chain("!", _P)]
+
+
+def test_every_operator_pair_prints_alike_as_text_and_python():
+    """`to_text` and `compile_expr` print through one printer: on every pair of
+    operators, the compiled function agrees with `eval_expr` in value and type,
+    and the text reparses to the same tree."""
+    trees = [*_two_level_trees(), *_CHAINS]
+    assert len(trees) == 2 * 13**2 + 9 * 7**2 + 13 + 4
+    assert [ex.depth(chain) for chain in _CHAINS] == [ex.MAX_DEPTH] * 4
+    valuations = [
+        {"a": a, "b": b, "p": p, "q": q}
+        for a in (-1, 0, 2) for b in (-1, 0, 2) for p in (False, True) for q in (False, True)
+    ]
+    for tree in trees:
+        assert ex.parse_expr(ex.to_text(tree)) == tree
+        compiled = ex.compile_expr(tree, _PAIR_KINDS)
+        for valuation in valuations:
+            expected = ex.eval_expr(tree, valuation)
+            got = compiled(valuation)
+            assert (got, type(got)) == (expected, type(expected)), (ex.to_text(tree), valuation)
+
+
 _DEEPEST = ex.MAX_DEPTH - 1  # operators or '!' over one leaf
 
 

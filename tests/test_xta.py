@@ -236,3 +236,53 @@ def test_export_compiles_no_expression(monkeypatch, extended_composition):
     fresh = Composition(extended_composition.timer, extended_composition.resources, extended_composition.guidelines)
     assert export_xta(fresh) == export_xta(extended_composition)
     assert compiled == []
+
+
+def test_flattening_collision_keeps_its_message():
+    chart = StatechartModel(
+        "Coll",
+        variables=(VariableDecl("RES.a", "boolean", False),),
+        events=("RES_a",),
+        states=(State("s"),),
+        initial_state="s",
+    )
+    with pytest.raises(ExportError) as err:
+        export_xta(Composition(guidelines=(chart,)))
+    assert str(err.value) == (
+        "name flattening collides in the global declarations: 'RES.a' and 'RES_a' both map to 'RES_a'"
+    )
+
+
+@pytest.mark.parametrize(
+    "declarations, problem",
+    [
+        ("bool go = false;\nbroadcast chan go;\n", "line 2: global identifier 'go' declared twice"),
+        ("int n = 0;\nint n = 1;\n", "line 2: global identifier 'n' declared twice"),
+        ("int P = 0;\n", "line 3: global identifier 'P' declared twice"),
+        ("broadcast chan P;\n", "line 3: global identifier 'P' declared twice"),
+        ("int n = 0;\nbroadcast chan go;\n", None),
+    ],
+    ids=["variable-channel", "variable-twice", "variable-process", "channel-process", "distinct"],
+)
+def test_scanner_flags_a_global_declared_twice(declarations, problem):
+    document = declarations + "\nprocess P() {\n    state s;\n    init s;\n}\n\nsystem P;\n"
+    assert scan_xta(document) == ([problem] if problem else [])
+
+
+@pytest.mark.parametrize(
+    "guard, label",
+    [("p || q", "guard x >= 1 && (p || q);"), ("p && q", "guard x >= 1 && (p && q);"), ("!p", "guard x >= 1 && !p;")],
+)
+def test_clock_process_conjoins_its_loop_guard(guard, label):
+    chart = parse_model(json.dumps({
+        "name": "Clk",
+        "variables": [{"name": "curT", "kind": "integer", "initial": 0},
+                      {"name": "p", "kind": "boolean", "initial": False},
+                      {"name": "q", "kind": "boolean", "initial": True}],
+        "states": [{"name": "s"}],
+        "transitions": [{"source": "s", "target": "s", "trigger": "tick", "guard": guard, "actions": ["curT = curT + 1"]}],
+        "initial": "s",
+    }))
+    document = export_xta(Composition(timer=chart))
+    assert f"        s -> s {{ {label} assign x = 0, curT++; }};\n" in document
+    assert scan_xta(document) == []
