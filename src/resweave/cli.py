@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from . import expr as ex
 from . import verify as chk
 from . import resources as res
 from . import sim
 from . import weave
 from .errors import ResweaveError
-from .model import StatechartModel, parse_model, serialize_model
+from .model import StatechartModel, parse_model, refuse_unknown_keys, serialize_model
 from .xta import export_queries, export_xta
 
 
@@ -58,20 +58,6 @@ def _warn(args, warnings: list[str]) -> None:
 # Pipeline assembly
 
 
-def _annotation_resources(model: StatechartModel) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for element in (*model.states, *model.transitions):
-        for resource in weave.collect_annotations(element):
-            seen.setdefault(resource, None)
-    return tuple(seen)
-
-
-def _effective_windows(schedule: res.AvailabilitySchedule, resource: str, assume_available: bool):
-    if resource in schedule.entries:
-        return schedule.entries[resource]
-    return res.ALWAYS if assume_available else ()
-
-
 def build_composition(
     model: StatechartModel,
     resource_map: res.ResourceMap,
@@ -85,7 +71,8 @@ def build_composition(
     annotations; an unannotated model yields just the timer and the model.
     """
     annotated = weave.annotate(model, resource_map)
-    resources = _annotation_resources(annotated)
+    elements = (*annotated.states, *annotated.transitions)
+    resources = tuple(dict.fromkeys(r for element in elements for r in weave.collect_annotations(element)))
     warnings = [str(d) for d in weave.integration_warnings(annotated)]
     mapped = set(resource_map.unique_resources())
     for resource in resources:
@@ -101,10 +88,8 @@ def build_composition(
     if missing:
         annotated = replace(annotated, variables=annotated.variables + missing)
     integrated = weave.integrate(annotated)
-    charts = tuple(
-        res.synthesize_resource_chart(r, _effective_windows(schedule, r, assume_available))
-        for r in resources
-    )
+    unscheduled = res.ALWAYS if assume_available else ()
+    charts = tuple(res.synthesize_resource_chart(r, schedule.entries.get(r, unscheduled)) for r in resources)
     composition = sim.Composition(res.synthesize_timer(), charts, (integrated,))
     return composition, warnings
 
@@ -167,6 +152,7 @@ def load_manifest(path: str) -> sim.Composition:
         raise _CommandError(f"{path}: JSON nested too deeply") from None
     if not isinstance(root, dict):
         raise _CommandError(f"{path}: manifest must be a JSON object")
+    refuse_unknown_keys(root, {"timer", "resources", "guidelines", "variables"}, path, _CommandError)
 
     def load_charts(key) -> tuple[StatechartModel, ...]:
         names = root.get(key) or []
@@ -191,6 +177,8 @@ def load_manifest(path: str) -> sim.Composition:
         raise _CommandError(
             f"{path}: manifest 'variables' must be a list of {{'name', 'kind', 'initial'}} objects"
         )
+    for i, variable in enumerate(variables):
+        refuse_unknown_keys(variable, {"name", "kind", "initial"}, f"{path}: variables[{i}]", _CommandError)
     declared = {(v["name"], v["kind"], v["initial"]) for v in variables}
     merged = {(v.name, v.kind, v.initial) for v in composition.merged_variables()}
     if declared and declared != merged:
@@ -206,8 +194,6 @@ def _load_scenario(args, composition: sim.Composition) -> sim.Scenario:
 
 def _effective_horizon(args, scenario: sim.Scenario) -> int:
     if args.horizon is not None:
-        if args.horizon < 0:
-            raise _CommandError(f"--horizon must be >= 0, got {args.horizon}")
         return args.horizon
     if scenario.horizon is not None:
         return scenario.horizon
@@ -295,9 +281,10 @@ def _parse_choice(item: str) -> tuple[str, int | bool]:
         raise _CommandError(f"--choice expects var=value, got {item!r}")
     if raw in ("true", "false"):
         return var, raw == "true"
-    if not re.fullmatch(r"-?\d+", raw):  # an integer as schedule windows and expressions write it
+    value = ex.parse_int(raw)
+    if value is None:
         raise _CommandError(f"--choice value {raw!r} is not an int or true/false")
-    return var, int(raw)
+    return var, value
 
 
 def cmd_check(args) -> int:
@@ -378,9 +365,22 @@ def _add_composition_source(parser: argparse.ArgumentParser) -> None:
     _add_schedule(parser)
 
 
+def _integer(minimum: int):
+    """An argument type: a 64-bit integer written `-?\\d+` (`ex.parse_int`), at least `minimum`."""
+
+    def parse(text: str) -> int:
+        value = ex.parse_int(text)
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a 64-bit integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True)
-    parser.add_argument("--horizon", type=int, default=None, help="minutes to explore (default: scenario's, else 720)")
+    parser.add_argument("--horizon", type=_integer(0), default=None,
+                        help="minutes to explore (default: scenario's, else 720)")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_composition_source(p)
     _add_run(p)
     p.add_argument("--properties", required=True)
-    p.add_argument("--scenario-cap", type=int, default=chk.DEFAULT_SCENARIO_CAP,
+    p.add_argument("--scenario-cap", type=_integer(1), default=chk.DEFAULT_SCENARIO_CAP,
                    help="largest allowed choice product (default: 10000)")
     _add_outputs(p)
     p.set_defaults(func=cmd_check)

@@ -125,9 +125,6 @@ _BINARY = {
     "*": _Binary(5, KIND_INTEGER, KIND_INTEGER, operator.mul),
 }
 
-# What evaluation needs of `_BINARY`: the Python type of both operands, and the operation.
-_EVAL = {op: (bool if spec.operand == KIND_BOOLEAN else int, spec.apply) for op, spec in _BINARY.items()}
-
 _OPERATORS = sorted([*_BINARY, "!", "(", ")"], key=len, reverse=True)  # longest match first
 
 _TOKEN_RE = re.compile(
@@ -138,6 +135,7 @@ _TOKEN_RE = re.compile(
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 DOTTED_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
+_INTEGER_RE = re.compile(r"(-?)0*(\d+)\Z")  # sign, and the digits after leading zeros
 
 _RESERVED = {"true", "false", "raise", "entry", "exit", "tick", "imply"}
 
@@ -278,9 +276,20 @@ def _chains(spec: _Binary) -> bool:
     return spec.operand == spec.result
 
 
+def parse_int(text: str) -> int | None:
+    """The integer `text` writes as `-?\\d+`, the way expressions, schedules
+    and command lines write one; None if it is written otherwise or lies
+    outside 64 bits. No more than 19 digits are ever converted."""
+    match = _INTEGER_RE.match(text)
+    if match is None or len(match.group(2)) > len(str(INT_MAX)):
+        return None
+    value = int(match.group(1) + match.group(2))
+    return value if INT_MIN <= value <= INT_MAX else None
+
+
 def _int_literal(text: str, column: int) -> IntLit:
-    value = int(text)
-    if not INT_MIN <= value <= INT_MAX:
+    value = parse_int(text)
+    if value is None:
         raise ExprSyntaxError("integer literal out of 64-bit range", column)
     return IntLit(value)
 
@@ -372,6 +381,24 @@ def type_of(expr: Expr, kinds: Mapping[str, str]) -> str:
     return spec.result
 
 
+def _expect_bool(value, op: str) -> bool:
+    if not isinstance(value, bool):
+        raise EvalError(f"'{op}' applied to non-boolean value {value!r}")
+    return value
+
+
+def _expect_int(value, op: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise EvalError(f"'{op}' applied to non-integer value {value!r}")
+    return value
+
+
+# What evaluation needs of `_BINARY`: the check of each operand, and the operation.
+_EVAL = {
+    op: (_expect_bool if spec.operand == KIND_BOOLEAN else _expect_int, spec.apply) for op, spec in _BINARY.items()
+}
+
+
 def eval_expr(expr: Expr, valuation: Mapping[str, int | bool]) -> int | bool:
     """Evaluate against a complete valuation; strict in both operands."""
     if isinstance(expr, IntLit):
@@ -385,13 +412,9 @@ def eval_expr(expr: Expr, valuation: Mapping[str, int | bool]) -> int | bool:
             raise EvalError(f"unbound variable '{expr.name}'") from None
     if isinstance(expr, Not):
         return not _expect_bool(eval_expr(expr.operand, valuation), "!")
-    left = eval_expr(expr.left, valuation)
-    right = eval_expr(expr.right, valuation)
-    operand_type, apply = _EVAL[expr.op]
-    if type(left) is not operand_type or type(right) is not operand_type:
-        expect = _expect_bool if operand_type is bool else _expect_int
-        left, right = expect(left, expr.op), expect(right, expr.op)
-    return apply(left, right)
+    left, right = eval_expr(expr.left, valuation), eval_expr(expr.right, valuation)
+    expect, apply = _EVAL[expr.op]
+    return apply(expect(left, expr.op), expect(right, expr.op))
 
 
 def compile_expr(expr: Expr, kinds: Mapping[str, str]) -> Callable[[Mapping[str, int | bool]], int | bool]:
@@ -503,18 +526,6 @@ def depth(expr: Expr) -> int:
     if isinstance(expr, BinOp):
         return 1 + max(depth(expr.left), depth(expr.right))
     return 1
-
-
-def _expect_bool(value, op: str) -> bool:
-    if not isinstance(value, bool):
-        raise EvalError(f"'{op}' applied to non-boolean value {value!r}")
-    return value
-
-
-def _expect_int(value, op: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise EvalError(f"'{op}' applied to non-integer value {value!r}")
-    return value
 
 
 def conjoin(left: Expr, right: Expr) -> BinOp:

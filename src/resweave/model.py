@@ -260,14 +260,17 @@ def parse_model(text: str) -> StatechartModel:
     return model
 
 
-def _fail(path: str, message: str):
-    raise ModelFormatError(f"{path}: {message}")
-
-
 def _expect(obj, types, path: str, what: str):
     if not isinstance(obj, types):
-        _fail(path, f"expected {what}, found {type(obj).__name__}")
+        raise ModelFormatError(f"{path}: expected {what}, found {type(obj).__name__}")
     return obj
+
+
+def refuse_unknown_keys(obj: dict, known, path: str, error=ModelFormatError) -> None:
+    """Raise `error` naming the first key of `obj` that is not in `known`."""
+    for key in obj:
+        if key not in known:
+            raise error(f"{path}: unknown key {key!r}")
 
 
 def _model_from_obj(root) -> StatechartModel:
@@ -282,10 +285,7 @@ def _model_from_obj(root) -> StatechartModel:
         "actions": cache(lambda text: parse_action(text, expr)),
         "annotations": cache(parse_annotation),
     }
-    known = {"name", "variables", "events", "states", "transitions", "initial"}
-    for key in root:
-        if key not in known:
-            _fail("$", f"unknown key {key!r}")
+    refuse_unknown_keys(root, {"name", "variables", "events", "states", "transitions", "initial"}, "$")
     name = _expect(root.get("name", ""), str, "name", "a string")
     variables = [
         _variable_from_obj(obj, f"variables[{i}]")
@@ -329,10 +329,7 @@ def _strings_at(obj, key: str, path: str, parsers) -> tuple:
 
 def _state_from_obj(obj, path: str, parsers) -> State:
     _expect(obj, dict, path, "an object")
-    known = {"name", "entry", "exit", "annotations"}
-    for key in obj:
-        if key not in known:
-            _fail(path, f"unknown key {key!r}")
+    refuse_unknown_keys(obj, {"name", "entry", "exit", "annotations"}, path)
     name = _expect(obj.get("name"), str, f"{path}.name", "a string")
     entry = _strings_at(obj, "entry", path, parsers)
     exit_ = _strings_at(obj, "exit", path, parsers)
@@ -341,10 +338,7 @@ def _state_from_obj(obj, path: str, parsers) -> State:
 
 def _transition_from_obj(obj, path: str, parsers) -> Transition:
     _expect(obj, dict, path, "an object")
-    known = {"source", "target", "trigger", "guard", "actions", "annotations"}
-    for key in obj:
-        if key not in known:
-            _fail(path, f"unknown key {key!r}")
+    refuse_unknown_keys(obj, {"source", "target", "trigger", "guard", "actions", "annotations"}, path)
     source = _expect(obj.get("source"), str, f"{path}.source", "a string")
     target = _expect(obj.get("target"), str, f"{path}.target", "a string")
     trigger = obj.get("trigger")
@@ -406,17 +400,10 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
     if not model.name or not ex.IDENT_RE.match(model.name):
         out.append(Diagnostic("name", f"bad chart name {model.name!r}"))
 
-    seen_vars: dict[str, int] = {}
+    first: dict[str, int] = {}
     for i, decl in enumerate(model.variables):
         path = f"variables[{i}]"
-        if not ex.DOTTED_IDENT_RE.match(decl.name) or ex.is_reserved_word(decl.name):
-            out.append(Diagnostic(path, f"bad variable name {decl.name!r}"))
-        if decl.name in seen_vars:
-            out.append(
-                Diagnostic(path, f"duplicate variable name {decl.name!r} (also variables[{seen_vars[decl.name]}])")
-            )
-        else:
-            seen_vars[decl.name] = i
+        _check_name(decl.name, ex.DOTTED_IDENT_RE, "variable", i, path, first, out)
         if decl.kind not in (KIND_INTEGER, KIND_BOOLEAN):
             out.append(Diagnostic(path, f"unknown kind {decl.kind!r}"))
         elif decl.kind == KIND_BOOLEAN and not isinstance(decl.initial, bool):
@@ -428,30 +415,17 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
         elif decl.kind == KIND_INTEGER and not ex.INT_MIN <= decl.initial <= ex.INT_MAX:
             out.append(Diagnostic(path, f"initial {decl.initial!r} is out of 64-bit range"))
 
-    seen_events: dict[str, int] = {}
+    first = {}
     for i, event in enumerate(model.events):
-        path = f"events[{i}]"
-        if not ex.IDENT_RE.match(event) or ex.is_reserved_word(event):
-            out.append(Diagnostic(path, f"bad event name {event!r}"))
-        if event in seen_events:
-            out.append(Diagnostic(path, f"duplicate event name {event!r} (also events[{seen_events[event]}])"))
-        else:
-            seen_events[event] = i
+        _check_name(event, ex.IDENT_RE, "event", i, f"events[{i}]", first, out)
 
     kinds = {v.name: v.kind for v in model.variables}
     events = set(model.events)
 
-    seen_states: dict[str, int] = {}
+    first = {}
     for i, state in enumerate(model.states):
         path = f"states[{i}]({state.name})"
-        if not ex.IDENT_RE.match(state.name) or ex.is_reserved_word(state.name):
-            out.append(Diagnostic(path, f"bad state name {state.name!r}"))
-        if state.name in seen_states:
-            out.append(
-                Diagnostic(path, f"duplicate state name {state.name!r} (also states[{seen_states[state.name]}])")
-            )
-        else:
-            seen_states[state.name] = i
+        _check_name(state.name, ex.IDENT_RE, "state", i, path, first, out)
         for j, ga in enumerate(state.entry_actions):
             _check_guarded_action(ga, kinds, events, f"{path}.entry[{j}]", out)
         for j, ga in enumerate(state.exit_actions):
@@ -477,6 +451,16 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
         _check_annotations(transition.annotations, path, out)
 
     return out
+
+
+def _check_name(name: str, pattern, what: str, i: int, path: str, first: dict[str, int], out) -> None:
+    """Diagnose the name of `what`s[i]: not matching `pattern`, reserved, or
+    already taken (`first` maps each name to the index that first took it)."""
+    if not pattern.match(name) or ex.is_reserved_word(name):
+        out.append(Diagnostic(path, f"bad {what} name {name!r}"))
+    taken = first.setdefault(name, i)
+    if taken != i:
+        out.append(Diagnostic(path, f"duplicate {what} name {name!r} (also {what}s[{taken}])"))
 
 
 def _check_bool_expr(guard: ex.Expr, kinds, path: str, out: list[Diagnostic]) -> None:

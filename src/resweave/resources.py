@@ -76,11 +76,7 @@ class ResourceMap:
         return dict(reversed(self.entries))
 
     def unique_resources(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, resources in self.entries:
-            for resource in resources:
-                seen.setdefault(resource, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(r for _, resources in self.entries for r in resources))
 
 
 @dataclass(frozen=True)
@@ -136,12 +132,9 @@ def parse_schedule(text: str) -> AvailabilitySchedule:
         if not sep:
             raise ScheduleFormatError(f"line {lineno}: expected 'resource: (s, e), ...'")
         if key == "horizon":
-            try:
-                horizon = int(rest.strip())
-            except ValueError:
-                raise ScheduleFormatError(f"line {lineno}: bad horizon {rest.strip()!r}") from None
-            if horizon <= 0:
-                raise ScheduleFormatError(f"line {lineno}: horizon must be positive")
+            horizon = ex.parse_int(rest.strip())
+            if horizon is None or horizon <= 0:
+                raise ScheduleFormatError(f"line {lineno}: horizon {rest.strip()!r} is not a positive 64-bit integer")
             continue
         if not ex.IDENT_RE.match(key):
             raise ScheduleFormatError(f"line {lineno}: bad resource name {key!r}")
@@ -149,8 +142,10 @@ def parse_schedule(text: str) -> AvailabilitySchedule:
             raise ScheduleFormatError(f"line {lineno}: duplicate resource {key!r}")
         windows = []
         for match in _WINDOW_RE.finditer(rest):
-            start = int(match.group(1))
-            end = math.inf if match.group(2) == "inf" else int(match.group(2))
+            start = ex.parse_int(match.group(1))
+            end = math.inf if match.group(2) == "inf" else ex.parse_int(match.group(2))
+            if start is None or end is None:
+                raise ScheduleFormatError(f"line {lineno}: window bound outside 64 bits in {rest.strip()!r}")
             windows.append(Window(start, end))
         leftovers = _WINDOW_RE.sub("", rest).replace(",", "").strip()
         if not windows or leftovers:
@@ -220,10 +215,7 @@ def resource_variable(resource: str) -> str:
 
 def interface_for_resources(resources) -> tuple[VariableDecl, ...]:
     """One boolean RES.<r> per unique resource, first-occurrence order, default false."""
-    seen: dict[str, None] = {}
-    for resource in resources:
-        seen.setdefault(resource, None)
-    return tuple(VariableDecl(resource_variable(r), ex.KIND_BOOLEAN, False) for r in seen)
+    return tuple(VariableDecl(resource_variable(r), ex.KIND_BOOLEAN, False) for r in dict.fromkeys(resources))
 
 
 def availability_regions(windows) -> list[tuple[int | float, int | float, bool]]:

@@ -25,10 +25,10 @@ synthesized timer's fire is its only record and nothing was injected: only
 appends the same record, with its own `curT`, for each following minute
 and moves the clock on, so every record and every output byte is what
 running each minute gives. It stops at the next injection, at the horizon,
-and at the first minute at which an expression the idle minute evaluated
-(or an invariant `check` still observes) may change value, solved from its
-comparisons linear in `curT`; any other use of `curT` stops it at the next
-minute. A composition whose timer is not `synthesize_timer()` runs every
+before the clock would leave 64 bits, and at the first minute at which an
+expression the idle minute evaluated (or an invariant `check` still
+observes) may change value, solved from its comparisons linear in `curT`;
+any other use of `curT` stops it at the next minute. A composition whose timer is not `synthesize_timer()` runs every
 minute. `macro_step` is the only code that runs a minute.
 """
 
@@ -190,13 +190,6 @@ class Composition:
         if function not in self._bounds:
             self._bounds[function] = ex.compile_bound(self._sources[function], self.kinds, CLOCK_VARIABLE)
         return self._bounds[function]
-
-    def merged_events(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for chart in self.charts:
-            for event in chart.events:
-                seen.setdefault(event, None)
-        return tuple(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +571,12 @@ def skip_idle(state: SimState, horizon: int, watched: tuple[ex.Expr, ...] = ()) 
     """After an idle minute (see the module docstring), record the idle
     minutes that follow it without running them.
 
-    The skip ends before the next injection, after the horizon, or at the
-    first minute at which one of these may change value (`Composition.bound`):
-    the event-free leaving guards of each active state up to the first one
-    enabled, the guards and right-hand sides run by that transition, and
-    `watched` (the invariants a check still observes).
+    The skip ends before the next injection, after the horizon, before the
+    clock would leave 64 bits (that minute runs, and refuses the write), or
+    at the first minute at which one of these may change value
+    (`Composition.bound`): the event-free leaving guards of each active
+    state up to the first one enabled, the guards and right-hand sides run by
+    that transition, and `watched` (the invariants a check still observes).
     """
     report = state.steps[-1]
     composition = state.composition
@@ -590,7 +584,8 @@ def skip_idle(state: SimState, horizon: int, watched: tuple[ex.Expr, ...] = ()) 
         return
     t, valuation = report.t, state.valuation
     now = valuation[CLOCK_VARIABLE]
-    stop = min([horizon + 1, *(due for due in state.injections_by_time if due > t)])  # the first minute that must run
+    # the first minute that must run
+    stop = min([horizon + 1, t + ex.INT_MAX + 1 - now, *(due for due in state.injections_by_time if due > t)])
     for bound in _idle_bounds(state, watched):
         if stop <= t + 1:
             return

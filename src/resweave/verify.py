@@ -16,6 +16,7 @@ scenario is deterministic and explored in full.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -107,11 +108,13 @@ def parse_properties(text: str, composition: Composition | None = None) -> list[
 def _check_invariant_names(invariant: Invariant, composition: Composition, lineno: int) -> None:
     if invariant.location is not None:
         chart_name, state_name = invariant.location
-        chart = next((c for c in composition.charts if c.name == chart_name), None)
-        if chart is None:
+        charts = composition.indexes.get(chart_name)
+        if charts is None:
             raise PropertyError(f"line {lineno}: unknown chart {chart_name!r}")
-        if state_name not in {s.name for s in chart.states}:
-            raise PropertyError(f"line {lineno}: unknown state {state_name!r} in chart {chart_name!r}")
+        try:
+            charts.chart.state(state_name)
+        except KeyError:
+            raise PropertyError(f"line {lineno}: unknown state {state_name!r} in chart {chart_name!r}") from None
     try:
         kind = ex.type_of(invariant.predicate, composition.kinds)
     except ex.ExprTypeError as err:
@@ -122,22 +125,15 @@ def _check_invariant_names(invariant: Invariant, composition: Composition, linen
 
 def enumerate_scenarios(scenario: Scenario, cap: int = DEFAULT_SCENARIO_CAP) -> list[Scenario]:
     """Cartesian product over choice domains, lexicographic by declaration."""
-    size = 1
-    for choice in scenario.choices:
-        size *= len(choice.domain)
+    size = math.prod(len(choice.domain) for choice in scenario.choices)
     if size > cap:
         raise ScenarioCapError(
             f"choice product has {size} scenarios, above the cap of {cap}; "
             "reduce the choice domains or raise --scenario-cap"
         )
-    if not scenario.choices:
-        return [scenario]
-    resolved = []
-    domains = [choice.domain for choice in scenario.choices]
     names = [choice.var for choice in scenario.choices]
-    for values in itertools.product(*domains):
-        resolved.append(scenario.resolve(dict(zip(names, values))))
-    return resolved
+    domains = [choice.domain for choice in scenario.choices]
+    return [scenario.resolve(dict(zip(names, values))) for values in itertools.product(*domains)]
 
 
 def check_work(scenarios: int, horizon: int) -> None:

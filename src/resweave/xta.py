@@ -183,7 +183,7 @@ def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str
 def export_xta(composition: Composition) -> str:
     """Deterministic timed-automata document for the composition."""
     variables = composition.merged_variables()
-    events = composition.merged_events()
+    events = dict.fromkeys(event for chart in composition.charts for event in chart.events)  # first-seen order
     chart_names = [chart.name for chart in composition.charts]
 
     # Variables, channels and processes share one namespace.

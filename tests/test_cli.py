@@ -610,24 +610,24 @@ def test_choice_is_range_checked(tmp_path, capsys, value, exit_code):
         assert json.loads((tmp_path / "trace.json").read_text())["initial_valuation"]["systolicBP"] == value
 
 
+def _tuples(value):
+    """`value` with each JSON list in it turned back into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _record(cls, obj: dict, **fields):
+    """A `cls` built by keyword from the JSON object's own keys, lists as tuples; `fields` override."""
+    return cls(**{**{key: _tuples(value) for key, value in obj.items()}, **fields})
+
+
 def _trace_from_json(text: str):
-    """Rebuild a `Trace` from `trace.json` text, field by field."""
+    """Rebuild a `Trace` from `trace.json` text, each record from its JSON object's own keys."""
     root = json.loads(text)
     steps = tuple(
-        sim.StepReport(
-            t=step["t"],
-            injected=tuple(tuple(pair) for pair in step["injected"]),
-            fires=tuple(
-                sim.FireRecord(f["chart"], f["source"], f["target"], f["index"],
-                               tuple(tuple(pair) for pair in f["sets"]), tuple(f["raised"]))
-                for f in step["fires"]
-            ),
-            raised=tuple(step["raised"]),
-            deltas=step["deltas"],
-        )
+        _record(sim.StepReport, step, fires=tuple(_record(sim.FireRecord, fire) for fire in step["fires"]))
         for step in root["steps"]
     )
-    return sim.Trace(root["initial_active"], root["initial_valuation"], steps)
+    return _record(sim.Trace, root, steps=steps)
 
 
 def test_trace_with_no_op_fires_replays_to_simulate_bytes(tmp_path, capsys, delayed_composition):
@@ -806,3 +806,110 @@ def test_choice_takes_a_negative_integer_literal(tmp_path):
     argv[argv.index("systolicBP=150")] = "systolicBP=-7"
     assert run_cli(*argv) == 0
     assert json.loads((tmp_path / "trace.json").read_text())["initial_valuation"]["systolicBP"] == -7
+
+
+def test_integrate_warnings_as_json_diagnostics(tmp_path, capsys):
+    argv = ("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--out", tmp_path)
+    assert run_cli(*argv, "--json-diagnostics") == 0
+    captured = capsys.readouterr()
+    never = "has no schedule entry and defaults to never available"
+    assert captured.err == ""
+    assert captured.out == json.dumps({"warnings": [
+        f"resource 'CT_machine' {never}", f"resource 'CT_technician' {never}", f"resource 'tPA' {never}",
+    ]}) + "\n"
+
+
+def test_check_rows_as_json_diagnostics(tmp_path, capsys):
+    assert run_cli(*DELAYED_CHECK, "--out", tmp_path, "--json-diagnostics") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [
+        {"property": "P1", "holds": True, "counterexample_path": None},
+        {"property": "P2", "holds": False, "counterexample_path": str(tmp_path / "P2.counterexample.json")},
+    ]
+    assert captured.out == json.dumps(rows) + "\n"
+    assert json.loads((tmp_path / "verdicts.json").read_text()) == rows
+
+
+def test_replay_against_a_differing_file_exits_2(tmp_path, capsys):
+    other = tmp_path / "other.json"
+    other.write_text("{}\n")
+    assert run_cli(*DELAYED_SIMULATE, "--horizon", "5", "--replay", other, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: replayed trace differs from {other}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--model", FIXTURES / "stroke_simple.json", "--scenario", FIXTURES / "scenario_simple.json"),
+         "either --manifest or both --model and --map are required"),
+        ((*DELAYED_SIMULATE, "--choice", "systolicBP"), "--choice expects var=value, got 'systolicBP'"),
+    ],
+    ids=["model-without-map", "choice-without-equals"],
+)
+def test_incomplete_arguments_exit_2(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--horizon", "5", "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda root: {("resorces" if key == "resources" else key): value for key, value in root.items()},
+         "unknown key 'resorces'"),
+        (lambda root: {**root, "variables": [{**root["variables"][0], "value": 1}, *root["variables"][1:]]},
+         "variables[0]: unknown key 'value'"),
+    ],
+    ids=["top-level", "variable"],
+)
+def test_manifest_refuses_a_key_it_does_not_read(tmp_path, capsys, edit, message):
+    setup = tmp_path / "setup"
+    assert run_cli("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map",
+                   "--schedule", FIXTURES / "schedule_delayed_ct.txt", "--out", setup) == 0
+    manifest = setup / "composition.json"
+    argv = ("check", "--manifest", manifest, *DELAYED_CHECK[7:], "--out", tmp_path / "out")
+    assert run_cli(*argv) == 1  # P2 fails with the resource charts loaded
+    capsys.readouterr()
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, minimum",
+    [
+        ("--horizon", "1_0", 0), ("--horizon", "+5", 0), ("--horizon", " 7", 0), ("--horizon", "7 ", 0),
+        ("--scenario-cap", "0", 1), ("--scenario-cap", "-3", 1), ("--scenario-cap", "1_0", 1),
+        ("--scenario-cap", "+8", 1),
+    ],
+)
+def test_integer_flags_take_one_integer_literal(tmp_path, capsys, flag, value, minimum):
+    assert run_cli(*DELAYED_CHECK, f"{flag}={value}", "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: resweave check: argument {flag}: expected a 64-bit integer >= {minimum}, got {value!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_cap_of_one_caps_the_choice_product(tmp_path, capsys):
+    assert run_cli(*DELAYED_CHECK, "--scenario-cap", "1", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: choice product has 8 scenarios, above the cap of 1; reduce the choice domains or raise --scenario-cap\n"
+    )
+
+
+def test_integrate_refuses_a_schedule_horizon_outside_64_bits(tmp_path, capsys):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("horizon: 99999999999999999999\nCT_machine: (200, 99999999999999999999)\n")
+    argv = ("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--schedule", schedule)
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: line 1: horizon '99999999999999999999' is not a positive 64-bit integer\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", ["--horizon=", "--choice=systolicBP="], ids=["horizon", "choice"])
+def test_an_integer_of_thousands_of_digits_exits_2(tmp_path, capsys, option):
+    assert run_cli(*DELAYED_SIMULATE, option + "1" * 5000, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

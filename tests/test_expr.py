@@ -126,6 +126,25 @@ def test_int_literal_range():
         ex.parse_expr(str(2**63))
 
 
+_INTEGER_TEXTS = [
+    ("0", 0), ("-0", 0), ("42", 42), ("-7", -7), ("007", 7), ("0" * 5000 + "1", 1),
+    (str(2**63 - 1), 2**63 - 1), (str(-(2**63)), -(2**63)),
+    (str(2**63), None), (str(-(2**63) - 1), None), ("9" * 5000, None),
+    ("", None), ("-", None), ("+5", None), ("1_0", None), (" 7", None), ("7 ", None), ("0x10", None),
+]
+
+
+@pytest.mark.parametrize("text, value", _INTEGER_TEXTS, ids=[repr(text[:24]) for text, _ in _INTEGER_TEXTS])
+def test_parse_int_reads_a_64_bit_integer_literal(text, value):
+    assert ex.parse_int(text) == value
+
+
+def test_int_literal_of_thousands_of_digits_is_a_syntax_error():
+    with pytest.raises(ex.ExprSyntaxError, match="out of 64-bit range"):
+        ex.parse_expr("x > " + "1" * 5000)
+    assert ex.parse_expr("x > " + "0" * 5000 + "1") == ex.BinOp(">", ex.Var("x"), ex.IntLit(1))
+
+
 _A, _B, _C, _P, _Q, _R = (ex.Var(name) for name in "abcpqr")
 _VALUATION = {"a": 3, "b": 5, "c": -4, "p": False, "q": True, "r": False}
 _KINDS = {"a": "integer", "b": "integer", "c": "integer", "p": "boolean", "q": "boolean", "r": "boolean"}
@@ -190,6 +209,12 @@ def test_type_errors_name_unknown_variables_first():
         ("a+1", {"a": True}, "'+' applied to non-integer value True"),
         ("p && q", {"p": 1, "q": True}, "'&&' applied to non-boolean value 1"),
         ("!a", {"a": 1}, "'!' applied to non-boolean value 1"),
+        # both operands are evaluated before either is checked, the left one first
+        ("p + x", {"p": True}, "unbound variable 'x'"),
+        ("p + q", {"p": True, "q": False}, "'+' applied to non-integer value True"),
+        ("a + p", {"a": 1, "p": True}, "'+' applied to non-integer value True"),
+        ("a || p", {"a": 1, "p": True}, "'||' applied to non-boolean value 1"),
+        ("a < p", {"a": 1, "p": True}, "'<' applied to non-integer value True"),
     ],
 )
 def test_eval_rejects_wrong_kinds(text, valuation, message):

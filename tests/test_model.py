@@ -62,6 +62,20 @@ def test_unknown_keys_rejected():
         m.parse_model('{"name": "X", "states": [{"name": "s"}], "initial": "s", "extra": 1}')
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"extra": 1}, "$: unknown key 'extra'"),
+        ({"states": [{"name": "s", "entry": [], "guard": "true"}]}, "states[0]: unknown key 'guard'"),
+        ({"transitions": [{"source": "s", "target": "s", "entry": []}]}, "transitions[0]: unknown key 'entry'"),
+    ],
+)
+def test_unknown_key_messages_name_the_element(document, message):
+    with pytest.raises(m.ModelFormatError) as err:
+        m.parse_model(json.dumps({"name": "X", "states": [{"name": "s"}], "initial": "s", **document}))
+    assert str(err.value) == message
+
+
 def test_roundtrip_minimal_and_fixtures(simple_model, extended_model):
     for model in (m.parse_model(MINIMAL), simple_model, extended_model):
         assert m.parse_model(m.serialize_model(model)) == model
@@ -133,6 +147,45 @@ def test_validate_duplicate_state_cites_both():
     diagnostics = m.validate_model(model)
     assert len(diagnostics) == 1
     assert "states[0]" in diagnostics[0].message and "s" in diagnostics[0].path
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"variables": (m.VariableDecl("1x", "integer", 0),)}, ["variables[0]: bad variable name '1x'"]),
+        ({"variables": (m.VariableDecl("true", "boolean", False),)}, ["variables[0]: bad variable name 'true'"]),
+        (
+            {"variables": (m.VariableDecl("x", "integer", 0), m.VariableDecl("y", "integer", 0),
+                           m.VariableDecl("x", "integer", 0))},
+            ["variables[2]: duplicate variable name 'x' (also variables[0])"],
+        ),
+        (
+            # a name both bad and taken is diagnosed in that order, and before the kind
+            {"variables": (m.VariableDecl("1x", "integer", 0), m.VariableDecl("1x", "real", 0))},
+            ["variables[0]: bad variable name '1x'", "variables[1]: bad variable name '1x'",
+             "variables[1]: duplicate variable name '1x' (also variables[0])", "variables[1]: unknown kind 'real'"],
+        ),
+        ({"events": ("a.b",)}, ["events[0]: bad event name 'a.b'"]),
+        ({"events": ("tick",)}, ["events[0]: bad event name 'tick'"]),
+        ({"events": ("E", "F", "E", "E")},
+         ["events[2]: duplicate event name 'E' (also events[0])",
+          "events[3]: duplicate event name 'E' (also events[0])"]),
+        ({"states": (m.State("s"), m.State("exit"))}, ["states[1](exit): bad state name 'exit'"]),
+        ({"states": (m.State("s"), m.State("t"), m.State("s"))},
+         ["states[2](s): duplicate state name 's' (also states[0])"]),
+        ({"transitions": (m.Transition("s", "s", trigger="Go"),)},
+         ["transitions[0](s->s): trigger names undeclared event 'Go'"]),
+        ({"transitions": (m.Transition("s", "s", guard=ex.IntLit(1)),)},
+         ["transitions[0](s->s).guard: guard must be boolean-typed"]),
+        ({"states": (m.State("s", annotations=(m.Annotation(()),)),)},
+         ["states[0](s).annotations[0]: annotation has an empty resource list"]),
+        ({"transitions": (m.Transition("s", "s", annotations=(m.Annotation(("ok", "no way")),)),)},
+         ["transitions[0](s->s).annotations[0]: bad resource identifier 'no way'"]),
+    ],
+)
+def test_validate_model_messages(fields, expected):
+    model = m.StatechartModel(**{"name": "M", "states": (m.State("s"),), "initial_state": "s", **fields})
+    assert [str(d) for d in m.validate_model(model)] == expected
 
 
 def test_validate_type_mismatch_in_guard():

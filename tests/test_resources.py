@@ -72,11 +72,30 @@ def test_parse_schedule_horizon_and_multiwindow():
         ("r: nonsense", "window list"),
         ("r: (800, 900)", "beyond horizon"),
         ("horizon: -1", "positive"),
+        ("horizon: 12x", "line 1: horizon '12x' is not a positive 64-bit integer"),
+        ("horizon: 1_0", "line 1: horizon '1_0' is not a positive 64-bit integer"),
+        ("horizon: +5", "is not a positive 64-bit integer"),
+        ("horizon: 9223372036854775808", "line 1: horizon '9223372036854775808' is not a positive 64-bit integer"),
+        ("horizon: 99999999999999999999\nr: (200, 99999999999999999999)", "is not a positive 64-bit integer"),
+        ("r: (0, 10)\n# again\nr: (20, 30)", "line 3: duplicate resource 'r'"),
     ],
 )
 def test_parse_schedule_errors(text, match):
     with pytest.raises(res.ScheduleFormatError, match=match):
         res.parse_schedule(text)
+
+
+def test_window_bound_of_thousands_of_digits_is_refused():
+    text = "r: (0, 1" + "0" * 5000 + ")"
+    with pytest.raises(res.ScheduleFormatError) as err:
+        res.parse_schedule(text)
+    assert str(err.value) == f"line 1: window bound outside 64 bits in {text[3:]!r}"
+
+
+def test_parse_schedule_takes_the_largest_64_bit_horizon():
+    schedule = res.parse_schedule("horizon: 9223372036854775807\nr: (200, 9223372036854775807)\n")
+    assert schedule.horizon == 2**63 - 1
+    assert schedule.windows_for("r") == (res.Window(200, 2**63 - 1),)
 
 
 def test_is_available_strict_start():

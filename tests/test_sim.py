@@ -418,3 +418,39 @@ def test_resolve_rejects_unknown_choice_variable(simple_scenario):
     assignment = {"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100, "typo": 1}
     with pytest.raises(sim.ScenarioError, match="typo"):
         simple_scenario.resolve(assignment)
+
+
+def test_resolve_names_each_choice_left_out(simple_scenario):
+    with pytest.raises(sim.ScenarioError) as err:
+        simple_scenario.resolve({"systolicBP": 150})
+    assert str(err.value) == "unresolved choice variables: ['hemorrhage', 'diastolicBP']"
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (sim.Scenario(initial={"hemorrhage": 1}), "initial: value 1 does not match boolean variable 'hemorrhage'"),
+        (sim.Scenario(injections=(sim.Injection(5, "systolicBP", True),)),
+         "injection at t=5: value True does not match integer variable 'systolicBP'"),
+        (sim.Scenario(choices=(sim.Choice("orderCT", (False, 0)),)),
+         "choice 'orderCT': value 0 does not match boolean variable 'orderCT'"),
+        (sim.Scenario(injections=(sim.Injection(-1, "orderCT", True),)), "injection time -1 outside [0, horizon]"),
+        (sim.Scenario(injections=(sim.Injection(31, "orderCT", True),), horizon=30),
+         "injection time 31 outside [0, horizon]"),
+    ],
+)
+def test_validate_scenario_messages(delayed_composition, scenario, message):
+    with pytest.raises(sim.ScenarioError) as err:
+        sim.validate_scenario(scenario, delayed_composition)
+    assert str(err.value) == message
+
+
+def test_injection_at_the_horizon_is_valid(delayed_composition):
+    scenario = sim.Scenario(injections=(sim.Injection(30, "orderCT", True),), horizon=30)
+    sim.validate_scenario(scenario, delayed_composition)
+
+
+def test_replay_of_a_trace_without_steps_is_refused(delayed_composition):
+    with pytest.raises(sim.SimulationError) as err:
+        sim.replay_trace(delayed_composition, sim.Trace({}, {}, ()))
+    assert str(err.value) == "trace has no initialization step"

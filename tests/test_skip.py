@@ -21,6 +21,7 @@ from resweave.cli import build_composition
 from resweave.model import parse_model
 from resweave.resources import AvailabilitySchedule, parse_resource_map, parse_schedule, synthesize_timer
 
+from conftest import fixture_text
 from generators import gen_timed_composition, gen_timed_invariants, gen_timed_scenario
 from oracle import oracle_check
 
@@ -136,6 +137,25 @@ def test_nothing_is_skipped_when_a_guideline_fires_every_minute():
     sim.run(state, 200)
     assert state.minutes_skipped == 0
     assert state.valuation["n"] == 199
+
+
+def _error(call) -> str:
+    with pytest.raises(sim.SimulationError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("horizon", [15, 720])
+def test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute(ideal_composition, simple_scenario, horizon):
+    # curT is 2**63 - 1 after minute 4, so the timer's write at minute 5 is refused.
+    scenario = replace(simple_scenario, initial={**simple_scenario.initial, "curT": 2**63 - 5})
+    resolved = verify.enumerate_scenarios(scenario)[0]
+    properties = verify.parse_properties(fixture_text("props_simple.txt"), ideal_composition)
+    expected = "chart 'Timer' at minute 5: 'curT' would be set to a value outside the 64-bit range"
+    assert _error(lambda: plain_run(ideal_composition, resolved, horizon)) == expected
+    assert _error(lambda: sim.run(sim.init_composition(ideal_composition, resolved), horizon)) == expected
+    assert _error(lambda: plain_check(ideal_composition, scenario, properties, horizon)) == expected
+    assert _error(lambda: verify.check(ideal_composition, scenario, properties, horizon)) == expected
 
 
 @pytest.fixture(scope="module")
