@@ -152,7 +152,7 @@ def load_manifest(path: str) -> sim.Composition:
         raise _CommandError(f"{path}: JSON nested too deeply") from None
     if not isinstance(root, dict):
         raise _CommandError(f"{path}: manifest must be a JSON object")
-    refuse_unknown_keys(root, {"timer", "resources", "guidelines", "variables"}, path, _CommandError)
+    refuse_unknown_keys(root, {"timer", "resources", "guidelines", "variables"}, path)
 
     def load_charts(key) -> tuple[StatechartModel, ...]:
         names = root.get(key) or []
@@ -178,7 +178,7 @@ def load_manifest(path: str) -> sim.Composition:
             f"{path}: manifest 'variables' must be a list of {{'name', 'kind', 'initial'}} objects"
         )
     for i, variable in enumerate(variables):
-        refuse_unknown_keys(variable, {"name", "kind", "initial"}, f"{path}: variables[{i}]", _CommandError)
+        refuse_unknown_keys(variable, {"name", "kind", "initial"}, f"{path}: variables[{i}]")
     declared = {(v["name"], v["kind"], v["initial"]) for v in variables}
     merged = {(v.name, v.kind, v.initial) for v in composition.merged_variables()}
     if declared and declared != merged:

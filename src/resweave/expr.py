@@ -135,7 +135,7 @@ _TOKEN_RE = re.compile(
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 DOTTED_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
-_INTEGER_RE = re.compile(r"(-?)0*(\d+)\Z")  # sign, and the digits after leading zeros
+_INTEGER_RE = re.compile(r"(-?)(\d+)\Z")
 
 _RESERVED = {"true", "false", "raise", "entry", "exit", "tick", "imply"}
 
@@ -281,9 +281,12 @@ def parse_int(text: str) -> int | None:
     and command lines write one; None if it is written otherwise or lies
     outside 64 bits. No more than 19 digits are ever converted."""
     match = _INTEGER_RE.match(text)
-    if match is None or len(match.group(2)) > len(str(INT_MAX)):
+    if match is None:
         return None
-    value = int(match.group(1) + match.group(2))
+    digits = match.group(2).lstrip("0") or "0"
+    if len(digits) > len(str(INT_MAX)):
+        return None
+    value = int(match.group(1) + digits)
     return value if INT_MIN <= value <= INT_MAX else None
 
 

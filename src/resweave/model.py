@@ -266,11 +266,11 @@ def _expect(obj, types, path: str, what: str):
     return obj
 
 
-def refuse_unknown_keys(obj: dict, known, path: str, error=ModelFormatError) -> None:
-    """Raise `error` naming the first key of `obj` that is not in `known`."""
+def refuse_unknown_keys(obj: dict, known, path: str) -> None:
+    """Raise ModelFormatError naming the first key of `obj` that is not in `known`."""
     for key in obj:
         if key not in known:
-            raise error(f"{path}: unknown key {key!r}")
+            raise ModelFormatError(f"{path}: unknown key {key!r}")
 
 
 def _model_from_obj(root) -> StatechartModel:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,14 @@ _INTEGER_TEXTS = [
 @pytest.mark.parametrize("text, value", _INTEGER_TEXTS, ids=[repr(text[:24]) for text, _ in _INTEGER_TEXTS])
 def test_parse_int_reads_a_64_bit_integer_literal(text, value):
     assert ex.parse_int(text) == value
+
+
+def test_parse_int_refuses_a_long_run_of_zeros_in_linear_time():
+    # Two quantifiers that could both match the zeros would backtrack for
+    # seconds on this text; one pass over it takes well under a millisecond.
+    start = time.perf_counter()
+    assert ex.parse_int("0" * 20_000 + "x") is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_int_literal_of_thousands_of_digits_is_a_syntax_error():
