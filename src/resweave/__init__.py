@@ -61,56 +61,3 @@ from .weave import annotate, collect_annotations, integrate, strengthen_guard
 from .xta import export_queries, export_xta, scan_xta
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Annotation",
-    "Assign",
-    "AvailabilitySchedule",
-    "Composition",
-    "Counterexample",
-    "Diagnostic",
-    "GuardedAction",
-    "Invariant",
-    "Raise",
-    "ResourceMap",
-    "ResweaveError",
-    "Scenario",
-    "SimState",
-    "State",
-    "StatechartModel",
-    "StepReport",
-    "Trace",
-    "Transition",
-    "VariableDecl",
-    "Verdict",
-    "Window",
-    "annotate",
-    "check",
-    "collect_annotations",
-    "enumerate_scenarios",
-    "eval_expr",
-    "eval_invariant",
-    "export_queries",
-    "export_xta",
-    "init_composition",
-    "integrate",
-    "is_available",
-    "list_raised_actions",
-    "macro_step",
-    "parse_expr",
-    "parse_model",
-    "parse_properties",
-    "parse_resource_map",
-    "parse_schedule",
-    "replay_trace",
-    "run",
-    "scan_xta",
-    "serialize_model",
-    "strengthen_guard",
-    "synthesize_resource_chart",
-    "synthesize_timer",
-    "to_text",
-    "trace_lines",
-    "trace_to_json",
-    "validate_model",
-]

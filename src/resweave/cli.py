@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,7 +19,8 @@ from . import resources as res
 from . import sim
 from . import weave
 from .errors import ResweaveError
-from .model import StatechartModel, parse_model, refuse_unknown_keys, serialize_model
+from .model import StatechartModel, expect, expect_object, parse_model, read_json, serialize_model
+from .model import variable_from_obj
 from .xta import export_queries, export_xta
 
 
@@ -40,15 +42,27 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _print(text: str) -> None:
+    """Write a line to stdout, the only writer to it. Once its reader has gone,
+    stdout is sent to os.devnull: the command still writes its files and
+    returns its exit code, and the flush at exit has nothing to fail on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, message: str) -> None:
     if not args.json_diagnostics:
-        print(message)
+        _print(message)
 
 
 def _warn(args, warnings: list[str]) -> None:
     if args.json_diagnostics:
         if warnings:
-            print(json.dumps({"warnings": warnings}))
+            _print(json.dumps({"warnings": warnings}))
     else:
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -143,47 +157,37 @@ def write_manifest(composition: sim.Composition, out_dir: Path, guideline_names:
 
 
 def load_manifest(path: str) -> sim.Composition:
+    """The composition of the manifest at `path`. A refusal starts with the
+    path of the file it is about: the manifest's, or a chart file's."""
+    root = _naming(path, read_json, _read_text(path))
+    expect_object(root, {"timer", "resources", "guidelines", "variables"}, path)
     base = Path(path).parent
-    try:
-        root = json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
-        raise _CommandError(f"{path}: {err.msg} (line {err.lineno})") from None
-    except RecursionError:
-        raise _CommandError(f"{path}: JSON nested too deeply") from None
-    if not isinstance(root, dict):
-        raise _CommandError(f"{path}: manifest must be a JSON object")
-    refuse_unknown_keys(root, {"timer", "resources", "guidelines", "variables"}, path)
 
-    def load_charts(key) -> tuple[StatechartModel, ...]:
-        names = root.get(key) or []
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise _CommandError(f"{path}: manifest '{key}' must be a list of chart file names")
-        return tuple(parse_model(_read_text(str(base / n))) for n in names)
+    def chart(name: str) -> StatechartModel:
+        chart_path = str(base / name)
+        return _naming(chart_path, parse_model, _read_text(chart_path))
 
-    timer = root.get("timer")
-    if timer is not None and not isinstance(timer, str):
-        raise _CommandError(f"{path}: manifest 'timer' must be a chart file name or null")
-    composition = sim.Composition(
-        parse_model(_read_text(str(base / timer))) if timer else None,
-        load_charts("resources"),
-        load_charts("guidelines"),
-    )
-    variables = root.get("variables", [])
-    if not isinstance(variables, list) or not all(
-        isinstance(v, dict) and isinstance(v.get("name"), str) and isinstance(v.get("kind"), str)
-        and isinstance(v.get("initial"), int)
-        for v in variables
-    ):
-        raise _CommandError(
-            f"{path}: manifest 'variables' must be a list of {{'name', 'kind', 'initial'}} objects"
-        )
-    for i, variable in enumerate(variables):
-        refuse_unknown_keys(variable, {"name", "kind", "initial"}, f"{path}: variables[{i}]")
-    declared = {(v["name"], v["kind"], v["initial"]) for v in variables}
-    merged = {(v.name, v.kind, v.initial) for v in composition.merged_variables()}
-    if declared and declared != merged:
+    timer = expect(root.get("timer"), (str, type(None)), f"{path}: timer", "a chart file name or null")
+    charts = [chart(timer) if timer else None]
+    for key in ("resources", "guidelines"):
+        names = expect(root.get(key, []), list, f"{path}: {key}", "a list of chart file names")
+        charts.append(tuple(
+            chart(expect(name, str, f"{path}: {key}[{i}]", "a chart file name")) for i, name in enumerate(names)
+        ))
+    composition = _naming(path, sim.Composition, *charts)
+    variables = expect(root.get("variables", []), list, f"{path}: variables", "a list")
+    declared = {variable_from_obj(obj, f"{path}: variables[{i}]") for i, obj in enumerate(variables)}
+    if declared and declared != set(composition.merged_variables()):
         raise _CommandError(f"{path}: manifest variables disagree with the chart declarations")
     return composition
+
+
+def _naming(path: str, function, *args):
+    """`function(*args)`, with a refusal it raises starting with `path`."""
+    try:
+        return function(*args)
+    except ResweaveError as err:
+        raise _CommandError(f"{path}: {err}") from None
 
 
 def _load_scenario(args, composition: sim.Composition) -> sim.Scenario:
@@ -322,7 +326,7 @@ def cmd_check(args) -> int:
         suffix = f"  {row['counterexample_path']}" if row["counterexample_path"] else ""
         _emit(args, f"{row['property']:<{width}}  {status}{suffix}")
     if args.json_diagnostics:
-        print(json.dumps(rows))
+        _print(json.dumps(rows))
     return 0 if all(r["holds"] for r in rows) else 1
 
 
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(err: ResweaveError, json_diagnostics: bool) -> int:
     if json_diagnostics:
-        print(json.dumps({"error": str(err)}))
+        _print(json.dumps({"error": str(err)}))
     else:
         print(f"error: {err}", file=sys.stderr)
     return 2

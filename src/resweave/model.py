@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from typing import Union
@@ -248,33 +249,43 @@ def parse_model(text: str) -> StatechartModel:
     document line/column; string-level grammar errors carry the element
     path) and ModelSemanticsError for invariant violations.
     """
-    try:
-        root = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(err.msg, err.lineno, err.colno) from None
-    except RecursionError:
-        raise ModelFormatError("JSON nested too deeply") from None
-    model = _model_from_obj(root)
+    model = _model_from_obj(read_json(text))
     if model.diagnostics:
         raise ModelSemanticsError(list(model.diagnostics))
     return model
 
 
-def _expect(obj, types, path: str, what: str):
-    if not isinstance(obj, types):
+def read_json(text: str):
+    """The value of a JSON document (a model, a scenario or a manifest); ModelFormatError if Python
+    cannot read it. `expect` and `expect_object` check the shape of what it reads."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ModelFormatError(err.msg, err.lineno, err.colno) from None
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply") from None
+    except ValueError:  # an integer of more digits than Python converts
+        raise ModelFormatError(f"JSON number of more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def expect(obj, types, path: str, what: str):
+    """`obj`, if it is of `types`; a boolean is not an `int` here."""
+    if not isinstance(obj, types) or (types is int and isinstance(obj, bool)):
         raise ModelFormatError(f"{path}: expected {what}, found {type(obj).__name__}")
     return obj
 
 
-def refuse_unknown_keys(obj: dict, known, path: str) -> None:
-    """Raise ModelFormatError naming the first key of `obj` that is not in `known`."""
+def expect_object(obj, known, path: str) -> dict:
+    """`obj`, if it is an object whose keys are all in `known`."""
+    expect(obj, dict, path, "an object")
     for key in obj:
         if key not in known:
             raise ModelFormatError(f"{path}: unknown key {key!r}")
+    return obj
 
 
 def _model_from_obj(root) -> StatechartModel:
-    _expect(root, dict, "$", "an object")
+    expect_object(root, {"name", "variables", "events", "states", "transitions", "initial"}, "$")
     # This document's parsers, by the key its strings sit under; each parses a
     # distinct text once, and they go when the document is parsed.
     expr = cache(ex.parse_expr)
@@ -285,36 +296,39 @@ def _model_from_obj(root) -> StatechartModel:
         "actions": cache(lambda text: parse_action(text, expr)),
         "annotations": cache(parse_annotation),
     }
-    refuse_unknown_keys(root, {"name", "variables", "events", "states", "transitions", "initial"}, "$")
-    name = _expect(root.get("name", ""), str, "name", "a string")
+    name = expect(root.get("name", ""), str, "name", "a string")
     variables = [
-        _variable_from_obj(obj, f"variables[{i}]")
-        for i, obj in enumerate(_expect(root.get("variables", []), list, "variables", "a list"))
+        variable_from_obj(obj, f"variables[{i}]")
+        for i, obj in enumerate(expect(root.get("variables", []), list, "variables", "a list"))
     ]
     events = []
-    for i, obj in enumerate(_expect(root.get("events", []), list, "events", "a list")):
-        events.append(_expect(obj, str, f"events[{i}]", "a string"))
+    for i, obj in enumerate(expect(root.get("events", []), list, "events", "a list")):
+        events.append(expect(obj, str, f"events[{i}]", "a string"))
     states = [
         _state_from_obj(obj, f"states[{i}]", parsers)
-        for i, obj in enumerate(_expect(root.get("states", []), list, "states", "a list"))
+        for i, obj in enumerate(expect(root.get("states", []), list, "states", "a list"))
     ]
     transitions = [
         _transition_from_obj(obj, f"transitions[{i}]", parsers)
-        for i, obj in enumerate(_expect(root.get("transitions", []), list, "transitions", "a list"))
+        for i, obj in enumerate(expect(root.get("transitions", []), list, "transitions", "a list"))
     ]
-    initial = _expect(root.get("initial", ""), str, "initial", "a string")
+    initial = expect(root.get("initial", ""), str, "initial", "a string")
     return StatechartModel(name, tuple(variables), tuple(events), tuple(states), tuple(transitions), initial)
 
 
-def _variable_from_obj(obj, path: str) -> VariableDecl:
-    _expect(obj, dict, path, "an object")
-    name = _expect(obj.get("name"), str, f"{path}.name", "a string")
-    return VariableDecl(name, obj.get("kind"), obj.get("initial"))
+def variable_from_obj(obj, path: str) -> VariableDecl:
+    """The declaration of a variable object, in a model or a manifest;
+    `validate_model` checks its kind and value."""
+    expect_object(obj, {"name", "kind", "initial"}, path)
+    name = expect(obj.get("name"), str, f"{path}.name", "a string")
+    kind = expect(obj.get("kind"), str, f"{path}.kind", "a string")
+    initial = expect(obj.get("initial"), (bool, int), f"{path}.initial", "a boolean or an integer")
+    return VariableDecl(name, kind, initial)
 
 
 def _parse_at(parse, text, path: str):
     """`parse(text)` for the string at `path`; grammar errors name that path."""
-    _expect(text, str, path, "a string")
+    expect(text, str, path, "a string")
     try:
         return parse(text)
     except (ModelFormatError, ex.ExprSyntaxError) as err:
@@ -323,27 +337,23 @@ def _parse_at(parse, text, path: str):
 
 def _strings_at(obj, key: str, path: str, parsers) -> tuple:
     """Parse each string of the optional list `obj[key]` with `parsers[key]`."""
-    items = _expect(obj.get(key, []), list, f"{path}.{key}", "a list")
+    items = expect(obj.get(key, []), list, f"{path}.{key}", "a list")
     return tuple(_parse_at(parsers[key], item, f"{path}.{key}[{i}]") for i, item in enumerate(items))
 
 
 def _state_from_obj(obj, path: str, parsers) -> State:
-    _expect(obj, dict, path, "an object")
-    refuse_unknown_keys(obj, {"name", "entry", "exit", "annotations"}, path)
-    name = _expect(obj.get("name"), str, f"{path}.name", "a string")
+    expect_object(obj, {"name", "entry", "exit", "annotations"}, path)
+    name = expect(obj.get("name"), str, f"{path}.name", "a string")
     entry = _strings_at(obj, "entry", path, parsers)
     exit_ = _strings_at(obj, "exit", path, parsers)
     return State(name, entry, exit_, _strings_at(obj, "annotations", path, parsers))
 
 
 def _transition_from_obj(obj, path: str, parsers) -> Transition:
-    _expect(obj, dict, path, "an object")
-    refuse_unknown_keys(obj, {"source", "target", "trigger", "guard", "actions", "annotations"}, path)
-    source = _expect(obj.get("source"), str, f"{path}.source", "a string")
-    target = _expect(obj.get("target"), str, f"{path}.target", "a string")
-    trigger = obj.get("trigger")
-    if trigger is not None:
-        _expect(trigger, str, f"{path}.trigger", "a string")
+    expect_object(obj, {"source", "target", "trigger", "guard", "actions", "annotations"}, path)
+    source = expect(obj.get("source"), str, f"{path}.source", "a string")
+    target = expect(obj.get("target"), str, f"{path}.target", "a string")
+    trigger = expect(obj.get("trigger"), (str, type(None)), f"{path}.trigger", "a string")
     guard = ex.TRUE if "guard" not in obj else _parse_at(parsers["guard"], obj["guard"], f"{path}.guard")
     actions = _strings_at(obj, "actions", path, parsers)
     annotations = _strings_at(obj, "annotations", path, parsers)

@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ResweaveError
-from .model import Raise, StatechartModel, Transition, VariableDecl, is_tick_trigger
+from .model import ModelFormatError, Raise, StatechartModel, Transition, VariableDecl, is_tick_trigger
+from .model import expect, expect_object, read_json
 # perfbench/tracer.py wraps `sim.validate_model` by name, so the name stays importable here.
 from .model import validate_model  # noqa: F401
 from .resources import CLOCK_VARIABLE, synthesize_timer
@@ -243,64 +244,33 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    try:
-        root = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"{err.msg} (line {err.lineno}, column {err.colno})") from None
-    except RecursionError:
-        raise ScenarioError("JSON nested too deeply") from None
-    if not isinstance(root, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    known = {"initial", "injections", "choices", "horizon"}
-    for key in root:
-        if key not in known:
-            raise ScenarioError(f"unknown scenario key {key!r}")
-    initial = root.get("initial", {})
-    if not isinstance(initial, dict) or not all(_is_literal(v) for v in initial.values()):
-        raise ScenarioError("'initial' must map variables to int/bool literals")
+    """The scenario of a document. Only its shape is checked here; `validate_scenario` checks its values."""
+    root = expect_object(read_json(text), {"initial", "injections", "choices", "horizon"}, "$")
+    initial = expect(root.get("initial", {}), dict, "initial", "an object")
     injections = []
-    for i, obj in enumerate(_as_list(root.get("injections", []), "injections")):
-        if (
-            not isinstance(obj, dict)
-            or not isinstance(obj.get("t"), int)
-            or isinstance(obj.get("t"), bool)
-            or not isinstance(obj.get("var"), str)
-            or not _is_literal(obj.get("value"))
-        ):
-            raise ScenarioError(f"injections[{i}] must be {{'t': minutes, 'var': name, 'value': literal}}")
-        injections.append(Injection(obj["t"], obj["var"], obj["value"]))
+    for i, obj in enumerate(expect(root.get("injections", []), list, "injections", "a list")):
+        path = f"injections[{i}]"
+        expect_object(obj, {"t", "var", "value"}, path)
+        t = expect(obj.get("t"), int, f"{path}.t", "an integer")
+        var = expect(obj.get("var"), str, f"{path}.var", "a string")
+        injections.append(Injection(t, var, obj.get("value")))
     choices = []
-    for i, obj in enumerate(_as_list(root.get("choices", []), "choices")):
-        if (
-            not isinstance(obj, dict)
-            or not isinstance(obj.get("var"), str)
-            or not isinstance(obj.get("domain"), list)
-            or not obj["domain"]
-            or not all(_is_literal(v) for v in obj["domain"])
-        ):
-            raise ScenarioError(f"choices[{i}] must be {{'var': name, 'domain': [literals]}}")
-        choices.append(Choice(obj["var"], tuple(obj["domain"])))
+    for i, obj in enumerate(expect(root.get("choices", []), list, "choices", "a list")):
+        path = f"choices[{i}]"
+        expect_object(obj, {"var", "domain"}, path)
+        var = expect(obj.get("var"), str, f"{path}.var", "a string")
+        choices.append(Choice(var, expect(obj.get("domain"), list, f"{path}.domain", "a list")))
     horizon = root.get("horizon")
-    if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0):
-        raise ScenarioError("'horizon' must be a nonnegative integer")
-    return Scenario(dict(initial), tuple(injections), tuple(choices), horizon)
+    if horizon is not None and expect(horizon, int, "horizon", "an integer") < 0:
+        raise ModelFormatError(f"horizon: expected a nonnegative integer, found {horizon}")
+    return Scenario(initial, tuple(injections), tuple(choices), horizon)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """The JSON object of a scenario, as `serialize_scenario` writes it: its
-    fields, each record an object; `injections`, `choices` and `horizon` only when set."""
+    """The JSON object of a scenario: its fields, each record an object;
+    `injections`, `choices` and `horizon` only when set."""
     fields = asdict(scenario).items()
     return {name: value for name, value in fields if name == "initial" or value not in ((), None)}
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
-
-
-def _as_list(obj, what: str) -> list:
-    if not isinstance(obj, list):
-        raise ScenarioError(f"'{what}' must be a list")
-    return obj
 
 
 def _is_literal(value) -> bool:
@@ -381,6 +351,25 @@ def _fields(fields: dict) -> dict:
 
 def trace_to_json(trace: Trace) -> str:
     return json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
+
+
+def trace_from_dict(obj: dict) -> Trace:
+    """The trace of a JSON object that `trace_to_dict` wrote, each record
+    rebuilt from its fields: `trace_from_dict(json.loads(trace_to_json(t))) == t`."""
+    steps = tuple(
+        _record(StepReport, {**step, "fires": tuple(_record(FireRecord, fire) for fire in step["fires"])})
+        for step in obj["steps"]
+    )
+    return Trace(obj["initial_active"], obj["initial_valuation"], steps)
+
+
+def _record(cls, fields: dict):
+    """A `cls` of the named fields of a JSON object, each list in them read back as a tuple."""
+    return cls(*(_tuples(fields[name]) for name in cls._fields))
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def value_text(value: int | bool) -> str:

@@ -32,6 +32,7 @@ from .sim import (
     macro_step,
     skip_idle,
     trace_of,
+    validate_scenario,
 )
 
 DEFAULT_SCENARIO_CAP = 10_000
@@ -176,6 +177,7 @@ def check(
     an invariant still observed keeps its value over them.
     """
     properties = list(properties)
+    validate_scenario(scenario, composition)  # an empty choice domain would leave no scenario to check
     resolved_scenarios = enumerate_scenarios(scenario, cap)
     check_work(len(resolved_scenarios), horizon)
     violations: dict[str, Counterexample] = {}

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -610,26 +612,6 @@ def test_choice_is_range_checked(tmp_path, capsys, value, exit_code):
         assert json.loads((tmp_path / "trace.json").read_text())["initial_valuation"]["systolicBP"] == value
 
 
-def _tuples(value):
-    """`value` with each JSON list in it turned back into a tuple."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def _record(cls, obj: dict, **fields):
-    """A `cls` built by keyword from the JSON object's own keys, lists as tuples; `fields` override."""
-    return cls(**{**{key: _tuples(value) for key, value in obj.items()}, **fields})
-
-
-def _trace_from_json(text: str):
-    """Rebuild a `Trace` from `trace.json` text, each record from its JSON object's own keys."""
-    root = json.loads(text)
-    steps = tuple(
-        _record(sim.StepReport, step, fires=tuple(_record(sim.FireRecord, fire) for fire in step["fires"]))
-        for step in root["steps"]
-    )
-    return _record(sim.Trace, root, steps=steps)
-
-
 def test_trace_with_no_op_fires_replays_to_simulate_bytes(tmp_path, capsys, delayed_composition):
     # Written before no-op self-loop re-entries were left out of trace.json;
     # replaying it fires them again, and they are not recorded.
@@ -638,7 +620,7 @@ def test_trace_with_no_op_fires_replays_to_simulate_bytes(tmp_path, capsys, dela
     capsys.readouterr()
     written = (tmp_path / "trace.json").read_text(encoding="utf-8")
     assert len(written) < len(old)
-    replayed = sim.replay_trace(delayed_composition, _trace_from_json(old))
+    replayed = sim.replay_trace(delayed_composition, sim.trace_from_dict(json.loads(old)))
     assert sim.trace_to_json(replayed) == written
 
 
@@ -663,7 +645,7 @@ def test_simulated_trace_replays_on_the_manifest(tmp_path, capsys, model, map_na
     assert run_cli(*argv) == 0
     capsys.readouterr()
     text = (out / "trace.json").read_text(encoding="utf-8")
-    replayed = sim.replay_trace(cli.load_manifest(str(manifest)), _trace_from_json(text))
+    replayed = sim.replay_trace(cli.load_manifest(str(manifest)), sim.trace_from_dict(json.loads(text)))
     assert sim.trace_to_json(replayed) == text
 
 
@@ -913,3 +895,79 @@ def test_an_integer_of_thousands_of_digits_exits_2(tmp_path, capsys, option):
     assert run_cli(*DELAYED_SIMULATE, option + "1" * 5000, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _integrate_delayed(out: Path) -> Path:
+    """The manifest that `integrate` writes for the delayed-CT case into `out`."""
+    assert run_cli("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map",
+                   "--schedule", FIXTURES / "schedule_delayed_ct.txt", "--out", out) == 0
+    return out / "composition.json"
+
+
+LONG_INTEGER = "1" * 5000  # above Python's 4,300 digits for reading an int
+
+
+@pytest.mark.parametrize("command, document", [
+    (command, document) for command in ("check", "simulate", "export")
+    for document in ("model", "scenario", "manifest", "chart") if (command, document) != ("export", "scenario")
+])
+def test_a_json_integer_of_thousands_of_digits_exits_2(tmp_path, capsys, command, document):
+    manifest = _integrate_delayed(tmp_path / "setup")
+    capsys.readouterr()
+    argv = {"check": DELAYED_CHECK, "simulate": DELAYED_SIMULATE}.get(command, ("export", *DELAYED_CHECK[1:7]))
+    if document in ("manifest", "chart"):
+        argv = (command, "--manifest", manifest, *argv[7:])
+    source = {"model": FIXTURES / "stroke_simple.json", "scenario": FIXTURES / "scenario_simple.json",
+              "manifest": manifest, "chart": manifest.parent / "CT_machine.json"}[document]
+    broken = source if source.parent == manifest.parent else tmp_path / source.name
+    broken.write_text(source.read_text().replace("{", '{"n": ' + LONG_INTEGER + ", ", 1))
+    assert run_cli(*(broken if arg == source else arg for arg in argv), "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "JSON number of more than 4300 digits" in err
+    if document in ("manifest", "chart"):
+        assert err.startswith(f"error: {broken}: ")
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("CT_machine.json", lambda text: text.replace('"name": "CT_machine"', '"name": 5'),
+         "{file}: name: expected a string, found int"),
+        ("CT_machine.json", lambda text: text.replace('"initial": "CT_machine"', '"initial": "gone"'),
+         "{file}: initial: initial state 'gone' is not a declared state"),
+        ("CT_machine.json", lambda text: text[:-3], "{file}: Expecting ',' delimiter (line 31, column 26)"),
+        ("composition.json", lambda text: text.replace('"tPA.json"', '"tPA.json", "tPA.json"'),
+         "{file}: duplicate chart names in composition: ['tPA']"),
+        ("composition.json", lambda text: text.replace('"tPA.json"', '"nowhere.json"'),
+         "cannot read {dir}/nowhere.json: No such file or directory"),
+        ("composition.json", lambda text: text.replace('"tPA.json"', "5"),
+         "{file}: resources[2]: expected a chart file name, found int"),
+    ],
+    ids=["chart-shape", "chart-semantics", "chart-json", "manifest-duplicate-chart", "manifest-missing-chart",
+         "manifest-shape"],
+)
+def test_a_refusal_under_a_manifest_starts_with_its_file(tmp_path, capsys, name, edit, message):
+    manifest = _integrate_delayed(tmp_path)
+    capsys.readouterr()
+    broken = tmp_path / name
+    text = broken.read_text()
+    assert edit(text) != text
+    broken.write_text(edit(text))
+    assert run_cli("export", "--manifest", manifest, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: " + message.format(file=broken, dir=tmp_path) + "\n"
+
+
+@pytest.mark.parametrize("argv, exit_code, written", [
+    (DELAYED_SIMULATE, 0, ("trace.json", "trace.txt")),
+    (DELAYED_CHECK, 1, ("verdicts.json", "P2.counterexample.json", "P2.trace.txt")),
+    ((*DELAYED_CHECK, "--json-diagnostics"), 1, ("verdicts.json",)),
+], ids=["simulate", "check", "check-json"])
+def test_a_closed_stdout_stops_the_echo_not_the_command(tmp_path, argv, exit_code, written):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "resweave", *map(str, argv), "--out", str(tmp_path)]
+    process = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    process.stdout.close()  # the reader goes before the first line is written
+    err = process.stderr.read()
+    assert process.wait(timeout=120) == exit_code and err == b""
+    assert all((tmp_path / name).stat().st_size for name in written)

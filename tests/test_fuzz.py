@@ -1,13 +1,15 @@
 """Every parser either parses its input or raises `ResweaveError`.
 
 Inputs are the fixtures with a few random edits, and arbitrary JSON values
-for the JSON formats. Any other exception escaping a parser would end the
-CLI in a traceback instead of exit 2 with one line.
+for the JSON formats, among them integers of 19 to 6,000 digits. Any other
+exception escaping a parser would end the CLI in a traceback instead of
+exit 2 with one line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,11 +25,20 @@ from conftest import fixture_text
 
 _SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# A leaf that `_json_text` writes as an integer of that many digits, which `json.dumps` cannot write;
+# 19 digits reach past 64 bits, and Python reads at most 4,300.
+_LONG_INTEGER = "\x00long"
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12)
+    | (st.sampled_from([19, 20, 4300, 4301]) | st.integers(19, 6000)).map(lambda n: f"{_LONG_INTEGER}{n}"),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=10), children, max_size=4),
     max_leaves=20,
 )
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value)`, with each long-integer leaf written as its digits."""
+    return re.sub(r'"\\u0000long(\d+)"', lambda match: "9" * int(match[1]), json.dumps(value))
 
 
 @st.composite
@@ -54,7 +65,7 @@ def _keys_edited(text: str):
         document = json.loads(text)
         key = draw(st.sampled_from(sorted(root)))
         document[key] = draw(_json_values)
-        return json.dumps(document)
+        return _json_text(document)
 
     return strategy()
 
@@ -91,7 +102,7 @@ def test_json_parser_on_arbitrary_values(name):
     parse, fixture = _TEXT_PARSERS[name]
 
     @_SETTINGS
-    @given(_json_values.map(json.dumps) | _keys_edited(fixture_text(fixture)))
+    @given(_json_values.map(_json_text) | _keys_edited(fixture_text(fixture)))
     def run(text):
         parses_or_refuses(parse, text)
 
@@ -114,7 +125,7 @@ def test_manifest_on_edits(tmp_path, extended_composition):
     path = tmp_path / "edited.json"
 
     @_SETTINGS
-    @given(edited(manifest) | _keys_edited(manifest) | _json_values.map(json.dumps))
+    @given(edited(manifest) | _keys_edited(manifest) | _json_values.map(_json_text))
     def run(text):
         path.write_text(text, encoding="utf-8")
         parses_or_refuses(lambda _: cli.load_manifest(str(path)), text)

@@ -76,6 +76,31 @@ def test_unknown_key_messages_name_the_element(document, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"variables": [{"name": "x", "kind": "integer", "initial": 0, "value": 1}]},
+         "variables[0]: unknown key 'value'"),
+        ({"variables": [{"name": "x", "kind": 1, "initial": 0}]},
+         "variables[0].kind: expected a string, found int"),
+        ({"variables": [{"name": "x", "kind": "integer"}]},
+         "variables[0].initial: expected a boolean or an integer, found NoneType"),
+        ({"transitions": [{"source": "s", "target": "s", "trigger": 1}]},
+         "transitions[0].trigger: expected a string, found int"),
+    ],
+)
+def test_shape_messages_name_the_element(document, message):
+    with pytest.raises(m.ModelFormatError) as err:
+        m.parse_model(json.dumps({"name": "X", "states": [{"name": "s"}], "initial": "s", **document}))
+    assert str(err.value) == message
+
+
+def test_json_number_of_thousands_of_digits_is_a_format_error():
+    with pytest.raises(m.ModelFormatError) as err:
+        m.parse_model('{"name": ' + "1" * 5000 + "}")
+    assert str(err.value) == "JSON number of more than 4300 digits"
+
+
 def test_roundtrip_minimal_and_fixtures(simple_model, extended_model):
     for model in (m.parse_model(MINIMAL), simple_model, extended_model):
         assert m.parse_model(m.serialize_model(model)) == model

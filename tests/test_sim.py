@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -8,6 +9,7 @@ from resweave import sim
 from resweave.model import (
     Assign,
     GuardedAction,
+    ModelFormatError,
     Raise,
     State,
     StatechartModel,
@@ -365,6 +367,20 @@ def test_replay_on_generated_compositions():
             assert sim.trace_to_json(replayed) == sim.trace_to_json(trace)
 
 
+def test_trace_reads_back_from_its_json_on_generated_compositions():
+    rng = random.Random(47)
+    for _ in range(25):
+        composition = gen_composition(rng)
+        scenario = gen_scenario(rng, horizon=40)
+        assert sim.parse_scenario(json.dumps(sim.scenario_to_dict(scenario))) == scenario
+        for resolved in _small_resolutions(scenario):
+            try:
+                trace = sim.run(sim.init_composition(composition, resolved), 40)
+            except sim.SimulationError:  # a generated chart may write an integer outside 64 bits
+                continue
+            assert sim.trace_from_dict(json.loads(sim.trace_to_json(trace))) == trace
+
+
 def test_no_op_self_loops_are_not_recorded(monkeypatch):
     fire, dropped = sim._fire, []
 
@@ -410,8 +426,50 @@ def test_trace_lines_format(delayed_composition, simple_scenario):
 
 
 def test_scenario_roundtrip(simple_scenario):
-    text = sim.serialize_scenario(simple_scenario)
+    text = json.dumps(sim.scenario_to_dict(simple_scenario), indent=2, sort_keys=True)
     assert sim.parse_scenario(text) == simple_scenario
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], "$: expected an object, found list"),
+        ({"inital": {}}, "$: unknown key 'inital'"),
+        ({"initial": [1]}, "initial: expected an object, found list"),
+        ({"injections": {}}, "injections: expected a list, found dict"),
+        ({"injections": [{"t": True, "var": "a", "value": 1}]},
+         "injections[0].t: expected an integer, found bool"),
+        ({"injections": [{"t": 1, "var": 2, "value": 1}]}, "injections[0].var: expected a string, found int"),
+        ({"injections": [{"t": 1, "var": "a", "value": 1, "at": 2}]}, "injections[0]: unknown key 'at'"),
+        ({"choices": [{"var": "a", "domain": True}]}, "choices[0].domain: expected a list, found bool"),
+        ({"horizon": 2.5}, "horizon: expected an integer, found float"),
+        ({"horizon": False}, "horizon: expected an integer, found bool"),
+        ({"horizon": -1}, "horizon: expected a nonnegative integer, found -1"),
+    ],
+)
+def test_parse_scenario_checks_the_shape(document, message):
+    with pytest.raises(ModelFormatError) as err:
+        sim.parse_scenario(json.dumps(document))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"initial": {"systolicBP": 2**63}},
+         "initial: value 9223372036854775808 of 'systolicBP' is not a boolean or a 64-bit integer"),
+        ({"injections": [{"t": 5, "var": "orderCT"}]},
+         "injection at t=5: value None of 'orderCT' is not a boolean or a 64-bit integer"),
+        ({"choices": [{"var": "hemorrhage", "domain": []}]}, "choice 'hemorrhage' has an empty domain"),
+        ({"choices": [{"var": "hemorrhage", "domain": [[True]]}]},
+         "choice 'hemorrhage': value [True] of 'hemorrhage' is not a boolean or a 64-bit integer"),
+    ],
+)
+def test_validate_scenario_alone_checks_the_values(delayed_composition, document, message):
+    scenario = sim.parse_scenario(json.dumps(document))
+    with pytest.raises(sim.ScenarioError) as err:
+        sim.validate_scenario(scenario, delayed_composition)
+    assert str(err.value) == message
 
 
 def test_resolve_rejects_unknown_choice_variable(simple_scenario):

@@ -252,3 +252,11 @@ def test_check_refuses_work_over_budget_before_stepping(monkeypatch, delayed_com
     monkeypatch.setattr(verify, "init_composition", None)  # never reached
     with pytest.raises(verify.WorkBudgetError):
         verify.check(delayed_composition, simple_scenario, properties, 99_999_999_999)
+
+
+def test_check_refuses_an_empty_choice_domain(delayed_composition):
+    scenario = sim.Scenario(choices=(sim.Choice("hemorrhage", ()),))
+    assert verify.enumerate_scenarios(scenario) == []  # no scenario, so every property would hold
+    with pytest.raises(sim.ScenarioError) as err:
+        verify.check(delayed_composition, scenario, verify.parse_properties("P: A[] false\n"), 5)
+    assert str(err.value) == "choice 'hemorrhage' has an empty domain"
