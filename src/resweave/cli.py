@@ -38,8 +38,11 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise _CommandError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _print(text: str) -> None:

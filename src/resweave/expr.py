@@ -28,7 +28,7 @@ import math
 import operator
 import re
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -432,19 +432,19 @@ def compile_expr(expr: Expr, kinds: Mapping[str, str]) -> Callable[[Mapping[str,
 
 
 def compile_bound(
-    expr: Expr, kinds: Mapping[str, str], clock: str
+    exprs: Iterable[Expr], kinds: Mapping[str, str], clock: str
 ) -> Callable[[Mapping[str, int | bool]], int | float] | None:
-    """When `expr` can next change value as the integer variable `clock` counts up.
+    """When one of `exprs` can next change value as the integer variable `clock` counts up.
 
     Returns a function of the valuation giving the least value above the
-    current value of `clock` at which `expr` may evaluate differently, all
-    other variables kept (`math.inf` if it never does), or None when `expr`
-    does not read `clock`. The bound comes from the comparisons whose
-    operands differ by a linear function of `clock`: `curT > 20`,
-    `curT - onsetT <= 180`, `2*curT == k`. A comparison of fixed values
-    gets its breakpoints once, here. Any other use of `clock`, such as
-    `curT*curT > k` or an integer expression that reads it, bounds the
-    change to the next value.
+    current value of `clock` at which one of the trees may evaluate
+    differently, all other variables kept (`math.inf` if none ever does),
+    or None when none reads `clock`. The bound comes from the comparisons
+    whose operands differ by a linear function of `clock`: `curT > 20`,
+    `curT - onsetT <= 180`, `2*curT == k`. The comparisons of fixed values
+    get their breakpoints once, here, in one sorted list. Any other use of
+    `clock`, such as `curT*curT > k` or an integer expression that reads
+    it, bounds the change to the next value.
     """
     fixed: set[int] = set()
     moving = []  # (comparison, slope function, offset function) of a linear difference
@@ -474,7 +474,8 @@ def compile_bound(
         elif _degree(node, clock):
             steps = True
 
-    visit(expr)
+    for expr in exprs:
+        visit(expr)
     if steps:
         return lambda v: v[clock] + 1
     if not fixed and not moving:

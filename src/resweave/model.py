@@ -8,6 +8,7 @@ annotations appear as strings:
     action                   "tpaT = curT"  |  "raise givetPA"
     entry action             "entry/ raise CTscan"  |  "entry[curT>200]/ RES.CT_machine = true"
     exit action              "exit/ x = 0"  |  "exit[guard]/ ..."
+    trigger (optional)       "CTscan" (a declared event)  |  "tick" or "every 60s" (each minute)
     annotation               "//@RES: CT_machine, CT_technician"
 
 Charts are flat: no composite or history states. Hierarchy is expressed by
@@ -36,8 +37,7 @@ KIND_INTEGER = ex.KIND_INTEGER
 KIND_BOOLEAN = ex.KIND_BOOLEAN
 
 TICK = "tick"
-
-_EVERY_RE = re.compile(r"every (\d+)s\Z")
+_TICKS = (TICK, "every 60s")  # one cycle is one minute
 _ANNOTATION_RE = re.compile(r"//@RES:\s*(.*\S)\s*\Z")
 _ON_ACTION_RE = re.compile(r"(entry|exit)(?:\[(.*)\])?/\s*(.*\S)\s*\Z")
 _ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_.]*)\s*=(?!=)\s*(.*\S)\s*\Z")
@@ -127,7 +127,7 @@ class Transition:
     source: str
     target: str
     guard: ex.Expr = ex.TRUE
-    trigger: str | None = None  # event name, "tick", or "every <N>s"
+    trigger: str | None = None  # event name, "tick", or "every 60s"
     actions: tuple[Action, ...] = ()
     annotations: tuple[Annotation, ...] = ()
 
@@ -167,8 +167,8 @@ class StatechartModel:
 
 
 def is_tick_trigger(trigger: str | None) -> bool:
-    """True for the once-per-cycle triggers: "tick" or "every <N>s"."""
-    return trigger is not None and (trigger == TICK or _EVERY_RE.match(trigger) is not None)
+    """True for the once-per-cycle triggers: "tick" or "every 60s"."""
+    return trigger in _TICKS
 
 
 def list_raised_actions(element: State | Transition) -> tuple[str, ...]:
@@ -452,9 +452,12 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
             out.append(Diagnostic(path, f"source names missing state {transition.source!r}"))
         if transition.target not in state_names:
             out.append(Diagnostic(path, f"target names missing state {transition.target!r}"))
-        if transition.trigger is not None and not is_tick_trigger(transition.trigger):
-            if transition.trigger not in events:
-                out.append(Diagnostic(path, f"trigger names undeclared event {transition.trigger!r}"))
+        trigger = transition.trigger
+        if trigger is not None and not is_tick_trigger(trigger) and trigger not in events:
+            if trigger.startswith("every "):
+                out.append(Diagnostic(path, f"trigger {trigger!r} is not one minute: use 'tick' or 'every 60s'"))
+            else:
+                out.append(Diagnostic(path, f"trigger names undeclared event {trigger!r}"))
         _check_bool_expr(transition.guard, kinds, f"{path}.guard", out)
         for j, action in enumerate(transition.actions):
             _check_action(action, kinds, events, f"{path}.actions[{j}]", out)

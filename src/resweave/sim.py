@@ -25,11 +25,15 @@ synthesized timer's fire is its only record and nothing was injected: only
 appends the same record, with its own `curT`, for each following minute
 and moves the clock on, so every record and every output byte is what
 running each minute gives. It stops at the next injection, at the horizon,
-before the clock would leave 64 bits, and at the first minute at which an
-expression the idle minute evaluated (or an invariant `check` still
-observes) may change value, solved from its comparisons linear in `curT`;
-any other use of `curT` stops it at the next minute. A composition whose timer is not `synthesize_timer()` runs every
-minute. `macro_step` is the only code that runs a minute.
+before the clock would leave 64 bits, and at the first minute at which the
+clock bound of an active state (or of the invariants `check` still
+observes) allows a change. An idle minute has no event pending and fires
+only self-loops that record nothing, so a state's bound covers its
+event-free leaving guards and the actions of its event-free self-loops. It
+is solved from their comparisons linear in `curT`; any other use of `curT`
+stops the skip at the next minute. A composition whose timer is not
+`synthesize_timer()` runs every minute. `macro_step` is the only code that
+runs a minute.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ResweaveError
-from .model import ModelFormatError, Raise, StatechartModel, Transition, VariableDecl, is_tick_trigger
+from .model import GuardedAction, ModelFormatError, Raise, StatechartModel, Transition, VariableDecl, is_tick_trigger
 from .model import expect, expect_object, read_json
 # perfbench/tracer.py wraps `sim.validate_model` by name, so the name stays importable here.
 from .model import validate_model  # noqa: F401
@@ -74,17 +78,19 @@ class _StateCode(NamedTuple):
 
 
 class _ChartIndex:
-    """A chart's states and outgoing transitions by name, and each state's
-    compiled expressions, built the first time the chart is in that state."""
+    """A chart's states and outgoing transitions by name, each state's
+    compiled expressions, built the first time the chart is in that state,
+    and each state's clock bound, built the first time it ends an idle minute."""
 
-    def __init__(self, chart: StatechartModel, compile):
+    def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
         # (declaration index, transition) per source state, in declaration order
         self.by_source: dict[str, list[tuple[int, Transition]]] = {}
         for index, transition in enumerate(chart.transitions):
             self.by_source.setdefault(transition.source, []).append((index, transition))
-        self._compile = compile
+        self._composition = composition
         self._code: dict[str, _StateCode] = {}
+        self._bounds: dict = {}  # state -> clock bound or None
 
     def code(self, name: str) -> _StateCode:
         code = self._code.get(name)
@@ -101,13 +107,29 @@ class _ChartIndex:
             )
         return code
 
+    def bound(self, name: str):
+        """`ex.compile_bound` over the clock of what an idle minute in state `name` may evaluate
+        (see the module docstring): its event-free leaving guards, and the exit, transition and
+        entry actions (guards and right-hand sides) of its event-free self-loops."""
+        if name not in self._bounds:
+            state, trees = self.chart.state(name), []
+            for index, event, _ in self.code(name).leaving:
+                transition = self.chart.transitions[index]
+                if event is None:
+                    trees.append(transition.guard)
+                    if transition.target == name:
+                        for ga in (*state.exit_actions, *map(GuardedAction, transition.actions), *state.entry_actions):
+                            trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
+            self._bounds[name] = ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
+        return self._bounds[name]
+
     def _guard(self, guard: ex.Expr):
-        return None if guard == ex.TRUE else self._compile(guard)
+        return None if guard == ex.TRUE else self._composition.compiled(guard)
 
     def _action(self, action, guard: ex.Expr) -> tuple:
         if isinstance(action, Raise):
             return self._guard(guard), None, action.event
-        return self._guard(guard), action.target, self._compile(action.value)
+        return self._guard(guard), action.target, self._composition.compiled(action.value)
 
 
 @dataclass(frozen=True)
@@ -118,8 +140,7 @@ class Composition:
     names, every chart valid (read from its kept `diagnostics`, so a chart
     `parse_model` returned is not validated again), and same-name
     declarations in agreement. An expression is compiled the first time it
-    is evaluated, and its clock bound built the first time an idle minute
-    needs it; both are kept.
+    is evaluated, and kept.
     """
 
     timer: StatechartModel | None = None
@@ -128,10 +149,8 @@ class Composition:
     _variables: tuple[VariableDecl, ...] = field(init=False, repr=False, compare=False)
     kinds: dict[str, str] = field(init=False, repr=False, compare=False)  # variable -> kind
     indexes: dict[str, _ChartIndex] = field(init=False, repr=False, compare=False)
-    _compiled: dict = field(init=False, repr=False, compare=False)  # id(expr) -> function
-    # function -> its tree, which stays alive here, so its id is not reused
-    _sources: dict = field(init=False, repr=False, compare=False)
-    _bounds: dict = field(init=False, repr=False, compare=False)  # function -> clock bound or None
+    # id(expr) -> (expr, function): the tree stays alive here, so its id is not reused
+    _compiled: dict = field(init=False, repr=False, compare=False)
     # Whether idle minutes may be skipped: the timer is the synthesized clock.
     skips_idle: bool = field(init=False, repr=False, compare=False)
 
@@ -160,11 +179,9 @@ class Composition:
         object.__setattr__(self, "_variables", tuple(decl for decl, _ in merged.values()))
         object.__setattr__(self, "kinds", {decl.name: decl.kind for decl in self._variables})
         object.__setattr__(self, "_compiled", {})
-        object.__setattr__(self, "_sources", {})
-        object.__setattr__(self, "_bounds", {})
         object.__setattr__(self, "skips_idle", self.timer == synthesize_timer())
         object.__setattr__(
-            self, "indexes", {chart.name: _ChartIndex(chart, self.compiled) for chart in self.charts}
+            self, "indexes", {chart.name: _ChartIndex(chart, self) for chart in self.charts}
         )
 
     @property
@@ -179,18 +196,10 @@ class Composition:
     def compiled(self, expr: ex.Expr):
         """`expr` as a function of the valuation (`ex.compile_expr` against the
         merged declarations), compiled on the first call for this tree."""
-        function = self._compiled.get(id(expr))
-        if function is None:
-            function = self._compiled[id(expr)] = ex.compile_expr(expr, self.kinds)
-            self._sources[function] = expr
-        return function
-
-    def bound(self, function):
-        """`ex.compile_bound` over the clock of the tree that `function` was
-        compiled from by `compiled`, built on the first call for it."""
-        if function not in self._bounds:
-            self._bounds[function] = ex.compile_bound(self._sources[function], self.kinds, CLOCK_VARIABLE)
-        return self._bounds[function]
+        entry = self._compiled.get(id(expr))
+        if entry is None:
+            entry = self._compiled[id(expr)] = (expr, ex.compile_expr(expr, self.kinds))
+        return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +287,9 @@ def _is_literal(value) -> bool:
 
 
 def validate_scenario(scenario: Scenario, composition: Composition) -> None:
-    """Check every referenced variable is declared with a matching kind, and
-    every value is a boolean or a 64-bit integer."""
+    """Check every referenced variable is declared with a matching kind,
+    every value is a boolean or a 64-bit integer, and no choice variable is
+    declared twice."""
     kinds = composition.kinds
 
     def check(var: str, value, where: str) -> None:
@@ -298,6 +308,9 @@ def validate_scenario(scenario: Scenario, composition: Composition) -> None:
         if injection.t < 0 or (scenario.horizon is not None and injection.t > scenario.horizon):
             raise ScenarioError(f"injection time {injection.t} outside [0, horizon]")
         check(injection.var, injection.value, f"injection at t={injection.t}")
+    twice = [var for var, count in Counter(c.var for c in scenario.choices).items() if count > 1]
+    if twice:
+        raise ScenarioError(f"choice {twice[0]!r} is declared more than once")
     for choice in scenario.choices:
         if not choice.domain:
             raise ScenarioError(f"choice {choice.var!r} has an empty domain")
@@ -556,16 +569,15 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
     return _report(state, t, injected, fires, before)
 
 
-def skip_idle(state: SimState, horizon: int, watched: tuple[ex.Expr, ...] = ()) -> None:
+def skip_idle(state: SimState, horizon: int, watched=None) -> None:
     """After an idle minute (see the module docstring), record the idle
     minutes that follow it without running them.
 
     The skip ends before the next injection, after the horizon, before the
     clock would leave 64 bits (that minute runs, and refuses the write), or
-    at the first minute at which one of these may change value
-    (`Composition.bound`): the event-free leaving guards of each active
-    state up to the first one enabled, the guards and right-hand sides run by
-    that transition, and `watched` (the invariants a check still observes).
+    at the first minute that the clock bound of an active state
+    (`_ChartIndex.bound`) or `watched` allows; `watched` is the clock bound
+    (`ex.compile_bound`) of the invariants a check still observes, or None.
     """
     report = state.steps[-1]
     composition = state.composition
@@ -573,13 +585,11 @@ def skip_idle(state: SimState, horizon: int, watched: tuple[ex.Expr, ...] = ()) 
         return
     t, valuation = report.t, state.valuation
     now = valuation[CLOCK_VARIABLE]
+    charts = composition.resources + composition.guidelines
+    bounds = [watched, *(composition.indexes[c.name].bound(state.active[c.name]) for c in charts)]
     # the first minute that must run
-    stop = min([horizon + 1, t + ex.INT_MAX + 1 - now, *(due for due in state.injections_by_time if due > t)])
-    for bound in _idle_bounds(state, watched):
-        if stop <= t + 1:
-            return
-        if bound is not None:
-            stop = min(stop, t + bound(valuation) - now)
+    stop = min([horizon + 1, t + ex.INT_MAX + 1 - now, *(due for due in state.injections_by_time if due > t),
+                *(t + bound(valuation) - now for bound in bounds if bound is not None)])
     chart, source, target, index = report.fires[0][:4]
     for minute in range(t + 1, stop):
         clock = now + minute - t
@@ -588,33 +598,6 @@ def skip_idle(state: SimState, horizon: int, watched: tuple[ex.Expr, ...] = ()) 
     if stop > t + 1:
         valuation[CLOCK_VARIABLE] = now + stop - 1 - t
         state.minutes_skipped += stop - 1 - t
-
-
-def _idle_bounds(state: SimState, watched: tuple[ex.Expr, ...]):
-    """The clock bounds of what an idle minute in `state` evaluates, and of `watched`."""
-    composition, valuation = state.composition, state.valuation
-    bound = composition.bound
-    for expr in watched:
-        yield bound(composition.compiled(expr))
-    for chart in composition.guidelines + composition.resources:
-        charts = composition.indexes[chart.name]
-        code = charts.code(state.active[chart.name])
-        for index, event, guard in code.leaving:
-            if event is not None:  # no event is pending in an idle minute
-                continue
-            if guard is not None:
-                yield bound(guard)
-                if not guard(valuation):
-                    continue
-            entry = charts.code(chart.transitions[index].target).entry
-            for action_guard, target, value in (*code.exit, *code.actions[index], *entry):
-                if action_guard is not None:
-                    yield bound(action_guard)
-                    if not action_guard(valuation):
-                        continue
-                if target is not None:
-                    yield bound(value)
-            break
 
 
 def trace_of(state: SimState) -> Trace:

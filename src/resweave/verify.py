@@ -15,6 +15,7 @@ scenario is deterministic and explored in full.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import ResweaveError
-from .resources import content_lines
+from .resources import CLOCK_VARIABLE, content_lines
 from .sim import (
     Composition,
     Scenario,
@@ -181,18 +182,22 @@ def check(
     resolved_scenarios = enumerate_scenarios(scenario, cap)
     check_work(len(resolved_scenarios), horizon)
     violations: dict[str, Counterexample] = {}
+    @functools.cache
+    def watch(observed: tuple[Invariant, ...]):
+        """The clock bound of the invariants still observed, built once for each set of them."""
+        return ex.compile_bound([p.predicate for p in observed], composition.kinds, CLOCK_VARIABLE)
     for scenario_index, resolved in enumerate(resolved_scenarios):
         open_properties = [p for p in properties if p.name not in violations]
         if not open_properties:
             break
         state = init_composition(composition, resolved)
         pending: dict[str, int] = {}  # property -> violating step, first only
-        watched = tuple(p.predicate for p in open_properties)  # those not yet violated
+        watched = watch(tuple(open_properties))
         while True:
             for prop in open_properties:
                 if prop.name not in pending and not eval_invariant(prop, state):
                     pending[prop.name] = state.curT
-                    watched = tuple(p.predicate for p in open_properties if p.name not in pending)
+                    watched = watch(tuple(p for p in open_properties if p.name not in pending))
             skip_idle(state, horizon, watched)
             if state.curT >= horizon:
                 break

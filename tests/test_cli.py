@@ -971,3 +971,37 @@ def test_a_closed_stdout_stops_the_echo_not_the_command(tmp_path, argv, exit_cod
     err = process.stderr.read()
     assert process.wait(timeout=120) == exit_code and err == b""
     assert all((tmp_path / name).stat().st_size for name in written)
+
+
+@pytest.mark.parametrize("json_diagnostics", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, first", [
+    (("annotate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map"), "stroke_simple.annotated.json"),
+    (("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--assume-available"), "Timer.json"),
+    (DELAYED_SIMULATE, "trace.json"),
+    (DELAYED_CHECK, "P2.counterexample.json"),
+    (("export", *DELAYED_CHECK[1:7]), "stroke_simple.xta"),
+], ids=["annotate", "integrate", "simulate", "check", "export"])
+def test_an_out_that_is_a_file_exits_2(tmp_path, capsys, argv, first, json_diagnostics):
+    out = tmp_path / "afile"
+    out.write_text("")
+    flags = ("--json-diagnostics",) if json_diagnostics else ()
+    assert run_cli(*argv, *flags, "--out", out) == 2  # for check, in place of its verdict's 1
+    captured = capsys.readouterr()
+    message = f"cannot write {out / first}: File exists"
+    if json_diagnostics:
+        assert (captured.out, captured.err) == (json.dumps({"error": message}) + "\n", "")
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [DELAYED_CHECK, DELAYED_SIMULATE], ids=["check", "simulate"])
+def test_a_choice_variable_declared_twice_exits_2(tmp_path, capsys, argv):
+    scenario = json.loads((FIXTURES / "scenario_simple.json").read_text())
+    scenario["choices"].append({"var": "hemorrhage", "domain": [True, False]})
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(scenario))
+    argv = list(argv)
+    argv[argv.index("--scenario") + 1] = path
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: choice 'hemorrhage' is declared more than once\n"
+    assert not (tmp_path / "out").exists()

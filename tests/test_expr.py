@@ -388,34 +388,36 @@ def test_redundant_brackets_count_toward_the_bound():
 _CLOCK_KINDS = {"curT": ex.KIND_INTEGER, "a": ex.KIND_INTEGER, "p": ex.KIND_BOOLEAN}
 
 
-@pytest.mark.parametrize(
-    "text, exact",
-    [
-        ("curT > 20", True),
-        ("curT <= 5 && curT > 2", True),
-        ("curT - a > 180", True),
-        ("2*curT <= a", True),
-        ("curT == 7", True),
-        ("curT != a", True),
-        ("a*curT < 40", True),
-        ("0 - curT*3 + a == -10", True),
-        ("!(3*curT - 2*a >= 5) || p", True),
-        ("curT*curT > 50", False),
-        ("curT + 1", False),
-        ("(curT - curT)*curT > 0", False),
-    ],
-)
-def test_clock_bound_is_the_next_change(text, exact):
-    """The bound is above the clock and no later than the first value at which
-    the expression changes; for linear comparisons it is that value."""
-    expr = ex.parse_expr(text)
-    bound = ex.compile_bound(expr, _CLOCK_KINDS, "curT")
-    rng = random.Random(text)
+_CLOCK_CASES = [
+    ("curT > 20", True),
+    ("curT <= 5 && curT > 2", True),
+    ("curT - a > 180", True),
+    ("2*curT <= a", True),
+    ("curT == 7", True),
+    ("curT != a", True),
+    ("a*curT < 40", True),
+    ("0 - curT*3 + a == -10", True),
+    ("!(3*curT - 2*a >= 5) || p", True),
+    ("curT*curT > 50", False),
+    ("curT + 1", False),
+    ("(curT - curT)*curT > 0", False),
+]
+
+
+def _assert_next_change(texts: list[str], exact: bool) -> None:
+    """The bound of the trees is above the clock and no later than the first
+    value at which one of them changes; when `exact`, it is that value."""
+    exprs = [ex.parse_expr(text) for text in texts]
+    bound = ex.compile_bound(exprs, _CLOCK_KINDS, "curT")
+    rng = random.Random(" ".join(texts))
     for _ in range(200):
         valuation = {"curT": rng.randint(-50, 100), "a": rng.randint(-30, 300), "p": rng.random() < 0.5}
-        now, value = valuation["curT"], ex.eval_expr(expr, valuation)
-        changes = [x for x in range(now + 1, now + 400) if ex.eval_expr(expr, {**valuation, "curT": x}) != value]
-        first = changes[0] if changes else math.inf
+        now, values = valuation["curT"], [ex.eval_expr(expr, valuation) for expr in exprs]
+        changes = (
+            x for x in range(now + 1, now + 400)
+            if [ex.eval_expr(expr, {**valuation, "curT": x}) for expr in exprs] != values
+        )
+        first = next(changes, math.inf)
         assert now < bound(valuation) <= first
         if exact and first < now + 300:
             assert bound(valuation) == first
@@ -423,6 +425,26 @@ def test_clock_bound_is_the_next_change(text, exact):
             assert bound(valuation) == now + 1
 
 
+@pytest.mark.parametrize("text, exact", _CLOCK_CASES)
+def test_clock_bound_is_the_next_change(text, exact):
+    """For linear comparisons the bound is the next change."""
+    _assert_next_change([text], exact)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_clock_bound_of_several_trees_is_the_least_of_their_bounds(seed):
+    """Several trees, their fixed breakpoints merged into one list, have the
+    bound of their first change: the least of their own bounds."""
+    rng = random.Random(seed)
+    cases = rng.sample(_CLOCK_CASES, 3)
+    _assert_next_change([text for text, _ in cases], all(exact for _, exact in cases))
+    bounds = [ex.compile_bound([ex.parse_expr(text)], _CLOCK_KINDS, "curT") for text, _ in cases]
+    together = ex.compile_bound([ex.parse_expr(text) for text, _ in cases], _CLOCK_KINDS, "curT")
+    for now in range(-50, 100):
+        valuation = {"curT": now, "a": rng.randint(-30, 300), "p": rng.random() < 0.5}
+        assert together(valuation) == min(bound(valuation) for bound in bounds)
+
+
 def test_clock_bound_of_clock_free_expression_is_none():
     for text in ("a > 3", "p || a*a == 4", "a + 1", "true"):
-        assert ex.compile_bound(ex.parse_expr(text), _CLOCK_KINDS, "curT") is None
+        assert ex.compile_bound([ex.parse_expr(text)], _CLOCK_KINDS, "curT") is None

@@ -200,6 +200,14 @@ def test_validate_duplicate_state_cites_both():
          ["states[2](s): duplicate state name 's' (also states[0])"]),
         ({"transitions": (m.Transition("s", "s", trigger="Go"),)},
          ["transitions[0](s->s): trigger names undeclared event 'Go'"]),
+        # one cycle is one minute: no other period is read as a cycle
+        ({"transitions": (m.Transition("s", "s", trigger="every 600s"),)},
+         ["transitions[0](s->s): trigger 'every 600s' is not one minute: use 'tick' or 'every 60s'"]),
+        ({"transitions": (m.Transition("s", "s", trigger="every 1s"),)},
+         ["transitions[0](s->s): trigger 'every 1s' is not one minute: use 'tick' or 'every 60s'"]),
+        ({"transitions": (m.Transition("s", "s", trigger="every 060s"),)},
+         ["transitions[0](s->s): trigger 'every 060s' is not one minute: use 'tick' or 'every 60s'"]),
+        ({"transitions": (m.Transition("s", "s", trigger="tick"), m.Transition("s", "s", trigger="every 60s"))}, []),
         ({"transitions": (m.Transition("s", "s", guard=ex.IntLit(1)),)},
          ["transitions[0](s->s).guard: guard must be boolean-typed"]),
         ({"states": (m.State("s", annotations=(m.Annotation(()),)),)},
@@ -290,6 +298,7 @@ def test_raised_actions_are_declared_events():
 def test_trigger_forms():
     assert m.is_tick_trigger("tick")
     assert m.is_tick_trigger("every 60s")
+    assert not m.is_tick_trigger("every 600s")
     assert not m.is_tick_trigger("CTscan")
     assert not m.is_tick_trigger(None)
 

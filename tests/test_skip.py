@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from resweave import expr as ex
 from resweave import sim, verify
 from resweave.cli import build_composition
 from resweave.model import parse_model
@@ -129,6 +130,57 @@ def test_minutes_skipped_is_pinned(request, composition, scenario, skipped):
     state = sim.init_composition(composition, resolved)
     sim.run(state, 720)
     assert state.minutes_skipped == skipped
+
+
+def test_a_guard_after_an_enabled_no_op_self_loop_bounds_the_skip():
+    """The enabled self-loop always wins, so `curT > 50` is never what picks a
+    transition; yet it is one of the state's event-free leaving guards, so
+    its bound ends the skip at minute 51, the same as any other clock guard."""
+    chart = {
+        "name": "G",
+        "variables": [{"name": "curT", "kind": "integer", "initial": 0}, {"name": "n", "kind": "integer", "initial": 0}],
+        "states": [{"name": "Wait"}, {"name": "Go"}],
+        "transitions": [
+            {"source": "Wait", "target": "Wait", "guard": "n == 0", "actions": ["n = 0"]},
+            {"source": "Wait", "target": "Go", "guard": "curT > 50"},
+        ],
+        "initial": "Wait",
+    }
+    composition = sim.Composition(synthesize_timer(), (), (parse_model(json.dumps(chart)),))
+    state = sim.init_composition(composition, sim.Scenario())
+    trace = sim.run(state, 100)
+    assert sim.trace_to_json(trace) == sim.trace_to_json(sim.trace_of(plain_run(composition, sim.Scenario(), 100)))
+    assert state.active["G"] == "Wait"
+    # minutes 1 and 51 run; 2..50 and 52..100 are skipped
+    assert state.minutes_skipped == 49 + 49
+
+
+def test_each_bound_is_built_once(monkeypatch, delayed_composition, simple_scenario):
+    built = []
+    compile_bound = ex.compile_bound
+
+    def counting(trees, kinds, clock):
+        built.append(trees)
+        return compile_bound(trees, kinds, clock)
+
+    monkeypatch.setattr(ex, "compile_bound", counting)
+    charts = (delayed_composition.resources, delayed_composition.guidelines)
+    composition = sim.Composition(delayed_composition.timer, *charts)
+    resolved = verify.enumerate_scenarios(simple_scenario)
+    for scenario in resolved:
+        sim.run(sim.init_composition(composition, scenario), 720)
+    states = sum(len(chart.states) for chart in composition.resources + composition.guidelines)
+    assert 0 < len(built) <= states
+    once = len(built)  # one per state that ended an idle minute
+    for scenario in resolved:
+        sim.run(sim.init_composition(composition, scenario), 720)
+    assert len(built) == once
+    properties = verify.parse_properties(fixture_text("props_simple.txt"), composition)
+    verdicts = verify.check(composition, simple_scenario, properties, 720)
+    # one bound per set of invariants still observed: both, then P1 alone once P2 fails in the first scenario
+    assert [v.counterexample.scenario_index for v in verdicts if not v.holds] == [0]
+    assert len(built) == once + 2
+    assert built[-1] == [p.predicate for p in properties if p.name == "P1"]
 
 
 def test_nothing_is_skipped_when_a_guideline_fires_every_minute():
