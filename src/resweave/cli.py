@@ -107,14 +107,7 @@ def build_composition(
     integrated = weave.integrate(annotated)
     unscheduled = res.ALWAYS if assume_available else ()
     charts = tuple(res.synthesize_resource_chart(r, schedule.entries.get(r, unscheduled)) for r in resources)
-    composition = sim.Composition(res.synthesize_timer(), charts, (integrated,))
-    return composition, warnings
-
-
-def _load_schedule(args) -> res.AvailabilitySchedule:
-    if args.schedule:
-        return res.parse_schedule(_read_text(args.schedule))
-    return res.AvailabilitySchedule({}, res.DEFAULT_HORIZON)
+    return sim.Composition(res.synthesize_timer(), charts, (integrated,)), warnings
 
 
 def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
@@ -126,14 +119,12 @@ def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
             )
         composition = load_manifest(args.manifest)
         return composition, [], Path(args.manifest).stem
-    if not args.model or not args.map:
+    if args.model is None or args.map is None:
         raise _CommandError("either --manifest or both --model and --map are required")
     model = parse_model(_read_text(args.model))
     resource_map = res.parse_resource_map(_read_text(args.map))
-    schedule = _load_schedule(args)
-    composition, warnings = build_composition(
-        model, resource_map, schedule, args.assume_available
-    )
+    schedule = res.parse_schedule(_read_text(args.schedule)) if args.schedule else res.AvailabilitySchedule({})
+    composition, warnings = build_composition(model, resource_map, schedule, args.assume_available)
     return composition, warnings, Path(args.model).stem
 
 
@@ -152,7 +143,7 @@ def write_manifest(composition: sim.Composition, out_dir: Path, guideline_names:
         "timer": names[composition.timer.name] if composition.timer is not None else None,
         "resources": [names[chart.name] for chart in composition.resources],
         "guidelines": [names[chart.name] for chart in composition.guidelines],
-        "variables": [asdict(v) for v in composition.merged_variables()],
+        "variables": [asdict(v) for v in composition.variables],
     }
     path = out_dir / "composition.json"
     _write_text(path, json.dumps(manifest, indent=2) + "\n")
@@ -166,21 +157,22 @@ def load_manifest(path: str) -> sim.Composition:
     expect_object(root, {"timer", "resources", "guidelines", "variables"}, path)
     base = Path(path).parent
 
-    def chart(name: str) -> StatechartModel:
+    def chart(name, key: str) -> StatechartModel:
+        """The chart of the file `name` that the manifest gives under `key`."""
+        if not expect(name, str, f"{path}: {key}", "a chart file name"):
+            raise _CommandError(f"{path}: {key}: expected a chart file name, found an empty string")
         chart_path = str(base / name)
         return _naming(chart_path, parse_model, _read_text(chart_path))
 
     timer = expect(root.get("timer"), (str, type(None)), f"{path}: timer", "a chart file name or null")
-    charts = [chart(timer) if timer else None]
+    charts = [None if timer is None else chart(timer, "timer")]
     for key in ("resources", "guidelines"):
         names = expect(root.get(key, []), list, f"{path}: {key}", "a list of chart file names")
-        charts.append(tuple(
-            chart(expect(name, str, f"{path}: {key}[{i}]", "a chart file name")) for i, name in enumerate(names)
-        ))
+        charts.append(tuple(chart(name, f"{key}[{i}]") for i, name in enumerate(names)))
     composition = _naming(path, sim.Composition, *charts)
     variables = expect(root.get("variables", []), list, f"{path}: variables", "a list")
     declared = {variable_from_obj(obj, f"{path}: variables[{i}]") for i, obj in enumerate(variables)}
-    if declared and declared != set(composition.merged_variables()):
+    if declared and declared != set(composition.variables):
         raise _CommandError(f"{path}: manifest variables disagree with the chart declarations")
     return composition
 
@@ -232,17 +224,10 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    model = parse_model(_read_text(args.model))
-    resource_map = res.parse_resource_map(_read_text(args.map))
-    schedule = _load_schedule(args)
-    composition, warnings = build_composition(model, resource_map, schedule, args.assume_available)
+    composition, warnings, stem = _load_composition(args)
     _warn(args, warnings)
-    out_dir = Path(args.out)
-    stem = Path(args.model).stem
     guideline = composition.guidelines[0]
-    manifest_path = write_manifest(
-        composition, out_dir, {guideline.name: f"{stem}.integrated.json"}
-    )
+    manifest_path = write_manifest(composition, Path(args.out), {guideline.name: f"{stem}.integrated.json"})
     _emit(args, f"wrote {manifest_path}")
     return 0
 
@@ -415,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     _add_schedule(p)
     _add_outputs(p)
-    p.set_defaults(func=cmd_integrate)
+    p.set_defaults(func=cmd_integrate, manifest=None)
 
     p = sub.add_parser("simulate", help="run one resolved scenario and write traces")
     _add_composition_source(p)

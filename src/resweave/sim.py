@@ -78,9 +78,9 @@ class _StateCode(NamedTuple):
 
 
 class _ChartIndex:
-    """A chart's states and outgoing transitions by name, each state's
-    compiled expressions, built the first time the chart is in that state,
-    and each state's clock bound, built the first time it ends an idle minute."""
+    """A chart's runtime: states and outgoing transitions by name, each state's
+    compiled expressions, built the first time the chart is in it, and each
+    state's clock bound, built the first time it ends an idle minute."""
 
     def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
@@ -132,31 +132,20 @@ class _ChartIndex:
         return self._guard(guard), action.target, self._composition.compiled(action.value)
 
 
-@dataclass(frozen=True)
 class Composition:
     """Charts in execution order: timer, then resource charts, then guidelines.
 
     Checked and indexed once, when built: at least one chart, unique chart
     names, every chart valid (read from its kept `diagnostics`, so a chart
     `parse_model` returned is not validated again), and same-name
-    declarations in agreement. An expression is compiled the first time it
-    is evaluated, and kept.
+    declarations in agreement; one `_ChartIndex` per chart, in `runtimes` in
+    execution order and in `indexes` by name. An expression is compiled the
+    first time it is evaluated, and kept.
     """
 
-    timer: StatechartModel | None = None
-    resources: tuple[StatechartModel, ...] = ()
-    guidelines: tuple[StatechartModel, ...] = ()
-    _variables: tuple[VariableDecl, ...] = field(init=False, repr=False, compare=False)
-    kinds: dict[str, str] = field(init=False, repr=False, compare=False)  # variable -> kind
-    indexes: dict[str, _ChartIndex] = field(init=False, repr=False, compare=False)
-    # id(expr) -> (expr, function): the tree stays alive here, so its id is not reused
-    _compiled: dict = field(init=False, repr=False, compare=False)
-    # Whether idle minutes may be skipped: the timer is the synthesized clock.
-    skips_idle: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "resources", tuple(self.resources))
-        object.__setattr__(self, "guidelines", tuple(self.guidelines))
+    def __init__(self, timer: StatechartModel | None = None, resources=(), guidelines=()):
+        self.timer, self.resources, self.guidelines = timer, tuple(resources), tuple(guidelines)
+        self.charts = (() if timer is None else (timer,)) + self.resources + self.guidelines
         if not self.charts:
             raise SimulationError("composition has no charts")
         counts = Counter(chart.name for chart in self.charts)
@@ -176,22 +165,15 @@ class Composition:
                         f"{previous[0].initial!r} in chart {previous[1]!r} but as "
                         f"{decl.kind}={decl.initial!r} in chart {chart.name!r}"
                     )
-        object.__setattr__(self, "_variables", tuple(decl for decl, _ in merged.values()))
-        object.__setattr__(self, "kinds", {decl.name: decl.kind for decl in self._variables})
-        object.__setattr__(self, "_compiled", {})
-        object.__setattr__(self, "skips_idle", self.timer == synthesize_timer())
-        object.__setattr__(
-            self, "indexes", {chart.name: _ChartIndex(chart, self) for chart in self.charts}
-        )
-
-    @property
-    def charts(self) -> tuple[StatechartModel, ...]:
-        head = (self.timer,) if self.timer is not None else ()
-        return head + self.resources + self.guidelines
-
-    def merged_variables(self) -> tuple[VariableDecl, ...]:
-        """Union of chart declarations, in first-declaration order."""
-        return self._variables
+        # the union of chart declarations, in first-declaration order
+        self.variables = tuple(decl for decl, _ in merged.values())
+        self.kinds = {decl.name: decl.kind for decl in self.variables}
+        # id(expr) -> (expr, function): the tree stays alive here, so its id is not reused
+        self._compiled = {}
+        # Whether idle minutes may be skipped: the timer is the synthesized clock.
+        self.skips_idle = timer == synthesize_timer()
+        self.runtimes = tuple(_ChartIndex(chart, self) for chart in self.charts)
+        self.indexes = {runtime.chart.name: runtime for runtime in self.runtimes}
 
     def compiled(self, expr: ex.Expr):
         """`expr` as a function of the valuation (`ex.compile_expr` against the
@@ -289,7 +271,7 @@ def _is_literal(value) -> bool:
 def validate_scenario(scenario: Scenario, composition: Composition) -> None:
     """Check every referenced variable is declared with a matching kind,
     every value is a boolean or a 64-bit integer, and no choice variable is
-    declared twice."""
+    declared twice or also set in `initial`."""
     kinds = composition.kinds
 
     def check(var: str, value, where: str) -> None:
@@ -312,6 +294,8 @@ def validate_scenario(scenario: Scenario, composition: Composition) -> None:
     if twice:
         raise ScenarioError(f"choice {twice[0]!r} is declared more than once")
     for choice in scenario.choices:
+        if choice.var in scenario.initial:
+            raise ScenarioError(f"choice {choice.var!r} is also set in initial")
         if not choice.domain:
             raise ScenarioError(f"choice {choice.var!r} has an empty domain")
         for value in choice.domain:
@@ -462,13 +446,13 @@ def out_of_range(chart: str, minute: int, target: str) -> str:
     return f"chart {chart!r} at minute {minute}: {target!r} would be set to a value outside the 64-bit range"
 
 
-def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list) -> None:
+def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list) -> None:
     """Fire the transition declared at `index`, or enter the initial state when it is None.
 
     The fire is recorded in `fires` unless it is a self-loop that set
     nothing and raised nothing.
     """
-    chart = charts.chart
+    chart = runtime.chart
     sets: list[tuple[str, int | bool]] = []
     mark = len(state.pending_events)
     if index is None:
@@ -476,25 +460,25 @@ def _fire(state: SimState, charts: _ChartIndex, index: int | None, fires: list) 
     else:
         transition = chart.transitions[index]
         source, target = transition.source, transition.target
-        code = charts.code(source)
+        code = runtime.code(source)
         _run_actions(state, chart.name, code.exit, sets)
         _run_actions(state, chart.name, code.actions[index], sets)
     state.active[chart.name] = target
-    _run_actions(state, chart.name, charts.code(target).entry, sets)
+    _run_actions(state, chart.name, runtime.code(target).entry, sets)
     if source != target or sets or len(state.pending_events) > mark:
         fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
 
 
-def _chart_cycle(state: SimState, chart: StatechartModel, fires: list, chosen: dict[str, int] | None) -> None:
-    charts = state.composition.indexes[chart.name]
+def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list, chosen: dict[str, int] | None) -> None:
+    name = runtime.chart.name
     if chosen is None:
         valuation = state.valuation
-        for index, event, guard in charts.code(state.active[chart.name]).leaving:
+        for index, event, guard in runtime.code(state.active[name]).leaving:
             if (event is None or event in state.pending_events) and (guard is None or guard(valuation)):
-                _fire(state, charts, index, fires)
+                _fire(state, runtime, index, fires)
                 return
-    elif chart.name in chosen:
-        _fire(state, charts, chosen[chart.name], fires)
+    elif name in chosen:
+        _fire(state, runtime, chosen[name], fires)
 
 
 def _inject(state: SimState, t: int, injected: list) -> None:
@@ -531,7 +515,7 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     state = SimState(
         composition=composition,
         active={},
-        valuation={decl.name: decl.initial for decl in composition.merged_variables()},
+        valuation={decl.name: decl.initial for decl in composition.variables},
         pending_events=[],
         steps=[],
         injections_by_time=injections_by_time,
@@ -541,8 +525,8 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
     _inject(state, 0, injected)
-    for charts in composition.indexes.values():
-        _fire(state, charts, None, fires)
+    for runtime in composition.runtimes:
+        _fire(state, runtime, None, fires)
     _report(state, 0, injected, fires, before)
     return state
 
@@ -558,14 +542,13 @@ def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepRep
     before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
-    composition = state.composition
-    if composition.timer is not None:
-        _chart_cycle(state, composition.timer, fires, chosen)
+    runtimes = state.composition.runtimes
+    timed = state.composition.timer is not None  # the timer runs before the injections
+    if timed:
+        _chart_cycle(state, runtimes[0], fires, chosen)
     _inject(state, t, injected)
-    for chart in composition.resources:
-        _chart_cycle(state, chart, fires, chosen)
-    for chart in composition.guidelines:
-        _chart_cycle(state, chart, fires, chosen)
+    for runtime in runtimes[timed:]:
+        _chart_cycle(state, runtime, fires, chosen)
     return _report(state, t, injected, fires, before)
 
 
@@ -585,8 +568,8 @@ def skip_idle(state: SimState, horizon: int, watched=None) -> None:
         return
     t, valuation = report.t, state.valuation
     now = valuation[CLOCK_VARIABLE]
-    charts = composition.resources + composition.guidelines
-    bounds = [watched, *(composition.indexes[c.name].bound(state.active[c.name]) for c in charts)]
+    # skips_idle: runtimes[0] is the timer
+    bounds = [watched, *(r.bound(state.active[r.chart.name]) for r in composition.runtimes[1:])]
     # the first minute that must run
     stop = min([horizon + 1, t + ex.INT_MAX + 1 - now, *(due for due in state.injections_by_time if due > t),
                 *(t + bound(valuation) - now for bound in bounds if bound is not None)])
@@ -607,7 +590,7 @@ def trace_of(state: SimState) -> Trace:
     chart, and its deltas are the changes from the declaration defaults.
     """
     init = state.steps[0]
-    valuation = {decl.name: decl.initial for decl in state.composition.merged_variables()}
+    valuation = {decl.name: decl.initial for decl in state.composition.variables}
     valuation.update(init.deltas)
     return Trace({fire.chart: fire.target for fire in init.fires}, valuation, tuple(state.steps))
 

@@ -13,6 +13,10 @@ broadcast channel emissions.
 Variable initializers are the values after composition initialization, which
 bakes the t=0 entry effects of initial states into the declarations.
 
+Names are written flat: a dot becomes `_` (`RES.tPA` is `RES_tPA`), and a
+name spelled like a word the language reserves (`RESERVED`) gets a `_`
+appended (`urgent` is `urgent_`). Two names written alike are refused.
+
 The exportable subset excludes event-triggered transitions, guarded exit
 actions, edges that would carry more than one raise, one name used for more
 than one of a variable, an event and a chart (the document declares them in
@@ -34,9 +38,22 @@ class ExportError(ResweaveError):
     pass
 
 
+# The words of the timed-automata language, which no identifier may spell:
+# those this module writes, and the rest of the language's keywords.
+RESERVED = frozenset({
+    "int", "bool", "broadcast", "chan", "process", "clock", "state", "init", "trans", "guard", "sync",
+    "assign", "system", "true", "false", "imply", "urgent", "commit", "const", "select", "and", "or",
+    "not", "forall", "exists", "void", "return", "if", "else", "for", "while", "do", "break",
+    "continue", "switch", "case", "default", "struct", "typedef", "meta", "priority", "progress",
+    "deadlock", "scalar", "double",
+})
+
+
 def _flat(name: str) -> str:
-    """Timed-automata identifiers have no dots: `RES.tPA` becomes `RES_tPA`."""
-    return name.replace(".", "_")
+    """Timed-automata identifiers have no dots and spell no reserved word:
+    `RES.tPA` becomes `RES_tPA`, and `urgent` becomes `urgent_`."""
+    flat = name.replace(".", "_")
+    return flat + "_" if flat in RESERVED else flat
 
 
 def _check_injective(names, what: str) -> None:
@@ -182,7 +199,7 @@ def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str
 
 def export_xta(composition: Composition) -> str:
     """Deterministic timed-automata document for the composition."""
-    variables = composition.merged_variables()
+    variables = composition.variables
     events = dict.fromkeys(event for chart in composition.charts for event in chart.events)  # first-seen order
     chart_names = [chart.name for chart in composition.charts]
 
@@ -249,16 +266,15 @@ _EDGE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)
 _SYSTEM_RE = re.compile(r"system\s+(.+);\Z")
 _IDENT_SCAN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_XTA_KEYWORDS = {"guard", "sync", "assign", "true", "false"}
-
 
 def scan_xta(text: str) -> list[str]:
     """Well-formedness problems in a produced document; empty when clean.
 
     Checks balanced braces, section shape, that no global identifier
-    (variable, channel or process) is declared twice, and that every
-    identifier used in an edge label or invariant is declared (global
-    variable/channel, local clock, or location where appropriate).
+    (variable, channel or process) is declared twice, that no declared
+    identifier spells a reserved word, and that every identifier used in an
+    edge label or invariant is declared (global variable/channel, local
+    clock, or location where appropriate).
     """
     problems: list[str] = []
     if text.count("{") != text.count("}"):
@@ -271,13 +287,18 @@ def scan_xta(text: str) -> list[str]:
     locals_seen: set[str] = set()
     saw_system = False
 
+    def reserved(name: str, lineno: int) -> None:
+        if name in RESERVED:
+            problems.append(f"line {lineno}: reserved word {name!r} declared as an identifier")
+
     def declare(name: str, lineno: int) -> None:
+        reserved(name, lineno)
         if name in globals_seen or name in process_names:  # one namespace
             problems.append(f"line {lineno}: global identifier {name!r} declared twice")
 
     def check_expr_idents(fragment: str, where: str) -> None:
         for ident in _IDENT_SCAN.findall(fragment):
-            if ident in _XTA_KEYWORDS:
+            if ident in RESERVED:
                 continue
             if ident not in globals_seen and ident not in locals_seen:
                 problems.append(f"{where}: undeclared identifier {ident!r}")
@@ -317,6 +338,7 @@ def scan_xta(text: str) -> list[str]:
             if line == "trans":
                 continue
             if match := _CLOCK_RE.match(line):
+                reserved(match.group(1), lineno)
                 locals_seen.add(match.group(1))
                 continue
             if match := _STATE_RE.match(line):
@@ -325,6 +347,7 @@ def scan_xta(text: str) -> list[str]:
                     if "{" in name:  # invariant attached
                         name, _, invariant = name.partition("{")
                         check_expr_idents(invariant.rstrip("} "), f"line {lineno}")
+                    reserved(name.strip(), lineno)
                     locations.add(name.strip())
                 continue
             if match := _INIT_RE.match(line):

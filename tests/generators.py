@@ -280,7 +280,7 @@ def _additive(model: StatechartModel) -> StatechartModel:
 
 
 def gen_timed_invariants(rng: random.Random, composition: Composition, horizon: int) -> list[Invariant]:
-    flags = tuple(v.name for v in composition.merged_variables() if v.name.startswith("RES."))
+    flags = tuple(v.name for v in composition.variables if v.name.startswith("RES."))
     invariants = gen_invariants(rng, composition)
     for i in range(len(invariants), len(invariants) + rng.randint(1, 3)):
         location = None
@@ -317,6 +317,8 @@ def gen_scenario(rng: random.Random, horizon: int) -> Scenario:
         else:
             domain = tuple(rng.sample(range(0, 40), rng.randint(2, 4)))
             choices.append(Choice(var, domain))
+    for choice in choices:  # a choice variable is not also set in `initial`
+        initial.pop(choice.var, None)
     return Scenario(initial, tuple(injections), tuple(choices), horizon)
 
 

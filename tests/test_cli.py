@@ -942,9 +942,15 @@ def test_a_json_integer_of_thousands_of_digits_exits_2(tmp_path, capsys, command
          "cannot read {dir}/nowhere.json: No such file or directory"),
         ("composition.json", lambda text: text.replace('"tPA.json"', "5"),
          "{file}: resources[2]: expected a chart file name, found int"),
+        ("composition.json", lambda text: text.replace('"Timer.json"', '""'),
+         "{file}: timer: expected a chart file name, found an empty string"),
+        ("composition.json", lambda text: text.replace('"CT_machine.json"', '""'),
+         "{file}: resources[0]: expected a chart file name, found an empty string"),
+        ("composition.json", lambda text: text.replace('"stroke_simple.integrated.json"', '""'),
+         "{file}: guidelines[0]: expected a chart file name, found an empty string"),
     ],
     ids=["chart-shape", "chart-semantics", "chart-json", "manifest-duplicate-chart", "manifest-missing-chart",
-         "manifest-shape"],
+         "manifest-shape", "manifest-empty-timer", "manifest-empty-resource", "manifest-empty-guideline"],
 )
 def test_a_refusal_under_a_manifest_starts_with_its_file(tmp_path, capsys, name, edit, message):
     manifest = _integrate_delayed(tmp_path)
@@ -966,10 +972,10 @@ def test_a_closed_stdout_stops_the_echo_not_the_command(tmp_path, argv, exit_cod
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"),
                                                                      os.environ.get("PYTHONPATH")]))}
     command = [sys.executable, "-m", "resweave", *map(str, argv), "--out", str(tmp_path)]
-    process = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    process.stdout.close()  # the reader goes before the first line is written
-    err = process.stderr.read()
-    assert process.wait(timeout=120) == exit_code and err == b""
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as process:
+        process.stdout.close()  # the reader goes before the first line is written
+        err = process.stderr.read()
+        assert process.wait(timeout=120) == exit_code and err == b""
     assert all((tmp_path / name).stat().st_size for name in written)
 
 
@@ -1005,3 +1011,31 @@ def test_a_choice_variable_declared_twice_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", tmp_path / "out") == 2
     assert capsys.readouterr().err == "error: choice 'hemorrhage' is declared more than once\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [DELAYED_CHECK, DELAYED_SIMULATE], ids=["check", "simulate"])
+def test_a_choice_variable_also_set_in_initial_exits_2(tmp_path, capsys, argv):
+    scenario = json.loads((FIXTURES / "scenario_simple.json").read_text())
+    scenario["initial"]["hemorrhage"] = True
+    path = tmp_path / "set-and-chosen.json"
+    path.write_text(json.dumps(scenario))
+    argv = list(argv)
+    argv[argv.index("--scenario") + 1] = path
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: choice 'hemorrhage' is also set in initial\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, exit_code, digests", [PINNED_OUTPUTS[0], PINNED_OUTPUTS[2]])
+def test_the_minute_loop_looks_no_chart_up_by_name(tmp_path, capsys, monkeypatch, argv, exit_code, digests):
+    """With `indexes` emptied once the properties are read, the pinned outputs still come out."""
+
+    def unindexed(function):
+        def call(composition, *args):
+            composition.indexes = {}
+            return function(composition, *args)
+        return call
+
+    monkeypatch.setattr(cli.chk, "check", unindexed(cli.chk.check))
+    monkeypatch.setattr(cli.sim, "init_composition", unindexed(cli.sim.init_composition))
+    test_output_bytes_are_pinned(tmp_path, capsys, argv, exit_code, digests)

@@ -89,6 +89,22 @@ def test_hand_built_invalid_chart_rejected():
         sim.Composition(guidelines=(bad,))
 
 
+def test_a_composition_builds_one_runtime_per_chart_in_execution_order(delayed_composition, monkeypatch):
+    built = []
+
+    class Counted(sim._ChartIndex):
+        def __init__(self, chart, composition):
+            built.append(chart.name)
+            super().__init__(chart, composition)
+
+    monkeypatch.setattr(sim, "_ChartIndex", Counted)
+    charts = (delayed_composition.timer, delayed_composition.resources, delayed_composition.guidelines)
+    composition = sim.Composition(*charts)
+    assert built == ["Timer", "CT_machine", "CT_technician", "tPA", "Stroke"]
+    assert [runtime.chart for runtime in composition.runtimes] == list(composition.charts)
+    assert composition.indexes == {runtime.chart.name: runtime for runtime in composition.runtimes}
+
+
 def test_quiet_chart_reports_no_fires():
     chart = StatechartModel("Quiet", states=(State("s"),), initial_state="s")
     state = sim.init_composition(sim.Composition(guidelines=(chart,)), sim.Scenario())

@@ -286,3 +286,62 @@ def test_clock_process_conjoins_its_loop_guard(guard, label):
     document = export_xta(Composition(timer=chart))
     assert f"        s -> s {{ {label} assign x = 0, curT++; }};\n" in document
     assert scan_xta(document) == []
+
+
+def test_reserved_words_are_written_with_an_underscore():
+    chart = parse_model(json.dumps({
+        "name": "Words",
+        "variables": [{"name": "urgent", "kind": "boolean", "initial": False},
+                      {"name": "clock", "kind": "integer", "initial": 0}],
+        "states": [{"name": "S"}, {"name": "init"}],
+        "transitions": [{"source": "S", "target": "init", "guard": "!urgent && clock<3",
+                         "actions": ["clock = clock + 1"]}],
+        "initial": "S",
+    }))
+    composition = Composition(guidelines=(chart,))
+    document = export_xta(composition)
+    assert document == (
+        "bool urgent_ = false;\n"
+        "int clock_ = 0;\n"
+        "\n"
+        "process Words() {\n"
+        "    state S, init_;\n"
+        "    init S;\n"
+        "    trans\n"
+        "        S -> init_ { guard !urgent_ && clock_<3; assign clock_++; };\n"
+        "}\n"
+        "\n"
+        "system Words;\n"
+    )
+    assert scan_xta(document) == []
+    properties = verify.parse_properties("P: A[] Words.init imply !urgent || clock>=0\n", composition)
+    assert export_queries(properties) == "//P\nA[] Words.init_ imply !urgent_ || clock_>=0\n"
+
+
+def test_a_name_written_like_a_renamed_reserved_word_is_refused():
+    chart = StatechartModel(
+        "Coll",
+        variables=(VariableDecl("urgent", "boolean", False), VariableDecl("urgent_", "boolean", False)),
+        states=(State("s"),),
+        initial_state="s",
+    )
+    with pytest.raises(ExportError) as err:
+        export_xta(Composition(guidelines=(chart,)))
+    assert str(err.value) == (
+        "name flattening collides in the global declarations: 'urgent' and 'urgent_' both map to 'urgent_'"
+    )
+
+
+@pytest.mark.parametrize(
+    "declarations, state, problems",
+    [
+        ("bool urgent = false;\n", "s", ["line 1: reserved word 'urgent' declared as an identifier"]),
+        ("broadcast chan select;\n", "s", ["line 1: reserved word 'select' declared as an identifier"]),
+        ("", "s, init", ["line 3: reserved word 'init' declared as an identifier"]),
+        ("bool urgent_ = false;\n", "s, init_", []),
+    ],
+    ids=["variable", "channel", "location", "renamed"],
+)
+def test_scanner_flags_a_reserved_word_declared_as_an_identifier(declarations, state, problems):
+    document = f"{declarations}\nprocess P() {{\n    state {state};\n    init s;\n}}\n\nsystem P;\n"
+    assert scan_xta(document) == problems
