@@ -112,8 +112,8 @@ def build_composition(
 
 def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
     """Composition from --manifest, or built from --model/--map/--schedule."""
-    if args.manifest:
-        if args.model or args.map or args.schedule or args.assume_available:
+    if args.manifest is not None:
+        if args.assume_available or any(flag is not None for flag in (args.model, args.map, args.schedule)):
             raise _CommandError(
                 "--manifest cannot be combined with --model/--map/--schedule/--assume-available"
             )
@@ -123,7 +123,9 @@ def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
         raise _CommandError("either --manifest or both --model and --map are required")
     model = parse_model(_read_text(args.model))
     resource_map = res.parse_resource_map(_read_text(args.map))
-    schedule = res.parse_schedule(_read_text(args.schedule)) if args.schedule else res.AvailabilitySchedule({})
+    schedule = res.AvailabilitySchedule({})
+    if args.schedule is not None:
+        schedule = res.parse_schedule(_read_text(args.schedule))
     composition, warnings = build_composition(model, resource_map, schedule, args.assume_available)
     return composition, warnings, Path(args.model).stem
 
@@ -236,19 +238,18 @@ def cmd_simulate(args) -> int:
     composition, warnings, _ = _load_composition(args)
     _warn(args, warnings)
     scenario = _load_scenario(args, composition)
-    if args.choice:
-        assignment: dict[str, int | bool] = {}
-        for item in args.choice:
-            var, value = _parse_choice(item)
-            if var in assignment:
-                raise _CommandError(f"--choice gives {var!r} more than one value")
-            assignment[var] = value
-        scenario = scenario.resolve(assignment)
-    if not scenario.resolved:
-        unresolved = [c.var for c in scenario.choices]
+    assignment: dict[str, int | bool] = {}
+    for item in args.choice:
+        var, value = _parse_choice(item)
+        if var in assignment:
+            raise _CommandError(f"--choice gives {var!r} more than one value")
+        assignment[var] = value
+    unresolved = [c.var for c in scenario.choices if c.var not in assignment]
+    if unresolved:
         raise _CommandError(
             f"scenario has unresolved choices {unresolved}; pass --choice var=value for each"
         )
+    scenario = scenario.resolve(assignment)
     horizon = _effective_horizon(args, scenario)
     chk.check_work(1, horizon)
     state = sim.init_composition(composition, scenario)
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run(p)
     p.add_argument("--properties", required=True)
     p.add_argument("--scenario-cap", type=_integer(1), default=chk.DEFAULT_SCENARIO_CAP,
-                   help="largest allowed choice product (default: 10000)")
+                   help="largest allowed choice product (default: %(default)s)")
     _add_outputs(p)
     p.set_defaults(func=cmd_check)
 

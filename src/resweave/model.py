@@ -13,12 +13,12 @@ annotations appear as strings:
 
 Charts are flat: no composite or history states. Hierarchy is expressed by
 composing several charts in parallel (see `sim`). All types are immutable
-values after construction; semantic invariants are checked by
-`validate_model`. A model object is validated at most once: its
-`diagnostics` are computed on first use and kept, and both `parse_model`
-and `sim.Composition` read them. Within one document each distinct string
-is parsed once, and so is each distinct expression text, so equal strings
-share one tree.
+values after construction, and the readers build their sequence fields as
+tuples; semantic invariants are checked by `validate_model`. A model object
+is validated at most once: its `diagnostics` are computed on first use and
+kept, and both `parse_model` and `sim.Composition` read them. Within one
+document each distinct string is parsed once, and so is each distinct
+expression text, so equal strings share one tree.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class Annotation:
 
     resources: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "resources", tuple(self.resources))
-
 
 @dataclass(frozen=True)
 class Assign:
@@ -116,11 +113,6 @@ class State:
     exit_actions: tuple[GuardedAction, ...] = ()
     annotations: tuple[Annotation, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entry_actions", tuple(self.entry_actions))
-        object.__setattr__(self, "exit_actions", tuple(self.exit_actions))
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -131,10 +123,6 @@ class Transition:
     actions: tuple[Action, ...] = ()
     annotations: tuple[Annotation, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-
 
 @dataclass(frozen=True)
 class StatechartModel:
@@ -144,12 +132,6 @@ class StatechartModel:
     states: tuple[State, ...] = ()
     transitions: tuple[Transition, ...] = ()
     initial_state: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
 
     def state(self, name: str) -> State:
         """The first state called `name`; KeyError if there is none."""

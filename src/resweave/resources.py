@@ -61,11 +61,6 @@ class ResourceMap:
 
     entries: tuple[tuple[str, tuple[str, ...]], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((action, tuple(resources)) for action, resources in self.entries)
-        )
-
     def get(self, action: str) -> tuple[str, ...] | None:
         """The resources of the first entry for `action`, or None."""
         return self._by_action.get(action)

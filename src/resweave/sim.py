@@ -200,9 +200,6 @@ class Choice:
     var: str
     domain: tuple[int | bool, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -210,11 +207,6 @@ class Scenario:
     injections: tuple[Injection, ...] = ()
     choices: tuple[Choice, ...] = ()
     horizon: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial", dict(self.initial))
-        object.__setattr__(self, "injections", tuple(self.injections))
-        object.__setattr__(self, "choices", tuple(self.choices))
 
     @property
     def resolved(self) -> bool:
@@ -250,7 +242,7 @@ def parse_scenario(text: str) -> Scenario:
         path = f"choices[{i}]"
         expect_object(obj, {"var", "domain"}, path)
         var = expect(obj.get("var"), str, f"{path}.var", "a string")
-        choices.append(Choice(var, expect(obj.get("domain"), list, f"{path}.domain", "a list")))
+        choices.append(Choice(var, tuple(expect(obj.get("domain"), list, f"{path}.domain", "a list"))))
     horizon = root.get("horizon")
     if horizon is not None and expect(horizon, int, "horizon", "an integer") < 0:
         raise ModelFormatError(f"horizon: expected a nonnegative integer, found {horizon}")
@@ -612,7 +604,7 @@ def replay_trace(composition: Composition, trace: Trace) -> Trace:
     """
     if not trace.steps:
         raise SimulationError("trace has no initialization step")
-    injections = [Injection(step.t, var, value) for step in trace.steps for var, value in step.injected]
+    injections = tuple(Injection(step.t, var, value) for step in trace.steps for var, value in step.injected)
     state = init_composition(composition, Scenario(injections=injections))
     for step in trace.steps[1:]:
         macro_step(state, {fire.chart: fire.index for fire in step.fires})

@@ -125,14 +125,19 @@ def _check_invariant_names(invariant: Invariant, composition: Composition, linen
         raise PropertyError(f"line {lineno}: predicate must be boolean-typed")
 
 
-def enumerate_scenarios(scenario: Scenario, cap: int = DEFAULT_SCENARIO_CAP) -> list[Scenario]:
-    """Cartesian product over choice domains, lexicographic by declaration."""
+def enumerate_scenarios(scenario: Scenario, cap: int = DEFAULT_SCENARIO_CAP,
+                        horizon: int | None = None) -> list[Scenario]:
+    """Cartesian product over choice domains, lexicographic by declaration.
+    Before any scenario is built, a product above `cap` is refused, then,
+    given a horizon, one over the work budget."""
     size = math.prod(len(choice.domain) for choice in scenario.choices)
     if size > cap:
         raise ScenarioCapError(
             f"choice product has {size} scenarios, above the cap of {cap}; "
             "reduce the choice domains or raise --scenario-cap"
         )
+    if horizon is not None:
+        check_work(size, horizon)
     names = [choice.var for choice in scenario.choices]
     domains = [choice.domain for choice in scenario.choices]
     return [scenario.resolve(dict(zip(names, values))) for values in itertools.product(*domains)]
@@ -179,8 +184,7 @@ def check(
     """
     properties = list(properties)
     validate_scenario(scenario, composition)  # an empty choice domain would leave no scenario to check
-    resolved_scenarios = enumerate_scenarios(scenario, cap)
-    check_work(len(resolved_scenarios), horizon)
+    resolved_scenarios = enumerate_scenarios(scenario, cap, horizon)
     violations: dict[str, Counterexample] = {}
     @functools.cache
     def watch(observed: tuple[Invariant, ...]):

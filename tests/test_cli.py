@@ -1039,3 +1039,68 @@ def test_the_minute_loop_looks_no_chart_up_by_name(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli.chk, "check", unindexed(cli.chk.check))
     monkeypatch.setattr(cli.sim, "init_composition", unindexed(cli.sim.init_composition))
     test_output_bytes_are_pinned(tmp_path, capsys, argv, exit_code, digests)
+
+
+def test_a_choice_product_over_the_work_budget_is_refused_before_building(tmp_path, capsys, monkeypatch):
+    names = ["a", "b", "c", "d"]
+    model = {"name": "M", "variables": [{"name": n, "kind": "integer", "initial": 0} for n in names],
+             "states": [{"name": "s"}], "initial": "s"}
+    scenario = {"choices": [{"var": n, "domain": list(range(1000))} for n in names]}
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    (tmp_path / "p.txt").write_text("Q: A[] true\n")
+    monkeypatch.setattr(sim.Scenario, "resolve", None)  # never reached: 10**12 scenarios would not fit in memory
+    code = run_cli(
+        "check", "--model", tmp_path / "m.json", "--map", FIXTURES / "stroke_simple.map",
+        "--scenario", tmp_path / "s.json", "--properties", tmp_path / "p.txt",
+        "--scenario-cap", "1000000000000", "--horizon", "0", "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 1000000000000 scenario(s) x 1 minutes is above the work budget of 10000000 "
+        "scenario-minutes; lower the horizon or narrow the choices\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+CHECK_RUN = ("--scenario", FIXTURES / "scenario_simple.json", "--properties", FIXTURES / "props_simple.txt")
+COMBINED = "--manifest cannot be combined with --model/--map/--schedule/--assume-available"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "--manifest", "x", "--model", "", "--schedule", "", *CHECK_RUN), COMBINED),
+        (("check", "--manifest", "x", "--map", "", *CHECK_RUN), COMBINED),
+        (("check", "--manifest", "", *CHECK_RUN), "cannot read "),
+        (("check", "--model", FIXTURES / "stroke_simple.json", "--map", FIXTURES / "stroke_simple.map",
+          "--schedule", "", *CHECK_RUN), "cannot read "),
+        (("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--schedule", ""),
+         "cannot read "),
+    ],
+    ids=["manifest-with-empty-model-and-schedule", "manifest-with-empty-map", "empty-manifest",
+         "check-empty-schedule", "integrate-empty-schedule"],
+)
+def test_an_empty_composition_source_flag_is_used_as_given(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "choices, unresolved",
+    [
+        ((), "'hemorrhage', 'systolicBP', 'diastolicBP'"),
+        (("hemorrhage=false",), "'systolicBP', 'diastolicBP'"),
+        (("hemorrhage=false", "systolicBP=150"), "'diastolicBP'"),
+    ],
+    ids=["none", "one", "two"],
+)
+def test_an_unresolved_choice_is_refused_with_one_message(tmp_path, capsys, choices, unresolved):
+    choice_flags = [arg for choice in choices for arg in ("--choice", choice)]
+    assert run_cli(*DELAYED_SIMULATE[:9], *choice_flags, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario has unresolved choices [{unresolved}]; pass --choice var=value for each\n"
+    )
+    assert not (tmp_path / "out").exists()

@@ -1,11 +1,13 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from resweave import expr as ex
 from resweave import model as m
+from resweave import resources as res
+from resweave import sim
 
 from generators import gen_annotations, gen_model
 
@@ -370,3 +372,37 @@ def test_diagnostics_are_computed_once_per_model(monkeypatch):
     expected = (m.Diagnostic("initial", "initial state 'gone' is not a declared state"),)
     assert bad.diagnostics == bad.diagnostics == expected
     assert calls == [model, bad]
+
+
+def _records(value):
+    """Each record reachable from `value` through record fields and sequences."""
+    if is_dataclass(value):
+        yield value
+        for field in fields(value):
+            yield from _records(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _records(item)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["simple_model", "extended_model", "simple_map", "extended_map", "simple_scenario", "extended_scenario",
+     "delayed_composition"],
+)
+def test_readers_build_every_sequence_field_as_a_tuple(request, name):
+    # The records do not convert what they are given, so each reader and each
+    # weaving step must hand them tuples; a list anywhere would also make
+    # `hash()` raise TypeError.
+    value = request.getfixturevalue(name)
+    records = list(_records(value.charts if isinstance(value, sim.Composition) else value))
+    assert records
+    for record in records:
+        for field in fields(record):
+            where = f"{type(record).__name__}.{field.name}"
+            assert not isinstance(getattr(record, field.name), list), where
+            if str(field.type).startswith("tuple["):
+                assert isinstance(getattr(record, field.name), tuple), where
+        if not isinstance(record, sim.Scenario):  # its `initial` is a dict
+            hash(record)
+    assert any(isinstance(r, (m.StatechartModel, res.ResourceMap, sim.Choice, sim.Injection)) for r in records)

@@ -205,6 +205,19 @@ def test_replay_reproduces_trace(delayed_composition, simple_scenario):
     assert sim.trace_to_json(replayed) == sim.trace_to_json(trace)
 
 
+def test_replay_builds_its_injections_as_a_tuple(delayed_composition, simple_scenario, monkeypatch):
+    resolved = simple_scenario.resolve({"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100})
+    trace = sim.run(sim.init_composition(delayed_composition, resolved), 300)
+    scenarios = []
+    original = sim.init_composition
+    monkeypatch.setattr(sim, "init_composition", lambda c, s: scenarios.append(s) or original(c, s))
+    replayed = sim.replay_trace(delayed_composition, trace)
+    assert sim.trace_to_json(replayed) == sim.trace_to_json(trace)
+    (scenario,) = scenarios
+    assert isinstance(scenario.injections, tuple) and len(scenario.injections) == len(resolved.initial) + 1
+    hash(scenario.injections)
+
+
 def test_injection_visible_same_minute():
     chart = StatechartModel(
         "G",

@@ -5,6 +5,7 @@ import pytest
 from resweave import expr as ex
 from resweave import sim
 from resweave import verify
+from resweave.model import State, StatechartModel, VariableDecl
 from generators import gen_composition, gen_invariants, gen_scenario
 from oracle import oracle_check
 
@@ -252,6 +253,23 @@ def test_check_refuses_work_over_budget_before_stepping(monkeypatch, delayed_com
     monkeypatch.setattr(verify, "init_composition", None)  # never reached
     with pytest.raises(verify.WorkBudgetError):
         verify.check(delayed_composition, simple_scenario, properties, 99_999_999_999)
+
+
+def test_work_budget_is_checked_before_any_scenario_is_built(monkeypatch):
+    chart = StatechartModel(
+        "C", variables=(VariableDecl("a", "integer", 0), VariableDecl("b", "integer", 0)),
+        states=(State("s"),), initial_state="s",
+    )
+    composition = sim.Composition(guidelines=(chart,))
+    scenario = sim.Scenario(choices=(sim.Choice("a", tuple(range(200))), sim.Choice("b", tuple(range(200)))))
+    resolves = []
+    resolve = sim.Scenario.resolve
+    monkeypatch.setattr(sim.Scenario, "resolve", lambda self, choice: resolves.append(1) or resolve(self, choice))
+    with pytest.raises(verify.WorkBudgetError, match="40000 scenario"):
+        verify.check(composition, scenario, [], 1000, cap=10**6)
+    with pytest.raises(verify.ScenarioCapError, match="cap of 1000;"):  # the cap is checked first
+        verify.check(composition, scenario, [], 1000, cap=1000)
+    assert resolves == []
 
 
 def test_check_refuses_an_empty_choice_domain(delayed_composition):
