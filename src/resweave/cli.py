@@ -174,7 +174,7 @@ def load_manifest(path: str) -> sim.Composition:
     composition = _naming(path, sim.Composition, *charts)
     variables = expect(root.get("variables", []), list, f"{path}: variables", "a list")
     declared = {variable_from_obj(obj, f"{path}: variables[{i}]") for i, obj in enumerate(variables)}
-    if declared and declared != set(composition.variables):
+    if "variables" in root and declared != set(composition.variables):
         raise _CommandError(f"{path}: manifest variables disagree with the chart declarations")
     return composition
 
@@ -285,6 +285,8 @@ def cmd_check(args) -> int:
     _warn(args, warnings)
     scenario = _load_scenario(args, composition)
     properties = chk.parse_properties(_read_text(args.properties), composition)
+    if not properties:
+        raise _CommandError(f"{args.properties}: no property to check")
     horizon = _effective_horizon(args, scenario)
     verdicts = chk.check(composition, scenario, properties, horizon, args.scenario_cap)
     out_dir = Path(args.out)
@@ -309,7 +311,7 @@ def cmd_check(args) -> int:
             entry["counterexample_path"] = str(cx_path)
         rows.append(entry)
     _write_text(out_dir / "verdicts.json", json.dumps(rows, indent=2) + "\n")
-    width = max(len(r["property"]) for r in rows) if rows else 8
+    width = max(len(r["property"]) for r in rows)
     for row in rows:
         status = "holds" if row["holds"] else "FAILS"
         suffix = f"  {row['counterexample_path']}" if row["counterexample_path"] else ""

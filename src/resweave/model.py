@@ -153,6 +153,13 @@ def is_tick_trigger(trigger: str | None) -> bool:
     return trigger in _TICKS
 
 
+def fire_actions(chart: StatechartModel, transition: Transition) -> tuple[GuardedAction, ...]:
+    """What firing `transition` of `chart` runs, in order: the source's exit actions, the
+    transition's own actions (unguarded), then the target's entry actions."""
+    return (*chart.state(transition.source).exit_actions, *map(GuardedAction, transition.actions),
+            *chart.state(transition.target).entry_actions)
+
+
 def list_raised_actions(element: State | Transition) -> tuple[str, ...]:
     """Events raised by a state's entry actions or a transition's actions.
 

@@ -4,10 +4,11 @@ One macro-step is one minute. Within a step the fixed order is: the timer
 chart (advancing the shared clock), scenario injections due at the new
 minute, every resource chart, then every guideline chart. Each chart fires
 at most one transition per step, chosen by declaration order among enabled
-ones; firing runs the source's exit actions, the transition's actions, then
-the target's entry actions, re-entering on self-loops. Events raised earlier
-in a step are visible to charts executed later and are cleared at the step
-boundary.
+ones; a fire runs `model.fire_actions` (exit, transition, then entry
+actions, re-entering on self-loops). Minute 0 is a macro-step whose
+injections, the scenario's initial values first, precede every chart's
+initial entry. Events raised earlier in a step are visible to charts
+executed later and are cleared at the step boundary.
 
 Scenario documents are UTF-8 JSON:
 
@@ -45,8 +46,8 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ResweaveError
-from .model import GuardedAction, ModelFormatError, Raise, StatechartModel, Transition, VariableDecl, is_tick_trigger
-from .model import expect, expect_object, read_json
+from .model import GuardedAction, ModelFormatError, Raise, StatechartModel, Transition, VariableDecl
+from .model import expect, expect_object, fire_actions, is_tick_trigger, read_json
 # perfbench/tracer.py wraps `sim.validate_model` by name, so the name stays importable here.
 from .model import validate_model  # noqa: F401
 from .resources import CLOCK_VARIABLE, synthesize_timer
@@ -72,9 +73,8 @@ class _StateCode(NamedTuple):
     """
 
     entry: tuple
-    exit: tuple
     leaving: tuple  # (declaration index, trigger event or None, guard or None) per outgoing transition
-    actions: dict  # declaration index -> the compiled actions of that outgoing transition
+    actions: dict  # declaration index -> the compiled `fire_actions` of that outgoing transition
 
 
 class _ChartIndex:
@@ -95,30 +95,29 @@ class _ChartIndex:
     def code(self, name: str) -> _StateCode:
         code = self._code.get(name)
         if code is None:
-            state, leaving = self.chart.state(name), self.by_source.get(name, ())
+            leaving = self.by_source.get(name, ())
             code = self._code[name] = _StateCode(
-                tuple(self._action(ga.action, ga.guard) for ga in state.entry_actions),
-                tuple(self._action(ga.action, ga.guard) for ga in state.exit_actions),
+                tuple(map(self._action, self.chart.state(name).entry_actions)),
                 tuple(
                     (index, None if is_tick_trigger(t.trigger) else t.trigger, self._guard(t.guard))
                     for index, t in leaving
                 ),
-                {index: tuple(self._action(a, ex.TRUE) for a in t.actions) for index, t in leaving},
+                {index: tuple(map(self._action, fire_actions(self.chart, t))) for index, t in leaving},
             )
         return code
 
     def bound(self, name: str):
         """`ex.compile_bound` over the clock of what an idle minute in state `name` may evaluate
-        (see the module docstring): its event-free leaving guards, and the exit, transition and
-        entry actions (guards and right-hand sides) of its event-free self-loops."""
+        (see the module docstring): its event-free leaving guards, and the `fire_actions` (guards
+        and right-hand sides) of its event-free self-loops."""
         if name not in self._bounds:
-            state, trees = self.chart.state(name), []
+            trees = []
             for index, event, _ in self.code(name).leaving:
                 transition = self.chart.transitions[index]
                 if event is None:
                     trees.append(transition.guard)
                     if transition.target == name:
-                        for ga in (*state.exit_actions, *map(GuardedAction, transition.actions), *state.entry_actions):
+                        for ga in fire_actions(self.chart, transition):
                             trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
             self._bounds[name] = ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
         return self._bounds[name]
@@ -126,10 +125,10 @@ class _ChartIndex:
     def _guard(self, guard: ex.Expr):
         return None if guard == ex.TRUE else self._composition.compiled(guard)
 
-    def _action(self, action, guard: ex.Expr) -> tuple:
-        if isinstance(action, Raise):
-            return self._guard(guard), None, action.event
-        return self._guard(guard), action.target, self._composition.compiled(action.value)
+    def _action(self, ga: GuardedAction) -> tuple:
+        if isinstance(ga.action, Raise):
+            return self._guard(ga.guard), None, ga.action.event
+        return self._guard(ga.guard), ga.action.target, self._composition.compiled(ga.action.value)
 
 
 class Composition:
@@ -439,7 +438,7 @@ def out_of_range(chart: str, minute: int, target: str) -> str:
 
 
 def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list) -> None:
-    """Fire the transition declared at `index`, or enter the initial state when it is None.
+    """Fire the transition declared at `index` (its `fire_actions`), or enter the initial state when it is None.
 
     The fire is recorded in `fires` unless it is a self-loop that set
     nothing and raised nothing.
@@ -448,20 +447,18 @@ def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list)
     sets: list[tuple[str, int | bool]] = []
     mark = len(state.pending_events)
     if index is None:
-        source, target = None, chart.initial_state
+        source, target, actions = None, chart.initial_state, runtime.code(chart.initial_state).entry
     else:
         transition = chart.transitions[index]
         source, target = transition.source, transition.target
-        code = runtime.code(source)
-        _run_actions(state, chart.name, code.exit, sets)
-        _run_actions(state, chart.name, code.actions[index], sets)
+        actions = runtime.code(source).actions[index]
+    _run_actions(state, chart.name, actions, sets)
     state.active[chart.name] = target
-    _run_actions(state, chart.name, runtime.code(target).entry, sets)
     if source != target or sets or len(state.pending_events) > mark:
         fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
 
 
-def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list, chosen: dict[str, int] | None) -> None:
+def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list, chosen: dict[str, int | None] | None) -> None:
     name = runtime.chart.name
     if chosen is None:
         valuation = state.valuation
@@ -473,26 +470,11 @@ def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list, chosen: dic
         _fire(state, runtime, chosen[name], fires)
 
 
-def _inject(state: SimState, t: int, injected: list) -> None:
-    for injection in state.injections_by_time.get(t, ()):
-        injected.append((injection.var, injection.value))
-        state.valuation[injection.var] = injection.value
-
-
-def _report(state: SimState, t: int, injected: list, fires: list, before: dict) -> StepReport:
-    """Record minute `t`: net value changes since `before`; events are cleared."""
-    deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
-    report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
-    state.steps.append(report)
-    state.pending_events.clear()
-    return report
-
-
 def init_composition(composition: Composition, scenario: Scenario) -> SimState:
-    """Build the t=0 state: defaults, then scenario values, then initial entries.
+    """The state after minute 0, which `macro_step` runs: the declaration defaults, then the
+    scenario's initial values and its injections at t=0, then each chart's initial entry.
 
-    The scenario must be fully resolved. Injections scheduled at t=0 are
-    applied after the initial values, before any entry action runs.
+    The scenario must be fully resolved.
     """
     if not scenario.resolved:
         raise ScenarioError(
@@ -512,36 +494,36 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
         steps=[],
         injections_by_time=injections_by_time,
     )
-    # Baseline for init deltas is the declaration defaults.
-    before = dict(state.valuation)
-    injected: list[tuple[str, int | bool]] = []
-    fires: list[FireRecord] = []
-    _inject(state, 0, injected)
-    for runtime in composition.runtimes:
-        _fire(state, runtime, None, fires)
-    _report(state, 0, injected, fires, before)
+    macro_step(state, dict.fromkeys(chart.name for chart in composition.charts))
     return state
 
 
-def macro_step(state: SimState, chosen: dict[str, int] | None = None) -> StepReport:
-    """Advance one minute; see the module docstring for the in-step order.
+def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> StepReport:
+    """Run the next minute and record it; see the module docstring for the in-step order.
 
     By default each chart fires its first enabled transition. `chosen` maps
     chart names to the declaration index to fire instead, without evaluating
-    triggers or guards; charts it does not name stay where they are.
+    triggers or guards, or to None to enter the initial state; charts it
+    does not name stay where they are.
     """
     t = state.curT + 1
     before = dict(state.valuation)
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
     runtimes = state.composition.runtimes
-    timed = state.composition.timer is not None  # the timer runs before the injections
+    timed = t > 0 and state.composition.timer is not None  # from minute 1, the timer runs before the injections
     if timed:
         _chart_cycle(state, runtimes[0], fires, chosen)
-    _inject(state, t, injected)
+    for injection in state.injections_by_time.get(t, ()):
+        injected.append((injection.var, injection.value))
+        state.valuation[injection.var] = injection.value
     for runtime in runtimes[timed:]:
         _chart_cycle(state, runtime, fires, chosen)
-    return _report(state, t, injected, fires, before)
+    deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
+    report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
+    state.steps.append(report)
+    state.pending_events.clear()
+    return report
 
 
 def skip_idle(state: SimState, horizon: int, watched=None) -> None:

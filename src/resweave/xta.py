@@ -1,11 +1,12 @@
 """Timed-automata text export (.xta plus .q query sidecar).
 
 Each chart becomes one process template: states map to locations and
-transitions to edges. Guarded entry actions have no direct counterpart, so
-every incoming edge is split per non-trivially-guarded entry action of its
-target, carrying the unguarded entry actions along; the guard families
-synthesized for resource charts are mutually exclusive and exhaustive, which
-keeps the split behavior-preserving. A one-state chart whose only transition
+transitions to edges carrying their `model.fire_actions`. Guarded actions
+have no direct counterpart, so each edge is split per non-trivially-guarded
+action of the fire (an entry action: guarded exit actions are refused),
+carrying the unguarded actions along; the guard families synthesized for
+resource charts are mutually exclusive and exhaustive, which keeps the split
+behavior-preserving. A one-state chart whose only transition
 is a tick self-loop is exported as a clock process (invariant `x<=1`, reset
 edge) so the shared clock advances once per minute. Raised events become
 broadcast channel emissions.
@@ -29,7 +30,7 @@ import re
 
 from . import expr as ex
 from .errors import ResweaveError
-from .model import Assign, Raise, StatechartModel, Transition, is_tick_trigger
+from .model import Assign, Raise, StatechartModel, Transition, fire_actions, is_tick_trigger
 # perfbench/tracer.py wraps `xta.init_composition` by name, so the name stays importable here.
 from .sim import Composition, init_composition, out_of_range, value_text  # noqa: F401
 
@@ -107,20 +108,20 @@ def _combine_guards(transition_guard: ex.Expr, branch_guard: ex.Expr) -> ex.Expr
     return ex.conjoin(transition_guard, branch_guard)
 
 
-def entry_branches(entry_actions) -> list[tuple[ex.Expr, list]]:
-    """The per-entry-branch split of a state's entry actions.
+def entry_branches(actions) -> list[tuple[ex.Expr, list]]:
+    """The per-branch split of a fire's guarded actions (`fire_actions`) or a state's entry actions.
 
-    One branch per non-trivially-guarded entry action, each carrying the
+    One branch per non-trivially-guarded action, each carrying the
     unguarded actions in declaration order; a single unconditional branch
-    when no guarded entry actions exist.
+    when no guarded actions exist.
     """
-    conditional = [i for i, ga in enumerate(entry_actions) if ga.guard != ex.TRUE]
+    conditional = [i for i, ga in enumerate(actions) if ga.guard != ex.TRUE]
     if not conditional:
-        return [(ex.TRUE, [ga.action for ga in entry_actions])]
+        return [(ex.TRUE, [ga.action for ga in actions])]
     branches = []
     for chosen in conditional:
-        actions = [ga.action for i, ga in enumerate(entry_actions) if ga.guard == ex.TRUE or i == chosen]
-        branches.append((entry_actions[chosen].guard, actions))
+        branch = [ga.action for i, ga in enumerate(actions) if ga.guard == ex.TRUE or i == chosen]
+        branches.append((actions[chosen].guard, branch))
     return branches
 
 
@@ -136,30 +137,26 @@ def _edge(transition: Transition, guard_text: str, sync: str | None, assigns: li
     return f"        {_flat(transition.source)} -> {_flat(transition.target)} {label}"
 
 
-def _export_edge(chart, transition: Transition, branch, lines) -> None:
-    branch_guard, entry_actions = branch
+def _export_edges(chart, transition: Transition, lines) -> None:
+    """One edge per branch of the transition's `fire_actions`."""
     where = f"chart {chart.name!r} transition {transition.source}->{transition.target}"
     if transition.trigger is not None and not is_tick_trigger(transition.trigger):
         raise ExportError(f"{where}: event-triggered transitions are not exportable")
-    source_state = chart.state(transition.source)
-    for ga in source_state.exit_actions:
-        if ga.guard != ex.TRUE:
-            raise ExportError(f"{where}: guarded exit actions are not exportable")
-    actions = [ga.action for ga in source_state.exit_actions]
-    actions.extend(transition.actions)
-    actions.extend(entry_actions)
-    assigns = []
-    sync = None
-    for action in actions:
-        if isinstance(action, Raise):
-            if sync is not None:
-                raise ExportError(f"{where}: more than one raised event on a single edge")
-            sync = _flat(action.event)
-        else:
-            assigns.append(_assign_text(action))
-    guard = _combine_guards(transition.guard, branch_guard)
-    guard_text = "" if guard == ex.TRUE else ex.to_text(guard, _flat)
-    lines.append(_edge(transition, guard_text, sync, assigns))
+    if any(ga.guard != ex.TRUE for ga in chart.state(transition.source).exit_actions):
+        raise ExportError(f"{where}: guarded exit actions are not exportable")
+    for branch_guard, actions in entry_branches(fire_actions(chart, transition)):
+        assigns = []
+        sync = None
+        for action in actions:
+            if isinstance(action, Raise):
+                if sync is not None:
+                    raise ExportError(f"{where}: more than one raised event on a single edge")
+                sync = _flat(action.event)
+            else:
+                assigns.append(_assign_text(action))
+        guard = _combine_guards(transition.guard, branch_guard)
+        guard_text = "" if guard == ex.TRUE else ex.to_text(guard, _flat)
+        lines.append(_edge(transition, guard_text, sync, assigns))
 
 
 def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str]:
@@ -183,9 +180,7 @@ def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str
         states = f"{_flat(loop.source)} {{ {clock} <= 1 }}"
     else:
         for transition in chart.transitions:
-            target = chart.state(transition.target)
-            for branch in entry_branches(target.entry_actions):
-                _export_edge(chart, transition, branch, edges)
+            _export_edges(chart, transition, edges)
         states = ", ".join(_flat(s.name) for s in chart.states)
     lines.append(f"    state {states};")
     lines.append(f"    init {_flat(chart.initial_state)};")

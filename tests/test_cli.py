@@ -200,7 +200,8 @@ def test_simulate_unresolved_choices_exit_2(tmp_path, capsys):
 
 def test_simulate_timer_only_manifest(tmp_path, capsys):
     (tmp_path / "Timer.json").write_text(serialize_model(synthesize_timer()))
-    manifest = {"timer": "Timer.json", "resources": [], "guidelines": [], "variables": []}
+    manifest = {"timer": "Timer.json", "resources": [], "guidelines": [],
+                "variables": [{"name": "curT", "kind": "integer", "initial": 0}]}
     (tmp_path / "composition.json").write_text(json.dumps(manifest))
     scenario = tmp_path / "scenario.json"
     scenario.write_text('{"horizon": 5}')
@@ -212,6 +213,16 @@ def test_simulate_timer_only_manifest(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if "fire=" in l]
     assert len(lines) == 5
     assert lines[-1] == "t=5 chart=Timer fire=timer->timer set curT=5"
+
+
+def test_horizon_defaults_to_720_without_scenario_or_flag(tmp_path, capsys):
+    manifest = _integrate_delayed(tmp_path / "setup")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"initial": {"hemorrhage": false, "systolicBP": 150, "diastolicBP": 100}}')
+    assert run_cli("simulate", "--manifest", manifest, "--scenario", scenario, "--out", tmp_path / "out") == 0
+    capsys.readouterr()
+    steps = json.loads((tmp_path / "out" / "trace.json").read_text())["steps"]
+    assert [step["t"] for step in steps] == list(range(721))
 
 
 def test_simulate_replay_roundtrip(tmp_path):
@@ -686,9 +697,35 @@ def test_integer_written_outside_64_bits_exits_2(tmp_path, capsys, command):
     )
 
 
+def _workload_digests(tmp_path, name: str) -> dict[str, str]:
+    """sha256 of each file that `integrate`, `check`, `simulate` and `export` write for the benchmark
+    workload `name` at seed 1000, but `verdicts.json`, which holds the paths under `tmp_path`;
+    "integrate" is taken over the name and bytes of each file it wrote, in name order."""
+    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(FIXTURES.parent / "perfbench"))
+    (config,) = workloads.build(name, 1000, tmp_path / "in", FIXTURES.parent)
+    setup, out = tmp_path / "integrate", tmp_path / "out"
+    assert run_cli("integrate", config["model"], config["map"], "--schedule", config["schedule"], "--out", setup) == 0
+    manifest = ("--manifest", setup / "composition.json")
+    assert run_cli("check", *manifest, "--scenario", config["scenario"], "--properties", config["properties"],
+                   "--out", out) == config["expected"]["exit"]
+    choices = [arg for var, value in config["simulate"].items() for arg in ("--choice", f"{var}={json.dumps(value)}")]
+    assert run_cli("simulate", *manifest, "--scenario", config["scenario"], *choices, "--out", out) == 0
+    assert run_cli("export", *manifest, "--properties", config["properties"], "--out", out) == 0
+    written = hashlib.sha256()
+    for path in sorted(setup.iterdir()):
+        written.update(path.name.encode("utf-8"))
+        written.update(path.read_bytes())
+    return {"integrate": written.hexdigest(),
+            **{path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir()) if path.name != "verdicts.json"}}
+
+
 # sha256 of the outputs for the benchmark's large-guideline workload at seed 1000:
-# 2,000 states, 3,998 transitions, 200 resource charts. "integrate" is taken over
-# the name and bytes of each file it wrote, in name order.
+# 2,000 states, 3,998 transitions, 200 resource charts.
 LARGE_GUIDELINE_DIGESTS = {
     "integrate": "4e9248088418f36044e9082dcd28414bd0e0e2e64d9788d8eac54f816046cbc6",
     "composition.xta": "8edee7499091d5c8e700797b0567d1a83daa2f05c645c6d1975be0ff1f17bce7",
@@ -699,29 +736,42 @@ LARGE_GUIDELINE_DIGESTS = {
 
 
 def test_large_guideline_outputs_are_pinned(tmp_path, capsys):
-    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(FIXTURES.parent / "perfbench"))
-    (config,) = workloads.build("large-guideline", 1000, tmp_path / "in", FIXTURES.parent)
-    setup = tmp_path / "integrate"
-    assert run_cli("integrate", config["model"], config["map"], "--schedule", config["schedule"], "--out", setup) == 0
-    manifest = ("--manifest", setup / "composition.json")
-    assert run_cli("check", *manifest, "--scenario", config["scenario"], "--properties", config["properties"],
-                   "--out", tmp_path) == 1
-    choices = [arg for var, value in config["simulate"].items() for arg in ("--choice", f"{var}={json.dumps(value)}")]
-    assert run_cli("simulate", *manifest, "--scenario", config["scenario"], *choices, "--out", tmp_path) == 0
-    assert run_cli("export", *manifest, "--properties", config["properties"], "--out", tmp_path) == 0
+    digests = _workload_digests(tmp_path, "large-guideline")
     capsys.readouterr()
-    assert len(list(setup.iterdir())) == 203  # the manifest, the timer, 200 resource charts, the guideline
-    written = hashlib.sha256()
-    for path in sorted(setup.iterdir()):
-        written.update(path.name.encode("utf-8"))
-        written.update(path.read_bytes())
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in LARGE_GUIDELINE_DIGESTS if name != "integrate"}
-    assert {"integrate": written.hexdigest(), **digests} == LARGE_GUIDELINE_DIGESTS
+    # the manifest, the timer, 200 resource charts, the guideline
+    assert len(list((tmp_path / "integrate").iterdir())) == 203
+    assert {name: digests[name] for name in LARGE_GUIDELINE_DIGESTS} == LARGE_GUIDELINE_DIGESTS
+
+
+# sha256 of every output for the two benchmark workloads whose minutes are spent firing
+# (busy-ward: a guideline that fires every minute) and skipping (shift-roster: idle minutes).
+WORKLOAD_DIGESTS = {
+    "busy-ward": {
+        "integrate": "661cb2c6359502ab1143f13e5684b37dcef95105629bd544f4493f1113a3fd07",
+        "P1.counterexample.json": "25be3087010852e4d580d6378358e21444af6aa4a11bfc6077803a5f5beb3ab7",
+        "P1.trace.txt": "901644768045f81f14e75642d51968e2eb718f244dc4e0ac46d1e51c7c20a979",
+        "composition.q": "681426336032022b94e20e8ba517a4cb0b8015966c04c9e014e752d1f38913fe",
+        "composition.xta": "ddb70cd7d81fc26e66986b18928d7e9068e007762112238c60ef6f028bf1e90e",
+        "trace.json": "62185fc5b2d37f81389b3449e7802ca856a821842c15e92343efe17e221b04eb",
+        "trace.txt": "c4eaf84b1e7819b30758aaf8a3972ed3fc24ad00b98df91045b981d682837424",
+    },
+    "shift-roster": {
+        "integrate": "fcead5a39ec4e713ade36ffccfe95c33ee9656e116a4ae2caf9e9a49c977bf96",
+        "P2.counterexample.json": "0df114bd62d5244b5b8cd7f9a8b7a0c34a1d9ae69144dec43ac8486ca0b47770",
+        "P2.trace.txt": "551755d67dca05af2232fe21ed91e1bffdf00c872d4a2c2aae875f18b288ea2e",
+        "composition.q": "435affb9b4cb183e0bb896cc2aaaa2b4431952206fdcd977f4bf53edd8d2fac5",
+        "composition.xta": "1c6815391d66e158968def85f7d553a159e8c9ebbad0a8879371361d64aea8a4",
+        "trace.json": "fa3307733038e74b77011649ce85c2b84f1c74d9ae82295de207b365fc944b25",
+        "trace.txt": "551755d67dca05af2232fe21ed91e1bffdf00c872d4a2c2aae875f18b288ea2e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_DIGESTS)
+def test_fire_and_skip_workload_outputs_are_pinned(tmp_path, capsys, name):
+    digests = _workload_digests(tmp_path, name)
+    capsys.readouterr()
+    assert digests == WORKLOAD_DIGESTS[name]
 
 
 GROWING_AT_ENTRY = {
@@ -858,6 +908,44 @@ def test_manifest_refuses_a_key_it_does_not_read(tmp_path, capsys, edit, message
     assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
 
 
+@pytest.mark.parametrize("edit, exit_code", [
+    (lambda root: {**root, "variables": []}, 2),
+    (lambda root: {**root, "variables": root["variables"][1:]}, 2),
+    (lambda root: {key: value for key, value in root.items() if key != "variables"}, 1),
+], ids=["empty", "one-dropped", "absent"])
+def test_manifest_variables_must_agree_whenever_given(tmp_path, capsys, edit, exit_code):
+    """A `variables` list, even an empty one, is compared with the chart declarations; without the key
+    the charts' declarations are used as they are."""
+    manifest = _integrate_delayed(tmp_path / "setup")
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    assert run_cli("check", "--manifest", manifest, *DELAYED_CHECK[7:], "--out", tmp_path / "out") == exit_code
+    err = capsys.readouterr().err
+    if exit_code == 2:
+        assert err == f"error: {manifest}: manifest variables disagree with the chart declarations\n"
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("json_diagnostics", [False, True], ids=["text", "json"])
+def test_check_refuses_a_property_file_without_a_property(tmp_path, capsys, json_diagnostics):
+    empty = tmp_path / "empty.props"
+    empty.write_text("# nothing\n")
+    flags = ("--json-diagnostics",) if json_diagnostics else ()
+    assert run_cli(*DELAYED_CHECK[:9], "--properties", empty, *flags, "--out", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    message = f"{empty}: no property to check"
+    if json_diagnostics:
+        assert (captured.out, captured.err) == (json.dumps({"error": message}) + "\n", "")
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+    # `export` still writes the empty sidecar.
+    assert run_cli("export", *DELAYED_CHECK[1:7], "--properties", empty, "--out", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "stroke_simple.q").read_text() == "\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, minimum",
     [
@@ -971,7 +1059,7 @@ def test_a_refusal_under_a_manifest_starts_with_its_file(tmp_path, capsys, name,
 def test_a_closed_stdout_stops_the_echo_not_the_command(tmp_path, argv, exit_code, written):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"),
                                                                      os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, "-m", "resweave", *map(str, argv), "--out", str(tmp_path)]
+    command = [sys.executable, "-W", "error", "-X", "dev", "-m", "resweave", *map(str, argv), "--out", str(tmp_path)]
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as process:
         process.stdout.close()  # the reader goes before the first line is written
         err = process.stderr.read()

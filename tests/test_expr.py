@@ -24,6 +24,11 @@ def test_parse_precedence():
     )
 
 
+@pytest.mark.parametrize("text", ["a ", " a", "a\t\n"])
+def test_whitespace_around_an_expression_is_skipped(text):
+    assert ex.parse_expr(text) == ex.Var("a")
+
+
 def test_parse_dotted_names_and_parens():
     assert ex.parse_expr("RES.tPA") == ex.Var("RES.tPA")
     assert ex.parse_expr("(a || b) && c") == ex.BinOp(

@@ -97,6 +97,24 @@ def test_shape_messages_name_the_element(document, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"transitions": [{"source": "s", "target": "s", "actions": ["go now"]}]},
+         "transitions[0].actions[0]: cannot parse action 'go now': expected 'var = expr' or 'raise Event'"),
+        ({"states": [{"name": "s", "entry": ["exit/ raise E"]}]},
+         "states[0].entry[0]: cannot parse entry action 'exit/ raise E': expected 'entry[guard]/ action'"),
+        ({"states": [{"name": "s", "exit": ["exit[x > 1] raise E"]}]},
+         "states[0].exit[0]: cannot parse exit action 'exit[x > 1] raise E': expected 'exit[guard]/ action'"),
+    ],
+    ids=["action", "entry-as-exit", "exit-without-slash"],
+)
+def test_action_grammar_messages_name_the_element(document, message):
+    with pytest.raises(m.ModelFormatError) as err:
+        m.parse_model(json.dumps({"name": "X", "states": [{"name": "s"}], "initial": "s", **document}))
+    assert str(err.value) == message
+
+
 def test_json_number_of_thousands_of_digits_is_a_format_error():
     with pytest.raises(m.ModelFormatError) as err:
         m.parse_model('{"name": ' + "1" * 5000 + "}")
@@ -216,6 +234,11 @@ def test_validate_duplicate_state_cites_both():
          ["states[0](s).annotations[0]: annotation has an empty resource list"]),
         ({"transitions": (m.Transition("s", "s", annotations=(m.Annotation(("ok", "no way")),)),)},
          ["transitions[0](s->s).annotations[0]: bad resource identifier 'no way'"]),
+        ({"variables": (m.VariableDecl("b", "boolean", 0),)}, ["variables[0]: initial 0 does not match kind boolean"]),
+        ({"transitions": (m.Transition("gone", "s"),)}, ["transitions[0](gone->s): source names missing state 'gone'"]),
+        ({"variables": (m.VariableDecl("x", "integer", 0),),
+          "transitions": (m.Transition("s", "s", actions=(m.Assign("x", ex.parse_expr("1 + true")),)),)},
+         ["transitions[0](s->s).actions[0]: '+' requires integer operands"]),
     ],
 )
 def test_validate_model_messages(fields, expected):

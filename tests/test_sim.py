@@ -235,7 +235,9 @@ def test_injection_visible_same_minute():
     assert report.injected == (("go", True),)
 
 
-def test_injection_at_time_zero_applies_before_entry():
+@pytest.mark.parametrize("role", ["guideline", "timer"])
+def test_injection_at_time_zero_applies_before_entry(role):
+    """Minute 0 runs no chart ahead of its injections, not even the timer, which runs first from minute 1."""
     chart = StatechartModel(
         "G",
         variables=(
@@ -246,7 +248,8 @@ def test_injection_at_time_zero_applies_before_entry():
         initial_state="a",
     )
     scenario = sim.Scenario(injections=(sim.Injection(0, "x", 9),))
-    state = sim.init_composition(sim.Composition(guidelines=(chart,)), scenario)
+    composition = sim.Composition(timer=chart) if role == "timer" else sim.Composition(guidelines=(chart,))
+    state = sim.init_composition(composition, scenario)
     assert state.valuation["seen"] == 9
 
 

@@ -30,7 +30,8 @@ def test_tracer_runs_each_command_on_delayed_ct(tmp_path):
     for command, (exit_code, argv) in COMMANDS.items():
         dump = tmp_path / f"{command}.json"
         result = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(dump), "--", *map(str, argv)],
+            [sys.executable, "-W", "error", "-X", "dev", str(ROOT / "perfbench" / "tracer.py"), str(dump), "--",
+             *map(str, argv)],
             cwd=tmp_path, env=env, capture_output=True, text=True,
         )
         assert result.returncode == exit_code, (command, result.stderr)

@@ -225,6 +225,32 @@ def test_scanner_flags_problems():
     assert any("system" in p for p in scan_xta("int x = 0;\n"))
 
 
+SCANNED = "process P() {\n    state s;\n    init s;\n    trans\n        s -> s { };\n}\n\nsystem P;\n"
+
+
+@pytest.mark.parametrize("document, problem", [
+    (SCANNED, None),
+    ("wat;\n" + SCANNED, "line 1: unrecognized global line 'wat;'"),
+    (SCANNED.replace("init s;", "init t;"), "line 3: init references unknown location 't'"),
+    (SCANNED.replace("s -> s", "s -> t"), "line 5: edge references unknown location 't'"),
+    (SCANNED.replace("s -> s", "u -> s"), "line 5: edge references unknown location 'u'"),
+], ids=["clean", "global-line", "init", "edge-target", "edge-source"])
+def test_scanner_names_each_structural_problem(document, problem):
+    assert scan_xta(document) == ([problem] if problem else [])
+
+
+def test_clock_name_steps_past_a_taken_x():
+    from resweave.resources import synthesize_timer
+
+    guideline = StatechartModel(
+        "G", variables=(VariableDecl("x", "integer", 0),), states=(State("s"),), initial_state="s",
+    )
+    document = export_xta(Composition(timer=synthesize_timer(), guidelines=(guideline,)))
+    assert "    clock x_;\n    state timer { x_ <= 1 };\n" in document
+    assert "timer -> timer { guard x_ >= 1; assign x_ = 0, curT++; }" in document
+    assert scan_xta(document) == []
+
+
 def test_export_compiles_no_expression(monkeypatch, extended_composition):
     compiled = []
 
