@@ -64,23 +64,10 @@ class ScenarioError(ResweaveError):
 # Composition
 
 
-class _StateCode(NamedTuple):
-    """A state's expressions, compiled.
-
-    Each action is a triple (guard, target, value): guard is None when the
-    action is unconditional; target is None for raising the event `value`,
-    else `value` is the compiled right-hand side assigned to it.
-    """
-
-    entry: tuple
-    leaving: tuple  # (declaration index, trigger event or None, guard or None) per outgoing transition
-    actions: dict  # declaration index -> the compiled `fire_actions` of that outgoing transition
-
-
 class _ChartIndex:
-    """A chart's runtime: states and outgoing transitions by name, each state's
-    compiled expressions, built the first time the chart is in it, and each
-    state's clock bound, built the first time it ends an idle minute."""
+    """A chart's runtime: its outgoing transitions by source state, and caches filled when first
+    needed: a state's `leaving` the first time the chart is in it, a transition's `fire` the
+    first time it runs, and a state's clock `bound` the first time it ends an idle minute."""
 
     def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
@@ -89,22 +76,35 @@ class _ChartIndex:
         for index, transition in enumerate(chart.transitions):
             self.by_source.setdefault(transition.source, []).append((index, transition))
         self._composition = composition
-        self._code: dict[str, _StateCode] = {}
+        self._leaving: dict[str, tuple] = {}
+        self._fires: dict = {}  # declaration index, or None for the initial entry -> fire
         self._bounds: dict = {}  # state -> clock bound or None
 
-    def code(self, name: str) -> _StateCode:
-        code = self._code.get(name)
-        if code is None:
-            leaving = self.by_source.get(name, ())
-            code = self._code[name] = _StateCode(
-                tuple(map(self._action, self.chart.state(name).entry_actions)),
-                tuple(
-                    (index, None if is_tick_trigger(t.trigger) else t.trigger, self._guard(t.guard))
-                    for index, t in leaving
-                ),
-                {index: tuple(map(self._action, fire_actions(self.chart, t))) for index, t in leaving},
+    def leaving(self, name: str) -> tuple:
+        """(declaration index, trigger event or None, compiled guard or None) per outgoing transition of `name`."""
+        leaving = self._leaving.get(name)
+        if leaving is None:
+            leaving = self._leaving[name] = tuple(
+                (index, None if is_tick_trigger(t.trigger) else t.trigger, self._guard(t.guard))
+                for index, t in self.by_source.get(name, ())
             )
-        return code
+        return leaving
+
+    def fire(self, index: int | None) -> tuple:
+        """(source, target, actions) of the transition declared at `index`, its `model.fire_actions`
+        compiled; for None, (None, the initial state, its compiled entry actions). An action is a
+        triple (guard or None if unconditional, target, value): it raises the event `value` if
+        target is None, else assigns target the compiled right-hand side `value`."""
+        fire = self._fires.get(index)
+        if fire is None:
+            chart = self.chart
+            if index is None:
+                source, target, actions = None, chart.initial_state, chart.state(chart.initial_state).entry_actions
+            else:
+                transition = chart.transitions[index]
+                source, target, actions = transition.source, transition.target, fire_actions(chart, transition)
+            fire = self._fires[index] = (source, target, tuple(map(self._action, actions)))
+        return fire
 
     def bound(self, name: str):
         """`ex.compile_bound` over the clock of what an idle minute in state `name` may evaluate
@@ -112,7 +112,7 @@ class _ChartIndex:
         and right-hand sides) of its event-free self-loops."""
         if name not in self._bounds:
             trees = []
-            for index, event, _ in self.code(name).leaving:
+            for index, event, _ in self.leaving(name):
                 transition = self.chart.transitions[index]
                 if event is None:
                     trees.append(transition.guard)
@@ -412,57 +412,45 @@ class SimState:
         return len(self.steps) - 1
 
 
-def _run_actions(state: SimState, chart: str, actions: tuple, sets: list) -> None:
-    """Run compiled actions (see `_StateCode`) of `chart`; value-changing writes go to `sets`.
-
-    A write that changes an integer to a value outside 64 bits raises SimulationError.
-    """
-    valuation = state.valuation
-    for guard, target, value in actions:
-        if guard is not None and not guard(valuation):
-            continue
-        if target is None:
-            state.pending_events.append(value)
-            continue
-        new = value(valuation)
-        if valuation[target] != new:
-            if type(new) is int and not ex.INT_MIN <= new <= ex.INT_MAX:
-                raise SimulationError(out_of_range(chart, state.curT + 1, target))
-            sets.append((target, new))
-            valuation[target] = new
-
-
 def out_of_range(chart: str, minute: int, target: str) -> str:
     """Why a write of an integer outside 64 bits to `target` is refused."""
     return f"chart {chart!r} at minute {minute}: {target!r} would be set to a value outside the 64-bit range"
 
 
 def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list) -> None:
-    """Fire the transition declared at `index` (its `fire_actions`), or enter the initial state when it is None.
+    """Fire the transition declared at `index`, or enter the initial state when it is None, running
+    the compiled actions of `runtime.fire(index)` in order.
 
-    The fire is recorded in `fires` unless it is a self-loop that set
-    nothing and raised nothing.
+    A write that changes an integer to a value outside 64 bits raises SimulationError. The fire
+    is recorded in `fires` unless it is a self-loop that set nothing and raised nothing.
     """
-    chart = runtime.chart
+    name = runtime.chart.name
+    source, target, actions = runtime.fire(index)
+    valuation, events = state.valuation, state.pending_events
     sets: list[tuple[str, int | bool]] = []
-    mark = len(state.pending_events)
-    if index is None:
-        source, target, actions = None, chart.initial_state, runtime.code(chart.initial_state).entry
-    else:
-        transition = chart.transitions[index]
-        source, target = transition.source, transition.target
-        actions = runtime.code(source).actions[index]
-    _run_actions(state, chart.name, actions, sets)
-    state.active[chart.name] = target
-    if source != target or sets or len(state.pending_events) > mark:
-        fires.append(FireRecord(chart.name, source, target, index, tuple(sets), tuple(state.pending_events[mark:])))
+    mark = len(events)
+    for guard, variable, value in actions:
+        if guard is not None and not guard(valuation):
+            continue
+        if variable is None:
+            events.append(value)
+            continue
+        new = value(valuation)
+        if valuation[variable] != new:
+            if type(new) is int and not ex.INT_MIN <= new <= ex.INT_MAX:
+                raise SimulationError(out_of_range(name, state.curT + 1, variable))
+            sets.append((variable, new))
+            valuation[variable] = new
+    state.active[name] = target
+    if source != target or sets or len(events) > mark:
+        fires.append(FireRecord(name, source, target, index, tuple(sets), tuple(events[mark:])))
 
 
 def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list, chosen: dict[str, int | None] | None) -> None:
     name = runtime.chart.name
     if chosen is None:
         valuation = state.valuation
-        for index, event, guard in runtime.code(state.active[name]).leaving:
+        for index, event, guard in runtime.leaving(state.active[name]):
             if (event is None or event in state.pending_events) and (guard is None or guard(valuation)):
                 _fire(state, runtime, index, fires)
                 return

@@ -1,0 +1,151 @@
+"""Mutants of the program that the test suite must catch.
+
+Each mutant names a file, an exact text that occurs once in it, the text that
+replaces it, and the tests that must fail. The script copies the repository
+into a temporary directory, checks that every listed test passes there, then
+for each mutant applies it to a fresh copy and runs its tests with pytest. The
+checkout itself is never changed. A mutant survives when one of its tests
+passes; the script exits 1 if one survives or if a mutant's text does not
+occur exactly once.
+
+    python tests/mutants.py                      # every mutant
+    python tests/mutants.py last-enabled-fires   # the named mutants
+
+pytest does not collect this file. A change that removes a mutant's text
+updates or retires the mutant. The idea is mutation adequacy (DeMillo,
+Lipton and Sayward, "Hints on Test Data Selection", IEEE Computer, 1978).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SIM = "src/resweave/sim.py"
+DIFFERENTIAL = "tests/test_oracle.py::test_oracle_steps_as_sim_minute_by_minute"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    text: str  # occurs exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids that must each fail
+
+
+MUTANTS = (
+    Mutant(
+        "entry-before-exit",
+        "src/resweave/model.py",
+        "return (*chart.state(transition.source).exit_actions, *map(GuardedAction, transition.actions),\n"
+        "            *chart.state(transition.target).entry_actions)",
+        "return (*chart.state(transition.target).entry_actions, *map(GuardedAction, transition.actions),\n"
+        "            *chart.state(transition.source).exit_actions)",
+        ("tests/test_sim.py::test_exit_then_actions_then_entry_order", f"{DIFFERENTIAL}[untimed]",
+         f"{DIFFERENTIAL}[timed]", "tests/test_acceptance.py::test_criterion_6_checker_vs_oracle"),
+    ),
+    Mutant(
+        "timer-after-injections",
+        SIM,
+        "    if timed:\n"
+        "        _chart_cycle(state, runtimes[0], fires, chosen)\n"
+        "    for injection in state.injections_by_time.get(t, ()):\n"
+        "        injected.append((injection.var, injection.value))\n"
+        "        state.valuation[injection.var] = injection.value\n",
+        "    for injection in state.injections_by_time.get(t, ()):\n"
+        "        injected.append((injection.var, injection.value))\n"
+        "        state.valuation[injection.var] = injection.value\n"
+        "    if timed:\n"
+        "        _chart_cycle(state, runtimes[0], fires, chosen)\n",
+        (f"{DIFFERENTIAL}[timed]",),
+    ),
+    Mutant(
+        "events-kept-across-steps",
+        SIM,
+        "    state.pending_events.clear()\n    return report\n",
+        "    return report\n",
+        ("tests/test_sim.py::test_event_visible_downstream_within_step_only", f"{DIFFERENTIAL}[untimed]",
+         f"{DIFFERENTIAL}[timed]"),
+    ),
+    Mutant(
+        "last-enabled-fires",
+        SIM,
+        "for index, event, guard in runtime.leaving(state.active[name]):",
+        "for index, event, guard in reversed(runtime.leaving(state.active[name])):",
+        ("tests/test_sim.py::test_priority_is_declaration_order", f"{DIFFERENTIAL}[untimed]",
+         f"{DIFFERENTIAL}[timed]", "tests/test_verify.py::test_check_matches_oracle_on_random_compositions"),
+    ),
+    Mutant(
+        "raising-self-loop-not-recorded",
+        SIM,
+        "if source != target or sets or len(events) > mark:",
+        "if source != target or sets:",
+        ("tests/test_sim.py::test_no_op_self_loops_are_not_recorded", f"{DIFFERENTIAL}[timed]"),
+    ),
+    Mutant(
+        "int-max-plus-one-written",
+        SIM,
+        "not ex.INT_MIN <= new <= ex.INT_MAX:",
+        "not ex.INT_MIN <= new <= ex.INT_MAX + 1:",
+        ("tests/test_skip.py::test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute[15]",
+         "tests/test_cli.py::test_integer_written_outside_64_bits_exits_2[check]"),
+    ),
+)
+
+
+def copy_repository(into: Path) -> Path:
+    target = into / "repo"
+    shutil.copytree(ROOT, target, ignore=shutil.ignore_patterns(".*", "__pycache__", "*.egg-info", "out"))
+    return target
+
+
+def failed_tests(repo: Path, tests) -> set[str]:
+    """The node ids among `tests` that fail when pytest runs them in `repo`."""
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=repo, env=env, capture_output=True, text=True)
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {done.returncode} in {repo}:\n{done.stdout}{done.stderr}")
+    lines = done.stdout.splitlines()
+    return {test for test in tests if f"FAILED {test}" in (line.partition(" - ")[0] for line in lines)}
+
+
+def mutate(repo: Path, mutant: Mutant) -> None:
+    path = repo / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.text) != 1:
+        raise SystemExit(f"{mutant.name}: its text occurs {text.count(mutant.text)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.text, mutant.replacement), encoding="utf-8")
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
+    if unknown:
+        raise SystemExit(f"no such mutant: {', '.join(unknown)}")
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    survivors = []
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = copy_repository(Path(scratch) / "clean")
+        tests = sorted({test for mutant in chosen for test in mutant.tests})
+        failing = failed_tests(clean, tests)
+        if failing:
+            raise SystemExit(f"these tests fail without a mutant: {', '.join(sorted(failing))}")
+        for mutant in chosen:
+            repo = copy_repository(Path(scratch) / mutant.name)
+            mutate(repo, mutant)
+            passing = sorted(set(mutant.tests) - failed_tests(repo, mutant.tests))
+            if passing:
+                survivors.append(mutant.name)
+            print(f"{mutant.name}: survived, {', '.join(passing)} passed" if passing else f"{mutant.name}: killed")
+            shutil.rmtree(repo)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

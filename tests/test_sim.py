@@ -334,6 +334,30 @@ def test_self_loop_reexecutes_entry_actions():
     assert state.valuation["n"] == 5
 
 
+def test_a_fire_is_compiled_the_first_time_it_runs(monkeypatch):
+    guard, value = ex.parse_expr("n > 5"), ex.parse_expr("n + 7")
+    chart = StatechartModel(
+        "Waits",
+        variables=(VariableDecl("n", "integer", 0),),
+        states=(State("a"), State("b")),
+        transitions=(Transition("a", "b", guard=guard, actions=(Assign("n", value),)),),
+        initial_state="a",
+    )
+    compiled, compile_expr = [], ex.compile_expr
+
+    def counted(expr, kinds):
+        compiled.append(expr)
+        return compile_expr(expr, kinds)
+
+    monkeypatch.setattr(ex, "compile_expr", counted)
+    state = sim.init_composition(sim.Composition(guidelines=(chart,)), sim.Scenario())
+    for _ in range(3):
+        sim.macro_step(state)
+    assert state.active["Waits"] == "a"
+    # the guard, tested every minute, is compiled once; the assignment never runs, so it is not
+    assert compiled == [guard]
+
+
 def test_guard_monotonicity_under_integration(delayed_composition, simple_model, simple_scenario):
     resolved = simple_scenario.resolve(
         {"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100}
