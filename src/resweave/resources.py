@@ -5,7 +5,7 @@ Map format (UTF-8 lines, `#` comments):
     CTscan: CT_machine, CT_technician
     givetPA: tPA
 
-Schedule format (UTF-8 lines, `#` comments, `horizon: N` optional):
+Schedule format (UTF-8 lines, `#` comments, at most one `horizon: N`, which bounds the windows, default 720):
 
     CT_machine: (200, inf)
     CT_technician: (60, 120), (240, 480)
@@ -120,13 +120,15 @@ def parse_resource_map(text: str) -> ResourceMap:
 
 def parse_schedule(text: str) -> AvailabilitySchedule:
     entries: dict[str, tuple[Window, ...]] = {}
-    horizon = DEFAULT_HORIZON
+    horizon = None
     for lineno, line in content_lines(text):
         key, sep, rest = line.partition(":")
         key = key.strip()
         if not sep:
             raise ScheduleFormatError(f"line {lineno}: expected 'resource: (s, e), ...'")
         if key == "horizon":
+            if horizon is not None:
+                raise ScheduleFormatError(f"line {lineno}: duplicate horizon")
             horizon = ex.parse_int(rest.strip())
             if horizon is None or horizon <= 0:
                 raise ScheduleFormatError(f"line {lineno}: horizon {rest.strip()!r} is not a positive 64-bit integer")
@@ -146,14 +148,14 @@ def parse_schedule(text: str) -> AvailabilitySchedule:
         if not windows or leftovers:
             raise ScheduleFormatError(f"line {lineno}: cannot parse window list {rest.strip()!r}")
         entries[key] = _normalize_windows(windows, lineno, key)
-    schedule = AvailabilitySchedule(entries, horizon)
+    schedule = AvailabilitySchedule(entries, horizon or DEFAULT_HORIZON)
     for resource, windows in entries.items():
         for window in windows:
-            if window.start_exclusive > horizon or (
-                not math.isinf(window.end_inclusive) and window.end_inclusive > horizon
+            if window.start_exclusive > schedule.horizon or (
+                not math.isinf(window.end_inclusive) and window.end_inclusive > schedule.horizon
             ):
                 raise ScheduleFormatError(
-                    f"resource {resource!r}: window bound beyond horizon {horizon}"
+                    f"resource {resource!r}: window bound beyond horizon {schedule.horizon}"
                 )
     return schedule
 

@@ -39,6 +39,7 @@ runs a minute.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -65,9 +66,11 @@ class ScenarioError(ResweaveError):
 
 
 class _ChartIndex:
-    """A chart's runtime: its outgoing transitions by source state, and caches filled when first
-    needed: a state's `leaving` the first time the chart is in it, a transition's `fire` the
-    first time it runs, and a state's clock `bound` the first time it ends an idle minute."""
+    """A chart's runtime: its outgoing transitions by source state, and three functions that build
+    their result on the first call and keep it (`functools.cache`): a state's `leaving`, the first
+    time the chart is in it; a transition's `fire`, the first time it runs, compiled, or the
+    initial entry's, `fire(None)`, evaluated; and a state's clock `bound`, the first time it ends
+    an idle minute."""
 
     def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
@@ -76,59 +79,54 @@ class _ChartIndex:
         for index, transition in enumerate(chart.transitions):
             self.by_source.setdefault(transition.source, []).append((index, transition))
         self._composition = composition
-        self._leaving: dict[str, tuple] = {}
-        self._fires: dict = {}  # declaration index, or None for the initial entry -> fire
-        self._bounds: dict = {}  # state -> clock bound or None
+        self.leaving = functools.cache(self._build_leaving)
+        self.fire = functools.cache(self._build_fire)
+        self.bound = functools.cache(self._build_bound)
 
-    def leaving(self, name: str) -> tuple:
-        """(declaration index, trigger event or None, compiled guard or None) per outgoing transition of `name`."""
-        leaving = self._leaving.get(name)
-        if leaving is None:
-            leaving = self._leaving[name] = tuple(
-                (index, None if is_tick_trigger(t.trigger) else t.trigger, self._guard(t.guard))
-                for index, t in self.by_source.get(name, ())
-            )
-        return leaving
+    def _build_leaving(self, name: str) -> tuple:
+        """`leaving(name)`: (declaration index, trigger event or None, compiled guard or None) per
+        outgoing transition of `name`."""
+        return tuple(
+            (index, None if is_tick_trigger(t.trigger) else t.trigger,
+             None if t.guard == ex.TRUE else self._composition.compiled(t.guard))
+            for index, t in self.by_source.get(name, ())
+        )
 
-    def fire(self, index: int | None) -> tuple:
-        """(source, target, actions) of the transition declared at `index`, its `model.fire_actions`
-        compiled; for None, (None, the initial state, its compiled entry actions). An action is a
-        triple (guard or None if unconditional, target, value): it raises the event `value` if
-        target is None, else assigns target the compiled right-hand side `value`."""
-        fire = self._fires.get(index)
-        if fire is None:
-            chart = self.chart
-            if index is None:
-                source, target, actions = None, chart.initial_state, chart.state(chart.initial_state).entry_actions
-            else:
-                transition = chart.transitions[index]
-                source, target, actions = transition.source, transition.target, fire_actions(chart, transition)
-            fire = self._fires[index] = (source, target, tuple(map(self._action, actions)))
-        return fire
+    def _build_fire(self, index: int | None) -> tuple:
+        """`fire(index)`: (source, target, actions) of the transition declared at `index`, its
+        `model.fire_actions` compiled; for None, (None, the initial state, its entry actions evaluated by
+        `ex.eval_expr`, as they run once per scenario). An action is a triple (guard or None if unconditional,
+        target, value): it raises the event `value` if target is None, else sets target to `value(valuation)`."""
+        chart = self.chart
+        if index is None:
+            source, target, actions = None, chart.initial_state, chart.state(chart.initial_state).entry_actions
+            function = functools.partial(functools.partial, ex.eval_expr)  # a tree -> partial(ex.eval_expr, tree)
+        else:
+            transition = chart.transitions[index]
+            source, target, actions = transition.source, transition.target, fire_actions(chart, transition)
+            function = self._composition.compiled
+        return source, target, tuple(self._action(ga, function) for ga in actions)
 
-    def bound(self, name: str):
-        """`ex.compile_bound` over the clock of what an idle minute in state `name` may evaluate
-        (see the module docstring): its event-free leaving guards, and the `fire_actions` (guards
-        and right-hand sides) of its event-free self-loops."""
-        if name not in self._bounds:
-            trees = []
-            for index, event, _ in self.leaving(name):
-                transition = self.chart.transitions[index]
-                if event is None:
-                    trees.append(transition.guard)
-                    if transition.target == name:
-                        for ga in fire_actions(self.chart, transition):
-                            trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
-            self._bounds[name] = ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
-        return self._bounds[name]
+    def _build_bound(self, name: str):
+        """`bound(name)`: `ex.compile_bound` over the clock of what an idle minute in state `name`
+        may evaluate (see the module docstring): its event-free leaving guards, and the
+        `fire_actions` (guards and right-hand sides) of its event-free self-loops."""
+        trees = []
+        for index, event, _ in self.leaving(name):
+            transition = self.chart.transitions[index]
+            if event is None:
+                trees.append(transition.guard)
+                if transition.target == name:
+                    for ga in fire_actions(self.chart, transition):
+                        trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
+        return ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
 
-    def _guard(self, guard: ex.Expr):
-        return None if guard == ex.TRUE else self._composition.compiled(guard)
-
-    def _action(self, ga: GuardedAction) -> tuple:
+    @staticmethod
+    def _action(ga: GuardedAction, function) -> tuple:
+        guard = None if ga.guard == ex.TRUE else function(ga.guard)
         if isinstance(ga.action, Raise):
-            return self._guard(ga.guard), None, ga.action.event
-        return self._guard(ga.guard), ga.action.target, self._composition.compiled(ga.action.value)
+            return guard, None, ga.action.event
+        return guard, ga.action.target, function(ga.action.value)
 
 
 class Composition:
@@ -139,7 +137,7 @@ class Composition:
     `parse_model` returned is not validated again), and same-name
     declarations in agreement; one `_ChartIndex` per chart, in `runtimes` in
     execution order and in `indexes` by name. An expression is compiled the
-    first time it is evaluated, and kept.
+    first time it is evaluated, and kept; an initial entry's is not compiled.
     """
 
     def __init__(self, timer: StatechartModel | None = None, resources=(), guidelines=()):
@@ -261,8 +259,8 @@ def _is_literal(value) -> bool:
 
 def validate_scenario(scenario: Scenario, composition: Composition) -> None:
     """Check every referenced variable is declared with a matching kind,
-    every value is a boolean or a 64-bit integer, and no choice variable is
-    declared twice or also set in `initial`."""
+    every value is a boolean or a 64-bit integer, no choice variable is
+    declared twice or also set in `initial`, and no domain lists a value twice."""
     kinds = composition.kinds
 
     def check(var: str, value, where: str) -> None:
@@ -289,8 +287,10 @@ def validate_scenario(scenario: Scenario, composition: Composition) -> None:
             raise ScenarioError(f"choice {choice.var!r} is also set in initial")
         if not choice.domain:
             raise ScenarioError(f"choice {choice.var!r} has an empty domain")
-        for value in choice.domain:
+        for i, value in enumerate(choice.domain):
             check(choice.var, value, f"choice {choice.var!r}")
+            if value in choice.domain[:i]:
+                raise ScenarioError(f"choice {choice.var!r} lists {value_text(value)} more than once")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def out_of_range(chart: str, minute: int, target: str) -> str:
 
 def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list) -> None:
     """Fire the transition declared at `index`, or enter the initial state when it is None, running
-    the compiled actions of `runtime.fire(index)` in order.
+    the actions of `runtime.fire(index)` in order.
 
     A write that changes an integer to a value outside 64 bits raises SimulationError. The fire
     is recorded in `fires` unless it is a self-loop that set nothing and raised nothing.

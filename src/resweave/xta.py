@@ -11,8 +11,9 @@ is a tick self-loop is exported as a clock process (invariant `x<=1`, reset
 edge) so the shared clock advances once per minute. Raised events become
 broadcast channel emissions.
 
-Variable initializers are the values after composition initialization, which
-bakes the t=0 entry effects of initial states into the declarations.
+Variable initializers are the valuation after minute 0, as
+`sim.init_composition` runs it for an empty scenario: it bakes in the t=0 entry
+effects of initial states, and refuses one that sets an integer outside 64 bits.
 
 Names are written flat: a dot becomes `_` (`RES.tPA` is `RES_tPA`), and a
 name spelled like a word the language reserves (`RESERVED`) gets a `_`
@@ -21,7 +22,7 @@ appended (`urgent` is `urgent_`). Two names written alike are refused.
 The exportable subset excludes event-triggered transitions, guarded exit
 actions, edges that would carry more than one raise, one name used for more
 than one of a variable, an event and a chart (the document declares them in
-one namespace), and t=0 entry effects that set an integer outside 64 bits.
+one namespace).
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import re
 from . import expr as ex
 from .errors import ResweaveError
 from .model import Assign, Raise, StatechartModel, Transition, fire_actions, is_tick_trigger
-# perfbench/tracer.py wraps `xta.init_composition` by name, so the name stays importable here.
-from .sim import Composition, init_composition, out_of_range, value_text  # noqa: F401
+from .sim import Composition, Scenario, init_composition, value_text
 
 
 class ExportError(ResweaveError):
@@ -207,17 +207,7 @@ def export_xta(composition: Composition) -> str:
     global_names = sorted(kinds)
     _check_injective(global_names, "the global declarations")
 
-    # Bake the t=0 entry effects of initial states into the initializers, in
-    # the order `sim.init_composition` runs them, evaluated without compiling.
-    initial_valuation = {decl.name: decl.initial for decl in variables}
-    for chart in composition.charts:
-        for guarded in chart.state(chart.initial_state).entry_actions:
-            action = guarded.action
-            if isinstance(action, Assign) and ex.eval_expr(guarded.guard, initial_valuation):
-                value = ex.eval_expr(action.value, initial_valuation)
-                if not ex.INT_MIN <= value <= ex.INT_MAX:
-                    raise ExportError(out_of_range(chart.name, 0, action.target))
-                initial_valuation[action.target] = value
+    initial_valuation = init_composition(composition, Scenario()).valuation
 
     lines: list[str] = []
     for decl in variables:

@@ -96,6 +96,23 @@ MUTANTS = (
         ("tests/test_skip.py::test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute[15]",
          "tests/test_cli.py::test_integer_written_outside_64_bits_exits_2[check]"),
     ),
+    Mutant(
+        "export-bakes-declaration-defaults",
+        "src/resweave/xta.py",
+        "initial_valuation = init_composition(composition, Scenario()).valuation",
+        "initial_valuation = {decl.name: decl.initial for decl in variables}",
+        ("tests/test_xta.py::test_initializers_reflect_time_zero_entries",
+         "tests/test_cli.py::test_integer_set_outside_64_bits_at_time_zero_exits_2[export]"),
+    ),
+    Mutant(
+        "initial-entry-compiled",
+        SIM,
+        "function = functools.partial(functools.partial, ex.eval_expr)",
+        "function = self._composition.compiled",
+        ("tests/test_sim.py::test_minute_0_compiles_nothing[delayed_composition]",
+         "tests/test_sim.py::test_minute_0_compiles_nothing[extended_composition]",
+         "tests/test_xta.py::test_export_compiles_no_expression"),
+    ),
 )
 
 

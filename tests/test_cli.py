@@ -1102,6 +1102,19 @@ def test_a_choice_variable_declared_twice_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [DELAYED_CHECK, DELAYED_SIMULATE], ids=["check", "simulate"])
+def test_a_choice_domain_listing_a_value_twice_exits_2(tmp_path, capsys, argv):
+    scenario = json.loads((FIXTURES / "scenario_simple.json").read_text())
+    scenario["choices"][0]["domain"] = [False, False]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(scenario))
+    argv = list(argv)
+    argv[argv.index("--scenario") + 1] = path
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: choice 'hemorrhage' lists false more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [DELAYED_CHECK, DELAYED_SIMULATE], ids=["check", "simulate"])
 def test_a_choice_variable_also_set_in_initial_exits_2(tmp_path, capsys, argv):
     scenario = json.loads((FIXTURES / "scenario_simple.json").read_text())
     scenario["initial"]["hemorrhage"] = True

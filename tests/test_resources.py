@@ -78,6 +78,7 @@ def test_parse_schedule_horizon_and_multiwindow():
         ("horizon: 9223372036854775808", "line 1: horizon '9223372036854775808' is not a positive 64-bit integer"),
         ("horizon: 99999999999999999999\nr: (200, 99999999999999999999)", "is not a positive 64-bit integer"),
         ("r: (0, 10)\n# again\nr: (20, 30)", "line 3: duplicate resource 'r'"),
+        ("horizon: 100\nr: (0, 10)\nhorizon: 300", "line 3: duplicate horizon"),
     ],
 )
 def test_parse_schedule_errors(text, match):

@@ -358,6 +358,27 @@ def test_a_fire_is_compiled_the_first_time_it_runs(monkeypatch):
     assert compiled == [guard]
 
 
+@pytest.mark.parametrize("charts", ["delayed_composition", "extended_composition"])
+def test_minute_0_compiles_nothing(monkeypatch, request, charts):
+    charts = request.getfixturevalue(charts)
+    composition = sim.Composition(charts.timer, charts.resources, charts.guidelines)
+    compiled, compile_expr = [], ex.compile_expr
+
+    def counted(expr, kinds):
+        compiled.append(expr)
+        return compile_expr(expr, kinds)
+
+    monkeypatch.setattr(ex, "compile_expr", counted)
+    state = sim.init_composition(composition, sim.Scenario())
+    assert compiled == []
+    sim.macro_step(state)
+    # each resource chart's self-loop re-enters its one state, whose entry actions minute 0 evaluated
+    entries = [ga for chart in composition.resources for ga in chart.states[0].entry_actions]
+    assert entries and all(isinstance(ga.action, Assign) for ga in entries)
+    trees = {id(tree) for ga in entries for tree in (ga.guard, ga.action.value) if tree != ex.TRUE}
+    assert trees <= {id(tree) for tree in compiled}
+
+
 def test_guard_monotonicity_under_integration(delayed_composition, simple_model, simple_scenario):
     resolved = simple_scenario.resolve(
         {"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100}
@@ -551,6 +572,12 @@ def test_resolve_names_each_choice_left_out(simple_scenario):
         (sim.Scenario(injections=(sim.Injection(-1, "orderCT", True),)), "injection time -1 outside [0, horizon]"),
         (sim.Scenario(injections=(sim.Injection(31, "orderCT", True),), horizon=30),
          "injection time 31 outside [0, horizon]"),
+        (sim.Scenario(choices=(sim.Choice("hemorrhage", (False, False)),)),
+         "choice 'hemorrhage' lists false more than once"),
+        (sim.Scenario(choices=(sim.Choice("systolicBP", (150, 190, 150)),)),
+         "choice 'systolicBP' lists 150 more than once"),
+        (sim.Scenario(choices=(sim.Choice("systolicBP", (150, [150])),)),
+         "choice 'systolicBP': value [150] of 'systolicBP' is not a boolean or a 64-bit integer"),
     ],
 )
 def test_validate_scenario_messages(delayed_composition, scenario, message):
