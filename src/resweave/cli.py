@@ -20,7 +20,7 @@ from . import sim
 from . import weave
 from .errors import ResweaveError
 from .model import StatechartModel, expect, expect_object, parse_model, read_json, serialize_model
-from .model import variable_from_obj
+from .model import variable_from_obj, write_json
 from .xta import export_queries, export_xta
 
 
@@ -148,7 +148,7 @@ def write_manifest(composition: sim.Composition, out_dir: Path, guideline_names:
         "variables": [asdict(v) for v in composition.variables],
     }
     path = out_dir / "composition.json"
-    _write_text(path, json.dumps(manifest, indent=2) + "\n")
+    _write_text(path, write_json(manifest) + "\n")
     return path
 
 
@@ -301,16 +301,16 @@ def cmd_check(args) -> int:
                 "scenario_index": cx.scenario_index,
                 "step_index": cx.step_index,
                 "scenario": sim.scenario_to_dict(cx.scenario),
-                "trace": sim.trace_to_dict(cx.trace),
+                "trace": cx.trace,
             }
-            _write_text(cx_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _write_text(cx_path, write_json(payload, sort_keys=True) + "\n")
             _write_text(
                 out_dir / f"{verdict.property}.trace.txt",
                 "\n".join(sim.trace_lines(cx.trace)) + "\n",
             )
             entry["counterexample_path"] = str(cx_path)
         rows.append(entry)
-    _write_text(out_dir / "verdicts.json", json.dumps(rows, indent=2) + "\n")
+    _write_text(out_dir / "verdicts.json", write_json(rows) + "\n")
     width = max(len(r["property"]) for r in rows)
     for row in rows:
         status = "holds" if row["holds"] else "FAILS"

@@ -257,6 +257,31 @@ def read_json(text: str):
         raise ModelFormatError(f"JSON number of more than {sys.get_int_max_str_digits()} digits") from None
 
 
+def write_json(value, sort_keys: bool = False, ensure_ascii: bool = True) -> str:
+    """`json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)` for str object keys, with each
+    `NamedTuple` record an object of its fields. Each container is joined once; `json` indents chunk by chunk."""
+    string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+
+    def write(value, indent: str) -> str:
+        if isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            items = [string(v) if type(v) is str else repr(v) if type(v) is int else write(v, inner) for v in value]
+            return "[\n%s%s\n%s]" % (inner, f",\n{inner}".join(items), indent)
+        if not isinstance(value, (dict, tuple)):
+            return string(value) if isinstance(value, str) else json.dumps(value)
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        pairs = value.items() if isinstance(value, dict) else zip(value._fields, value)  # a record
+        items = [f"{string(k)}: {string(v) if type(v) is str else repr(v) if type(v) is int else write(v, inner)}"
+                 for k, v in (sorted(pairs) if sort_keys else pairs)]
+        return "{\n%s%s\n%s}" % (inner, f",\n{inner}".join(items), indent)
+
+    return write(value, "")
+
+
 def expect(obj, types, path: str, what: str):
     """`obj`, if it is of `types`; a boolean is not an `int` here."""
     if not isinstance(obj, types) or (types is int and isinstance(obj, bool)):
@@ -361,7 +386,7 @@ def serialize_model(model: StatechartModel) -> str:
     root["states"] = [_state_to_obj(s) for s in model.states]
     root["transitions"] = [_transition_to_obj(t) for t in model.transitions]
     root["initial"] = model.initial_state
-    return json.dumps(root, indent=2, ensure_ascii=False) + "\n"
+    return write_json(root, ensure_ascii=False) + "\n"
 
 
 def _state_to_obj(state: State) -> dict:

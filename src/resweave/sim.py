@@ -8,7 +8,9 @@ ones; a fire runs `model.fire_actions` (exit, transition, then entry
 actions, re-entering on self-loops). Minute 0 is a macro-step whose
 injections, the scenario's initial values first, precede every chart's
 initial entry. Events raised earlier in a step are visible to charts
-executed later and are cleared at the step boundary.
+executed later and are cleared at the step boundary. A step's `deltas` come
+from the old value of each variable at its first write or injection in the
+minute. `trace_to_json` writes a trace's records through `model.write_json`.
 
 Scenario documents are UTF-8 JSON:
 
@@ -40,7 +42,6 @@ runs a minute.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -48,7 +49,7 @@ from typing import NamedTuple
 from . import expr as ex
 from .errors import ResweaveError
 from .model import GuardedAction, ModelFormatError, Raise, StatechartModel, Transition, VariableDecl
-from .model import expect, expect_object, fire_actions, is_tick_trigger, read_json
+from .model import expect, expect_object, fire_actions, is_tick_trigger, read_json, write_json
 # perfbench/tracer.py wraps `sim.validate_model` by name, so the name stays importable here.
 from .model import validate_model  # noqa: F401
 from .resources import CLOCK_VARIABLE, synthesize_timer
@@ -66,11 +67,10 @@ class ScenarioError(ResweaveError):
 
 
 class _ChartIndex:
-    """A chart's runtime: its outgoing transitions by source state, and three functions that build
-    their result on the first call and keep it (`functools.cache`): a state's `leaving`, the first
-    time the chart is in it; a transition's `fire`, the first time it runs, compiled, or the
-    initial entry's, `fire(None)`, evaluated; and a state's clock `bound`, the first time it ends
-    an idle minute."""
+    """A chart's runtime: its outgoing transitions by source state, and three methods that build
+    their result on the first call and keep it: a state's `leaving`, the first time the chart is in
+    it; a transition's `fire`, the first time it runs; and a state's clock `bound`, the first time
+    it ends an idle minute. The initial entry's `fire(None)` is built on each call, and not kept."""
 
     def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
@@ -79,47 +79,52 @@ class _ChartIndex:
         for index, transition in enumerate(chart.transitions):
             self.by_source.setdefault(transition.source, []).append((index, transition))
         self._composition = composition
-        self.leaving = functools.cache(self._build_leaving)
-        self.fire = functools.cache(self._build_fire)
-        self.bound = functools.cache(self._build_bound)
+        # Plain dicts add no GC-tracked object until filled; a `functools.cache` wrapper adds seven.
+        self._leaving: dict[str, tuple] = {}
+        self._fires: dict[int, tuple] = {}
+        self._bounds: dict = {}  # state -> clock bound or None
 
-    def _build_leaving(self, name: str) -> tuple:
-        """`leaving(name)`: (declaration index, trigger event or None, compiled guard or None) per
-        outgoing transition of `name`."""
-        return tuple(
-            (index, None if is_tick_trigger(t.trigger) else t.trigger,
-             None if t.guard == ex.TRUE else self._composition.compiled(t.guard))
-            for index, t in self.by_source.get(name, ())
-        )
+    def leaving(self, name: str) -> tuple:
+        """(declaration index, trigger event or None, compiled guard or None) per outgoing transition of `name`."""
+        if name not in self._leaving:
+            self._leaving[name] = tuple(
+                (index, None if is_tick_trigger(t.trigger) else t.trigger,
+                 None if t.guard == ex.TRUE else self._composition.compiled(t.guard))
+                for index, t in self.by_source.get(name, ())
+            )
+        return self._leaving[name]
 
-    def _build_fire(self, index: int | None) -> tuple:
-        """`fire(index)`: (source, target, actions) of the transition declared at `index`, its
-        `model.fire_actions` compiled; for None, (None, the initial state, its entry actions evaluated by
-        `ex.eval_expr`, as they run once per scenario). An action is a triple (guard or None if unconditional,
-        target, value): it raises the event `value` if target is None, else sets target to `value(valuation)`."""
+    def fire(self, index: int | None) -> tuple:
+        """(source, target, actions) of the transition declared at `index`, its `model.fire_actions`
+        compiled; for None, (None, the initial state, its entry actions evaluated by `ex.eval_expr`, as
+        they run once per scenario). An action is a triple (guard or None if unconditional, target,
+        value): it raises the event `value` if target is None, else sets target to `value(valuation)`."""
         chart = self.chart
-        if index is None:
-            source, target, actions = None, chart.initial_state, chart.state(chart.initial_state).entry_actions
+        if index is None:  # built on each call: it runs once per scenario, and kept it would hold GC-tracked partials
             function = functools.partial(functools.partial, ex.eval_expr)  # a tree -> partial(ex.eval_expr, tree)
-        else:
+            actions = chart.state(chart.initial_state).entry_actions
+            return None, chart.initial_state, tuple(self._action(ga, function) for ga in actions)
+        if index not in self._fires:
             transition = chart.transitions[index]
-            source, target, actions = transition.source, transition.target, fire_actions(chart, transition)
-            function = self._composition.compiled
-        return source, target, tuple(self._action(ga, function) for ga in actions)
+            actions = tuple(self._action(ga, self._composition.compiled) for ga in fire_actions(chart, transition))
+            self._fires[index] = transition.source, transition.target, actions
+        return self._fires[index]
 
-    def _build_bound(self, name: str):
-        """`bound(name)`: `ex.compile_bound` over the clock of what an idle minute in state `name`
-        may evaluate (see the module docstring): its event-free leaving guards, and the
-        `fire_actions` (guards and right-hand sides) of its event-free self-loops."""
-        trees = []
-        for index, event, _ in self.leaving(name):
-            transition = self.chart.transitions[index]
-            if event is None:
-                trees.append(transition.guard)
-                if transition.target == name:
-                    for ga in fire_actions(self.chart, transition):
-                        trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
-        return ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
+    def bound(self, name: str):
+        """`ex.compile_bound` over the clock of what an idle minute in state `name` may evaluate
+        (see the module docstring): its event-free leaving guards, and the `fire_actions` (guards
+        and right-hand sides) of its event-free self-loops."""
+        if name not in self._bounds:
+            trees = []
+            for index, event, _ in self.leaving(name):
+                transition = self.chart.transitions[index]
+                if event is None:
+                    trees.append(transition.guard)
+                    if transition.target == name:
+                        for ga in fire_actions(self.chart, transition):
+                            trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
+            self._bounds[name] = ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
+        return self._bounds[name]
 
     @staticmethod
     def _action(ga: GuardedAction, function) -> tuple:
@@ -316,33 +321,19 @@ class StepReport(NamedTuple):
     deltas: dict[str, int | bool]  # net value changes across the step
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     initial_active: dict[str, str]
     initial_valuation: dict[str, int | bool]
     steps: tuple[StepReport, ...]  # steps[0] is the initialization report (t=0)
 
 
-def trace_to_dict(trace: Trace) -> dict:
-    """The JSON object of a trace, as `trace_to_json` writes it: the trace and
-    each record in it an object of its fields (`json` writes tuples as lists)."""
-    return _fields(dict(vars(trace)))
-
-
-def _fields(fields: dict) -> dict:
-    """`fields` with each tuple of records in it replaced by a list of their field objects."""
-    for name, value in fields.items():
-        if isinstance(value, tuple) and value and hasattr(value[0], "_asdict"):
-            fields[name] = [_fields(item._asdict()) for item in value]
-    return fields
-
-
 def trace_to_json(trace: Trace) -> str:
-    return json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
+    """The trace document: the trace and each record in it an object of its fields, keys sorted."""
+    return write_json(trace, sort_keys=True) + "\n"
 
 
 def trace_from_dict(obj: dict) -> Trace:
-    """The trace of a JSON object that `trace_to_dict` wrote, each record
+    """The trace of a JSON object that `trace_to_json` wrote, each record
     rebuilt from its fields: `trace_from_dict(json.loads(trace_to_json(t))) == t`."""
     steps = tuple(
         _record(StepReport, {**step, "fires": tuple(_record(FireRecord, fire) for fire in step["fires"])})
@@ -405,6 +396,7 @@ class SimState:
     steps: list[StepReport]  # steps[t] is the report of minute t; steps[0] is initialization
     injections_by_time: dict[int, list[Injection]]
     minutes_skipped: int = 0  # minutes recorded by `skip_idle` without being run
+    before: dict[str, int | bool] = field(default_factory=dict)  # old value per variable the last minute wrote
 
     @property
     def curT(self) -> int:
@@ -440,6 +432,7 @@ def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list)
             if type(new) is int and not ex.INT_MIN <= new <= ex.INT_MAX:
                 raise SimulationError(out_of_range(name, state.curT + 1, variable))
             sets.append((variable, new))
+            state.before.setdefault(variable, valuation[variable])
             valuation[variable] = new
     state.active[name] = target
     if source != target or sets or len(events) > mark:
@@ -495,7 +488,8 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
     does not name stay where they are.
     """
     t = state.curT + 1
-    before = dict(state.valuation)
+    # the value before this minute of each variable it writes: the injected ones here, the others in `_fire`
+    before = state.before = {i.var: state.valuation[i.var] for i in state.injections_by_time.get(t, ())}
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
     runtimes = state.composition.runtimes
@@ -507,7 +501,7 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
         state.valuation[injection.var] = injection.value
     for runtime in runtimes[timed:]:
         _chart_cycle(state, runtime, fires, chosen)
-    deltas = {var: value for var, value in state.valuation.items() if before.get(var) != value}
+    deltas = {var: state.valuation[var] for var, value in before.items() if state.valuation[var] != value}
     report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
     state.steps.append(report)
     state.pending_events.clear()

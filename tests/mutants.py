@@ -29,6 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/resweave/sim.py"
 DIFFERENTIAL = "tests/test_oracle.py::test_oracle_steps_as_sim_minute_by_minute"
+WRITER = "tests/test_model.py::test_write_json_is_indented_json_dumps"
 
 
 class Mutant(NamedTuple):
@@ -112,6 +113,28 @@ MUTANTS = (
         ("tests/test_sim.py::test_minute_0_compiles_nothing[delayed_composition]",
          "tests/test_sim.py::test_minute_0_compiles_nothing[extended_composition]",
          "tests/test_xta.py::test_export_compiles_no_expression"),
+    ),
+    Mutant(
+        "writer-keys-unsorted",
+        "src/resweave/model.py",
+        "for k, v in (sorted(pairs) if sort_keys else pairs)]",
+        "for k, v in pairs]",
+        (WRITER, "tests/test_sim.py::test_trace_with_every_field_kind_reads_back_from_its_json",
+         "tests/test_cli.py::test_output_bytes_are_pinned[check-delayed]"),
+    ),
+    Mutant(
+        "writer-ignores-ensure-ascii",
+        "src/resweave/model.py",
+        "string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring",
+        "string = json.encoder.encode_basestring_ascii",
+        (WRITER,),
+    ),
+    Mutant(
+        "writer-empty-list-on-two-lines",
+        "src/resweave/model.py",
+        '            if not value:\n                return "[]"\n',
+        '            if not value:\n                return "[\\n%s]" % indent\n',
+        (WRITER, "tests/test_cli.py::test_output_bytes_are_pinned[simulate-delayed]"),
     ),
 )
 

@@ -1,8 +1,11 @@
 import json
 import random
 from dataclasses import fields, is_dataclass, replace
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resweave import expr as ex
 from resweave import model as m
@@ -119,6 +122,42 @@ def test_json_number_of_thousands_of_digits_is_a_format_error():
     with pytest.raises(m.ModelFormatError) as err:
         m.parse_model('{"name": ' + "1" * 5000 + "}")
     assert str(err.value) == "JSON number of more than 4300 digits"
+
+
+class _Record(NamedTuple):
+    """A record whose fields are not in sorted order."""
+
+    zeta: object
+    alpha: object
+
+
+def _plain(value):
+    """`value` as `json` would be given it: each record an object of its fields."""
+    if isinstance(value, _Record):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return list(map(_plain, value)) if isinstance(value, (list, tuple)) else value
+
+
+_TEXTS = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.floats() | _TEXTS | st.integers(min_value=-2**63, max_value=2**63 - 1)
+            | st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]))
+_VALUES = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                                                | st.dictionaries(_TEXTS, inner, max_size=4)
+                                                | st.builds(_Record, inner, inner)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES, st.booleans(), st.booleans())
+@example({"b": [1, {"d": None, "c": True}], "a": _Record(2, "x")}, True, True)
+@example(["caf\u00e9", {"\u00e9": "\U0001f600"}], False, False)
+@example({"list": [], "tuple": (), "dict": {}, "in": [[], {}]}, False, True)
+def test_write_json_is_indented_json_dumps(value, sort_keys, ensure_ascii):
+    """`write_json` writes what `json.dumps(..., indent=2)` writes, each record as the object of its
+    fields; with `sort_keys` a record's fields are sorted too."""
+    expected = json.dumps(_plain(value), indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)
+    assert m.write_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == expected
 
 
 def test_roundtrip_minimal_and_fixtures(simple_model, extended_model):

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -16,7 +17,7 @@ from resweave.model import (
     Transition,
     VariableDecl,
 )
-from resweave.resources import Window, is_available, parse_schedule, synthesize_timer
+from resweave.resources import Window, is_available, parse_schedule, synthesize_resource_chart, synthesize_timer
 
 from generators import gen_composition, gen_scenario
 
@@ -456,6 +457,43 @@ def test_trace_reads_back_from_its_json_on_generated_compositions():
             except sim.SimulationError:  # a generated chart may write an integer outside 64 bits
                 continue
             assert sim.trace_from_dict(json.loads(sim.trace_to_json(trace))) == trace
+
+
+def test_trace_with_every_field_kind_reads_back_from_its_json():
+    """Initial entries (no source, no index), fires with and without writes and events, integer
+    and boolean values in injections, writes and deltas, events raised, and a step with none."""
+    init = sim.FireRecord("Stroke", None, "Start", None, (("onsetT", 5), ("orderCT", True)), ("go",))
+    fire = sim.FireRecord("Stroke", "Start", "CT", 3, (("curT", -2**63), ("hemorrhage", False)), ())
+    steps = (
+        sim.StepReport(0, (("onsetT", 5),), (init,), ("go",), {"onsetT": 5, "orderCT": True}),
+        sim.StepReport(1, (("hemorrhage", False), ("tpaT", 2**63 - 1)), (fire,), (),
+                       {"curT": -2**63, "tpaT": 2**63 - 1}),
+        sim.StepReport(2, (), (), (), {}),
+    )
+    trace = sim.Trace({"Stroke": "Start"}, {"onsetT": 5, "orderCT": True, "curT": 0}, steps)
+    text = sim.trace_to_json(trace)
+    assert sim.trace_from_dict(json.loads(text)) == trace
+    assert text.startswith('{\n  "initial_active": {\n    "Stroke": "Start"\n  },\n  "initial_valuation": {\n    "curT"')
+
+
+def test_a_chart_runtime_adds_four_gc_tracked_objects():
+    """A `_ChartIndex` of a one-transition chart adds four GC-tracked objects: itself, its
+    `by_source` dict, and that dict's list and (index, transition) pair; its caches add none until
+    they are filled. Each tracked object counts toward CPython's full collections: at 21 more per
+    runtime, exporting a composition of 200 resource charts runs one."""
+    timer = synthesize_timer()
+    charts = tuple(synthesize_resource_chart(f"r{i}", (Window(0, 5),)) for i in range(40))
+    sim.Composition(timer, charts)  # each chart validates once, and keeps its diagnostics
+
+    def tracked(count: int) -> int:
+        gc.collect()
+        before = len(gc.get_objects())
+        composition = sim.Composition(timer, charts[:count])
+        gc.collect()
+        assert len(composition.runtimes) == count + 1
+        return len(gc.get_objects()) - before
+
+    assert round((tracked(40) - tracked(20)) / 20) == 4
 
 
 def test_no_op_self_loops_are_not_recorded(monkeypatch):
