@@ -1,9 +1,12 @@
-"""Turn an availability schedule into charts that refresh RES.* every minute.
+"""Turn an availability schedule into charts that keep RES.* current every minute.
 
 A schedule line `r: (s, e)` means r is usable for minutes s < t <= e. Each
 resource becomes a one-state chart whose self-loop re-enters every cycle;
 complementary guarded entry actions write the RES.<r> flag so downstream
-guards always read the current minute's availability.
+guards always read the current minute's availability. When a re-entry
+changes nothing, the simulator lets the chart sleep until its clock
+reaches the next window end, or until its flag is injected; every output
+is what re-entering it every minute gives.
 """
 
 from pathlib import Path

@@ -532,6 +532,17 @@ def depth(expr: Expr) -> int:
     return 1
 
 
+def variables(expr: Expr) -> set[str]:
+    """The names of the variables `expr` reads."""
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, Not):
+        return variables(expr.operand)
+    if isinstance(expr, BinOp):
+        return variables(expr.left) | variables(expr.right)
+    return set()
+
+
 def conjoin(left: Expr, right: Expr) -> BinOp:
     """Left-associated conjunction, as used by guard strengthening."""
     return BinOp("&&", left, right)

@@ -22,26 +22,30 @@ Scenario documents are UTF-8 JSON:
 A scenario must be fully resolved (no choices) before simulation; choice
 enumeration lives in `check`.
 
-Idle minutes are recorded without being run. A minute is idle when the
-synthesized timer's fire is its only record and nothing was injected: only
-`curT` changed. After one, `run` and `check` call `skip_idle`, which
-appends the same record, with its own `curT`, for each following minute
-and moves the clock on, so every record and every output byte is what
-running each minute gives. It stops at the next injection, at the horizon,
-before the clock would leave 64 bits, and at the first minute at which the
-clock bound of an active state (or of the invariants `check` still
-observes) allows a change. An idle minute has no event pending and fires
-only self-loops that record nothing, so a state's bound covers its
-event-free leaving guards and the actions of its event-free self-loops. It
-is solved from their comparisons linear in `curT`; any other use of `curT`
-stops the skip at the next minute. A composition whose timer is not
-`synthesize_timer()` runs every minute. `macro_step` is the only code that
-runs a minute.
+A chart sleeps between changes. When its cycle records nothing (no
+transition was enabled, or a self-loop set nothing and raised nothing),
+`macro_step` skips it until the first minute at which its state's clock
+bound allows a change, a variable its cycle reads or writes is injected or
+written by a chart other than the timer (in the same minute when the writer
+runs before it, else in the next), or an event one of its leaving
+transitions waits on is raised before it in the minute. The bound covers
+its event-free leaving guards and the actions of its event-free self-loops.
+It is solved from their comparisons linear in `curT`; any other use of
+`curT` wakes the chart the next minute. A minute is idle when the
+synthesized timer's fire is its only record and nothing was injected. After
+one, `run` and `check` call `skip_idle`, which appends the same record,
+with its own `curT`, for each minute up to the first wake, the next
+injection, the horizon, the clock's leaving 64 bits or the clock bound of
+the invariants `check` still observes, and moves the clock on. So every
+record and every output byte is what running each chart every minute gives.
+A composition whose timer is not `synthesize_timer()` runs every chart
+every minute. `macro_step` is the only code that runs a minute.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -69,8 +73,9 @@ class ScenarioError(ResweaveError):
 class _ChartIndex:
     """A chart's runtime: its outgoing transitions by source state, and three methods that build
     their result on the first call and keep it: a state's `leaving`, the first time the chart is in
-    it; a transition's `fire`, the first time it runs; and a state's clock `bound`, the first time
-    it ends an idle minute. The initial entry's `fire(None)` is built on each call, and not kept."""
+    it; a transition's `fire`, the first time it runs; and a state's `idle` clock bound and wait set,
+    the first time the chart falls asleep in it. The initial entry's `fire(None)` is built on each
+    call, and not kept."""
 
     def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
@@ -82,7 +87,7 @@ class _ChartIndex:
         # Plain dicts add no GC-tracked object until filled; a `functools.cache` wrapper adds seven.
         self._leaving: dict[str, tuple] = {}
         self._fires: dict[int, tuple] = {}
-        self._bounds: dict = {}  # state -> clock bound or None
+        self._idle: dict[str, tuple] = {}
 
     def leaving(self, name: str) -> tuple:
         """(declaration index, trigger event or None, compiled guard or None) per outgoing transition of `name`."""
@@ -110,21 +115,26 @@ class _ChartIndex:
             self._fires[index] = transition.source, transition.target, actions
         return self._fires[index]
 
-    def bound(self, name: str):
-        """`ex.compile_bound` over the clock of what an idle minute in state `name` may evaluate
-        (see the module docstring): its event-free leaving guards, and the `fire_actions` (guards
-        and right-hand sides) of its event-free self-loops."""
-        if name not in self._bounds:
-            trees = []
+    def idle(self, name: str) -> tuple:
+        """(clock bound, wait set) of a cycle in state `name` that records nothing (see the module
+        docstring): `ex.compile_bound` over the clock, and the variables, of the trees it may evaluate
+        (its event-free leaving guards, and the `fire_actions` of its event-free self-loops, with each
+        variable they write as an `ex.Var`), and the events its leaving transitions wait on."""
+        if name not in self._idle:
+            trees, events = [], set()
             for index, event, _ in self.leaving(name):
                 transition = self.chart.transitions[index]
-                if event is None:
-                    trees.append(transition.guard)
-                    if transition.target == name:
-                        for ga in fire_actions(self.chart, transition):
-                            trees += (ga.guard,) if isinstance(ga.action, Raise) else (ga.guard, ga.action.value)
-            self._bounds[name] = ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
-        return self._bounds[name]
+                if event is not None:
+                    events.add(event)
+                    continue
+                trees.append(transition.guard)
+                if transition.target == name:
+                    for ga in fire_actions(self.chart, transition):
+                        action = ga.action
+                        trees += (ga.guard,) if isinstance(action, Raise) else (ga.guard, action.value, ex.Var(action.target))
+            bound = ex.compile_bound(trees, self._composition.kinds, CLOCK_VARIABLE)
+            self._idle[name] = bound, frozenset(events.union(*map(ex.variables, trees)))
+        return self._idle[name]
 
     @staticmethod
     def _action(ga: GuardedAction, function) -> tuple:
@@ -397,6 +407,8 @@ class SimState:
     injections_by_time: dict[int, list[Injection]]
     minutes_skipped: int = 0  # minutes recorded by `skip_idle` without being run
     before: dict[str, int | bool] = field(default_factory=dict)  # old value per variable the last minute wrote
+    wake: list[int | float] = field(default_factory=list)  # per runtime, the first minute it runs again
+    waiting: dict[str, set[int]] = field(default_factory=dict)  # name -> positions of runtimes that slept on it
 
     @property
     def curT(self) -> int:
@@ -482,25 +494,46 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
 def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> StepReport:
     """Run the next minute and record it; see the module docstring for the in-step order.
 
-    By default each chart fires its first enabled transition. `chosen` maps
-    chart names to the declaration index to fire instead, without evaluating
-    triggers or guards, or to None to enter the initial state; charts it
-    does not name stay where they are.
+    By default each chart fires its first enabled transition, and a chart
+    asleep (see the module docstring) is not run. `chosen` maps chart names
+    to the declaration index to fire instead, without evaluating triggers or
+    guards, or to None to enter the initial state; charts it does not name
+    stay where they are, and every chart wakes.
     """
     t = state.curT + 1
     # the value before this minute of each variable it writes: the injected ones here, the others in `_fire`
     before = state.before = {i.var: state.valuation[i.var] for i in state.injections_by_time.get(t, ())}
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
-    runtimes = state.composition.runtimes
+    runtimes, valuation = state.composition.runtimes, state.valuation
+    sleeps = chosen is None and state.composition.skips_idle
+    if chosen is not None:
+        state.wake = [t] * len(runtimes)
+    wake = state.wake
     timed = t > 0 and state.composition.timer is not None  # from minute 1, the timer runs before the injections
     if timed:
         _chart_cycle(state, runtimes[0], fires, chosen)
     for injection in state.injections_by_time.get(t, ()):
         injected.append((injection.var, injection.value))
         state.valuation[injection.var] = injection.value
-    for runtime in runtimes[timed:]:
+    if sleeps and injected:
+        _wake(state, [var for var, _ in injected], 0, t, t)
+    for position in range(timed, len(runtimes)):
+        if wake[position] > t:
+            continue
+        count = len(fires)
+        runtime = runtimes[position]
         _chart_cycle(state, runtime, fires, chosen)
+        if not sleeps:
+            continue
+        if len(fires) > count:
+            _wake(state, [var for var, _ in fires[-1].sets], position, t, t + 1)
+            _wake(state, fires[-1].raised, position, t, math.inf)
+        else:  # it recorded nothing: asleep until its clock bound, or until `_wake`
+            bound, waits = runtime.idle(state.active[runtime.chart.name])
+            wake[position] = math.inf if bound is None else t + bound(valuation) - valuation[CLOCK_VARIABLE]
+            for name in waits:
+                state.waiting.setdefault(name, set()).add(position)
     deltas = {var: state.valuation[var] for var, value in before.items() if state.valuation[var] != value}
     report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
     state.steps.append(report)
@@ -508,27 +541,35 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
     return report
 
 
+def _wake(state: SimState, names, position: int, now: int, later: int | float) -> None:
+    """Wake each chart asleep on one of `names`, which the runtime at `position` (the timer, for an
+    injection) changed in minute `now`: to run in minute `now` if it runs after that one, else in `later`."""
+    wake, active, runtimes = state.wake, state.active, state.composition.runtimes
+    for name in names:
+        for other in state.waiting.get(name, ()):
+            minute = now if other > position else later
+            if wake[other] > minute and name in runtimes[other].idle(active[runtimes[other].chart.name])[1]:
+                wake[other] = minute
+
+
 def skip_idle(state: SimState, horizon: int, watched=None) -> None:
-    """After an idle minute (see the module docstring), record the idle
-    minutes that follow it without running them.
+    """After an idle minute, at whose end every chart but the timer sleeps,
+    record the idle minutes that follow it without running them.
 
     The skip ends before the next injection, after the horizon, before the
     clock would leave 64 bits (that minute runs, and refuses the write), or
-    at the first minute that the clock bound of an active state
-    (`_ChartIndex.bound`) or `watched` allows; `watched` is the clock bound
-    (`ex.compile_bound`) of the invariants a check still observes, or None.
+    at the first minute that a chart wakes or `watched` allows; `watched` is
+    the clock bound (`ex.compile_bound`) of the invariants a check still
+    observes, or None.
     """
     report = state.steps[-1]
-    composition = state.composition
-    if not report.t or report.injected or len(report.fires) != 1 or not composition.skips_idle:
+    if not report.t or report.injected or len(report.fires) != 1 or not state.composition.skips_idle:
         return
     t, valuation = report.t, state.valuation
     now = valuation[CLOCK_VARIABLE]
-    # skips_idle: runtimes[0] is the timer
-    bounds = [watched, *(r.bound(state.active[r.chart.name]) for r in composition.runtimes[1:])]
-    # the first minute that must run
+    # the first minute that must run; skips_idle: wake[0] is the timer's
     stop = min([horizon + 1, t + ex.INT_MAX + 1 - now, *(due for due in state.injections_by_time if due > t),
-                *(t + bound(valuation) - now for bound in bounds if bound is not None)])
+                *state.wake[1:], *(() if watched is None else (t + watched(valuation) - now,))])
     chart, source, target, index = report.fires[0][:4]
     for minute in range(t + 1, stop):
         clock = now + minute - t

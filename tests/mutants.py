@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/resweave/sim.py"
 DIFFERENTIAL = "tests/test_oracle.py::test_oracle_steps_as_sim_minute_by_minute"
 WRITER = "tests/test_model.py::test_write_json_is_indented_json_dumps"
+WAKE_ORDER = "tests/test_oracle.py::test_charts_sleep_and_wake_in_execution_order"
 
 
 class Mutant(NamedTuple):
@@ -113,6 +114,29 @@ MUTANTS = (
         ("tests/test_sim.py::test_minute_0_compiles_nothing[delayed_composition]",
          "tests/test_sim.py::test_minute_0_compiles_nothing[extended_composition]",
          "tests/test_xta.py::test_export_compiles_no_expression"),
+    ),
+    Mutant(
+        "write-wakes-only-later-readers",
+        SIM,
+        "_wake(state, [var for var, _ in fires[-1].sets], position, t, t + 1)",
+        "_wake(state, [var for var, _ in fires[-1].sets], position, t, math.inf)",
+        (WAKE_ORDER, f"{DIFFERENTIAL}[timed]"),
+    ),
+    Mutant(
+        "idle-writes-not-waited-on",
+        SIM,
+        "(ga.guard, action.value, ex.Var(action.target))",
+        "(ga.guard, action.value)",
+        ("tests/test_skip.py::test_an_injected_flag_is_overwritten_by_its_sleeping_resource_chart",
+         "tests/test_skip.py::test_a_no_op_self_loop_that_writes_the_clock_runs_every_minute",
+         f"{DIFFERENTIAL}[timed]"),
+    ),
+    Mutant(
+        "raised-event-wakes-nobody",
+        SIM,
+        "            _wake(state, fires[-1].raised, position, t, math.inf)\n",
+        "",
+        (WAKE_ORDER, f"{DIFFERENTIAL}[timed]"),
     ),
     Mutant(
         "writer-keys-unsorted",

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from resweave import expr as ex
 from resweave import model, sim, verify
-from resweave.resources import CLOCK_VARIABLE
+from resweave.resources import CLOCK_VARIABLE, Window, synthesize_resource_chart, synthesize_timer
 
 from conftest import fixture_text
 from generators import gen_composition, gen_invariants, gen_scenario, gen_timed_composition, gen_timed_scenario
@@ -64,8 +67,41 @@ def generated_runs(kind: str, seed: int):
     return composition, horizon, verify.enumerate_scenarios(scenario)[:4]
 
 
+WAKE_CAUSES = ("clock", "earlier write", "later write", "event", "injection")
+
+
+def counting_wakes(monkeypatch) -> Counter:
+    """Count, by cause, the times a sleeping chart runs again, by wrapping `sim._wake` and
+    `sim._chart_cycle`: its clock bound came due, a write by a chart before or after it in
+    execution order, an event raised before it in the minute, or an injection."""
+    causes, woken = Counter(), set()  # (chart position, minute) set by `_wake` in the current run
+    wake, cycle = sim._wake, sim._chart_cycle
+
+    def counting_wake(state, names, position, now, later):
+        before = list(state.wake)
+        wake(state, names, position, now, later)
+        for other, (old, new) in enumerate(zip(before, state.wake)):
+            if new != old:
+                woken.add((other, new))
+                causes["injection" if position == 0 else "event" if later == math.inf else
+                       "earlier write" if other > position else "later write"] += 1
+
+    def counting_cycle(state, runtime, fires, chosen):
+        if chosen is not None:
+            woken.clear()
+        t, position = state.curT + 1, state.composition.runtimes.index(runtime)
+        if chosen is None and state.wake[position] == t and (position, t) not in woken:
+            causes["clock"] += 1
+        cycle(state, runtime, fires, chosen)
+
+    monkeypatch.setattr(sim, "_wake", counting_wake)
+    monkeypatch.setattr(sim, "_chart_cycle", counting_cycle)
+    return causes
+
+
 @pytest.mark.parametrize("kind", ["untimed", "timed"])
-def test_oracle_steps_as_sim_minute_by_minute(kind):
+def test_oracle_steps_as_sim_minute_by_minute(kind, monkeypatch):
+    causes = counting_wakes(monkeypatch)
     runs = refused = raised = 0
     for seed in range(300):
         composition, horizon, resolutions = generated_runs(kind, seed)
@@ -77,6 +113,8 @@ def test_oracle_steps_as_sim_minute_by_minute(kind):
             raised += any(minute[2] for minute in expected[0])
     # the runs include writes that `sim` refuses and events raised
     assert runs > 300 and refused and raised > runs // 10
+    # timed runs sleep, and each cause wakes a chart; untimed ones run every chart every minute
+    assert set(causes) == (set(WAKE_CAUSES) if kind == "timed" else set()), causes
 
 
 def test_oracle_runs_no_step_code_of_sim(monkeypatch, delayed_composition, simple_scenario):
@@ -104,3 +142,55 @@ def test_oracle_runs_no_step_code_of_sim(monkeypatch, delayed_composition, simpl
         monkeypatch.setattr(module, name, refuse)
     for case, verdicts in checked:
         assert oracle_check(*case) == verdicts
+
+
+def _chart(name: str, states, transitions, events=()) -> model.StatechartModel:
+    variables = [{"name": "curT", "kind": "integer", "initial": 0}, {"name": "x", "kind": "integer", "initial": 0}]
+    return model.parse_model(json.dumps({
+        "name": name, "variables": variables, "events": list(events), "states": [{"name": s} for s in states],
+        "transitions": [dict(zip(("source", "target", "guard", "trigger", "actions"), t)) for t in transitions],
+        "initial": states[0],
+    }))
+
+
+def test_charts_sleep_and_wake_in_execution_order(monkeypatch):
+    """The timer, a resource chart, then A, B and C. B writes x, which A (before it) and C (after
+    it) wait on; A raises `go`, which C waits on; the scenario injects x at minute 30 and the clock
+    at minute 35. Each minute equals the oracle's, and A and C run only when woken."""
+    a = _chart("A", ["A0", "A1"], [("A0", "A1", "x >= 2", None, ["raise go"])], events=["go"])
+    b = _chart("B", ["B0", "B1", "B2", "B3"], [
+        ("B0", "B1", "curT >= 10", None, ["x = x + 1"]),
+        ("B1", "B2", "curT >= 20", None, ["x = x + 1"]),
+        ("B2", "B3", "curT >= 45", None, ["x = x + 1"]),
+    ])
+    c = _chart("C", ["C0", "C1", "C2", "C3"], [
+        ("C0", "C1", "x >= 1", None, []),
+        ("C1", "C2", "true", "go", []),
+        ("C2", "C3", "x >= 10", None, []),
+    ], events=["go"])
+    resource = synthesize_resource_chart("ct", (Window(10, 30),))
+    composition = sim.Composition(synthesize_timer(), (resource,), (a, b, c))
+    injections = (sim.Injection(30, "x", 10), sim.Injection(35, CLOCK_VARIABLE, 50))
+    scenario = sim.Scenario(injections=injections, horizon=60)
+    cycles = []
+    cycle = sim._chart_cycle
+
+    def recording(state, runtime, fires, chosen):
+        if chosen is None:
+            cycles.append((runtime.chart.name, state.curT + 1))
+        cycle(state, runtime, fires, chosen)
+
+    monkeypatch.setattr(sim, "_chart_cycle", recording)
+    minutes, refused = sim_minutes(composition, scenario, 60)
+    assert (minutes, refused) == oracle_minutes(composition, scenario, 60)
+    fired = [(t, name) for t, (active, _, _), (before, _, _) in zip(range(1, 61), minutes[1:], minutes)
+             for name in "ABC" if active[name] != before[name]]
+    assert fired == [(10, "B"), (10, "C"), (20, "B"), (21, "A"), (21, "C"), (30, "C"), (35, "B")]
+    ran = {name: [t for chart, t in cycles if chart == name] for name in ("ct", "A", "B", "C")}
+    # A chart that fires runs the next minute too, and sleeps if it records nothing. C wakes in the
+    # minute of B's write, of A's event and of the injection of x; A in the minute after B's write.
+    assert ran["C"] == [1, 10, 11, 21, 22, 30, 31]
+    assert ran["A"] == [1, 11, 21, 22]
+    # B wakes at its clock bounds and at the injection of the clock; ct at its window's ends and there too
+    assert ran["B"] == [1, 10, 11, 20, 21, 35, 36]
+    assert ran["ct"] == [1, 11, 12, 31, 32, 35]

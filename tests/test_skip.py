@@ -1,9 +1,11 @@
-"""Idle minutes recorded without being run (`sim.skip_idle`), against plain stepping.
+"""Sleeping charts and idle minutes recorded without being run (`sim.skip_idle`), against plain stepping.
 
-`run` and `check` skip the minutes after an idle one. Every test here holds
-them to a loop that runs each minute through `macro_step`, and to the
-oracle: on generated compositions with the synthesized timer, resource
-charts and guards that read `curT`, and on the benchmark's four workloads.
+`macro_step` skips a chart while it sleeps, and `run` and `check` skip the
+minutes after an idle one. Every test here holds them to plain stepping, a
+loop that calls `macro_step` for each minute (in which a chart still
+sleeps: the oracle runs every chart every minute), and to the oracle: on
+generated compositions with the synthesized timer, resource charts and
+guards that read `curT`, and on the benchmark's four workloads.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,11 +23,13 @@ from resweave import expr as ex
 from resweave import sim, verify
 from resweave.cli import build_composition
 from resweave.model import parse_model
-from resweave.resources import AvailabilitySchedule, parse_resource_map, parse_schedule, synthesize_timer
+from resweave.resources import (
+    AvailabilitySchedule, Window, parse_resource_map, parse_schedule, synthesize_resource_chart, synthesize_timer,
+)
 
 from conftest import fixture_text
 from generators import gen_timed_composition, gen_timed_invariants, gen_timed_scenario
-from oracle import oracle_check
+from oracle import oracle_check, oracle_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,7 +176,7 @@ def test_each_bound_is_built_once(monkeypatch, delayed_composition, simple_scena
         sim.run(sim.init_composition(composition, scenario), 720)
     states = sum(len(chart.states) for chart in composition.resources + composition.guidelines)
     assert 0 < len(built) <= states
-    once = len(built)  # one per state that ended an idle minute
+    once = len(built)  # one per state a chart fell asleep in
     for scenario in resolved:
         sim.run(sim.init_composition(composition, scenario), 720)
     assert len(built) == once
@@ -210,6 +215,36 @@ def test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute(ideal_compos
     assert _error(lambda: verify.check(ideal_composition, scenario, properties, horizon)) == expected
 
 
+def test_a_no_op_self_loop_that_writes_the_clock_runs_every_minute():
+    """From minute 5 the self-loop sets the clock back to 5 after the timer's write: a no-op at
+    minute 5, a recorded write at every minute after it, so no minute after 5 may be skipped."""
+    chart = {
+        "name": "G",
+        "variables": [{"name": "curT", "kind": "integer", "initial": 0}],
+        "states": [{"name": "S"}],
+        "transitions": [{"source": "S", "target": "S", "guard": "curT >= 5", "actions": ["curT = 5"]}],
+        "initial": "S",
+    }
+    composition = sim.Composition(synthesize_timer(), (), (parse_model(json.dumps(chart)),))
+    state = sim.init_composition(composition, sim.Scenario())
+    trace = sim.run(state, 20)
+    assert sim.trace_to_json(trace) == sim.trace_to_json(sim.trace_of(plain_run(composition, sim.Scenario(), 20)))
+    assert [len(step.fires) for step in trace.steps[5:]] == [1] + [2] * 15
+    assert state.minutes_skipped == 0
+
+
+def test_an_injected_flag_is_overwritten_by_its_sleeping_resource_chart():
+    """A resource chart sleeps between its window's ends, yet it writes its flag at every cycle: an
+    injection of the flag wakes it in the same minute, and its entry writes the flag back."""
+    composition = sim.Composition(synthesize_timer(), (synthesize_resource_chart("ct", (Window(10, 30),)),))
+    scenario = sim.Scenario(injections=(sim.Injection(5, "RES.ct", True), sim.Injection(20, "RES.ct", False)))
+    trace = sim.run(sim.init_composition(composition, scenario), 40)
+    flags = [valuation["RES.ct"] for _, valuation, _ in oracle_run(composition, scenario, 40)]
+    assert [step.deltas.get("RES.ct") for step in trace.steps] == [None] * 11 + [True] + [None] * 19 + [False] + [None] * 9
+    assert flags == [10 < t <= 30 for t in range(41)]
+    assert sim.trace_to_json(trace) == sim.trace_to_json(sim.trace_of(plain_run(composition, scenario, 40)))
+
+
 @pytest.fixture(scope="module")
 def workload_configs(tmp_path_factory):
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -236,3 +271,40 @@ def test_workloads_check_and_simulate_as_plain_stepping(workload_configs, worklo
         trace = sim.run(sim.init_composition(composition, resolved), config["horizon"])
         plain = plain_run(composition, resolved, config["horizon"])
         assert sim.trace_to_json(trace) == sim.trace_to_json(sim.trace_of(plain))
+
+
+# Chart cycles run by one `check` at seed 1000, from minute 1 on, per configuration: timer, resource
+# charts, guidelines. When every chart ran every minute, the counts were busy-ward 11,520/34,560/11,520,
+# large-guideline 80/16,000/80, shift-roster 531/4,248/531, and casestudy ideal 56/168/56,
+# delayed-CT 72/216/72 and extended 210/1,890/210.
+CYCLES = {
+    "casestudy": [(56, 24, 56), (72, 56, 64), (210, 248, 98)],
+    "shift-roster": [(531, 540, 101)],
+    "busy-ward": [(11_520, 568, 11_520)],
+    "large-guideline": [(80, 1_148, 32)],
+}
+
+
+@pytest.mark.parametrize("workload", ["casestudy", "shift-roster", "busy-ward", "large-guideline"])
+def test_sleeping_charts_cut_the_cycles_of_a_check(workload_configs, workload, monkeypatch):
+    cycles, cycle = Counter(), sim._chart_cycle
+
+    def counting(state, runtime, fires, chosen):
+        if chosen is None:
+            cycles[runtime.chart.name] += 1
+        cycle(state, runtime, fires, chosen)
+
+    monkeypatch.setattr(sim, "_chart_cycle", counting)
+    counts = []
+    for config in workload_configs[workload]:
+        cycles.clear()
+        read = lambda key: Path(config[key]).read_text(encoding="utf-8")  # noqa: E731
+        schedule = parse_schedule(read("schedule")) if config.get("schedule") else AvailabilitySchedule({})
+        composition, _ = build_composition(
+            parse_model(read("model")), parse_resource_map(read("map")), schedule, config["assume_available"]
+        )
+        scenario = sim.parse_scenario(read("scenario"))
+        verify.check(composition, scenario, verify.parse_properties(read("properties"), composition), config["horizon"])
+        kinds = (composition.charts[:1], composition.resources, composition.guidelines)
+        counts.append(tuple(sum(cycles[chart.name] for chart in charts) for charts in kinds))
+    assert counts == CYCLES[workload]
