@@ -361,7 +361,7 @@ def _add_composition_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _integer(minimum: int):
-    """An argument type: a 64-bit integer written `-?\\d+` (`ex.parse_int`), at least `minimum`."""
+    """An argument type: a 64-bit integer written `-?[0-9]+` (`ex.parse_int`), at least `minimum`."""
 
     def parse(text: str) -> int:
         value = ex.parse_int(text)

@@ -128,14 +128,14 @@ _BINARY = {
 _OPERATORS = sorted([*_BINARY, "!", "(", ")"], key=len, reverse=True)  # longest match first
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)"
+    r"\s*(?:(?P<int>[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
     r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + "))"
 )
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 DOTTED_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
-_INTEGER_RE = re.compile(r"(-?)(\d+)\Z")
+_INTEGER_RE = re.compile(r"(-?)([0-9]+)\Z")
 
 _RESERVED = {"true", "false", "raise", "entry", "exit", "tick", "imply"}
 
@@ -277,7 +277,7 @@ def _chains(spec: _Binary) -> bool:
 
 
 def parse_int(text: str) -> int | None:
-    """The integer `text` writes as `-?\\d+`, the way expressions, schedules
+    """The integer `text` writes as `-?[0-9]+`, the way expressions, schedules
     and command lines write one; None if it is written otherwise or lies
     outside 64 bits. No more than 19 digits are ever converted."""
     match = _INTEGER_RE.match(text)
@@ -544,5 +544,5 @@ def variables(expr: Expr) -> set[str]:
 
 
 def conjoin(left: Expr, right: Expr) -> BinOp:
-    """Left-associated conjunction, as used by guard strengthening."""
+    """Left-associated conjunction, as used by guard strengthening and region guards."""
     return BinOp("&&", left, right)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import expr as ex
 from .errors import ResweaveError
@@ -30,7 +30,7 @@ RES_PREFIX = "RES."
 CLOCK_VARIABLE = "curT"
 DEFAULT_HORIZON = 720
 
-_WINDOW_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(inf|-?\d+)\s*\)")
+_WINDOW_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(inf|-?[0-9]+)\s*\)")
 
 
 class MapFormatError(ResweaveError):
@@ -246,12 +246,7 @@ def _region_guard(lo: int | float, hi: int | float, first: bool) -> ex.Expr:
         conjuncts.append(ex.BinOp(">", clock, ex.IntLit(int(lo))))
     if not math.isinf(hi):
         conjuncts.append(ex.BinOp("<=", clock, ex.IntLit(int(hi))))
-    if not conjuncts:
-        return ex.TRUE
-    guard = conjuncts[0]
-    for extra in conjuncts[1:]:
-        guard = ex.BinOp("&&", guard, extra)
-    return guard
+    return reduce(ex.conjoin, conjuncts) if conjuncts else ex.TRUE
 
 
 def synthesize_resource_chart(resource: str, windows) -> StatechartModel:

@@ -36,7 +36,7 @@ synthesized timer's fire is its only record and nothing was injected. After
 one, `run` and `check` call `skip_idle`, which appends the same record,
 with its own `curT`, for each minute up to the first wake, the next
 injection, the horizon, the clock's leaving 64 bits or the clock bound of
-the invariants `check` still observes, and moves the clock on. So every
+the properties `check` observes, and moves the clock on. So every
 record and every output byte is what running each chart every minute gives.
 A composition whose timer is not `synthesize_timer()` runs every chart
 every minute. `macro_step` is the only code that runs a minute.
@@ -151,8 +151,8 @@ class Composition:
     names, every chart valid (read from its kept `diagnostics`, so a chart
     `parse_model` returned is not validated again), and same-name
     declarations in agreement; one `_ChartIndex` per chart, in `runtimes` in
-    execution order and in `indexes` by name. An expression is compiled the
-    first time it is evaluated, and kept; an initial entry's is not compiled.
+    execution order. An expression is compiled the first time it is
+    evaluated, and kept; an initial entry's is not compiled.
     """
 
     def __init__(self, timer: StatechartModel | None = None, resources=(), guidelines=()):
@@ -185,7 +185,6 @@ class Composition:
         # Whether idle minutes may be skipped: the timer is the synthesized clock.
         self.skips_idle = timer == synthesize_timer()
         self.runtimes = tuple(_ChartIndex(chart, self) for chart in self.charts)
-        self.indexes = {runtime.chart.name: runtime for runtime in self.runtimes}
 
     def compiled(self, expr: ex.Expr):
         """`expr` as a function of the valuation (`ex.compile_expr` against the
@@ -559,10 +558,11 @@ def skip_idle(state: SimState, horizon: int, watched=None) -> None:
     The skip ends before the next injection, after the horizon, before the
     clock would leave 64 bits (that minute runs, and refuses the write), or
     at the first minute that a chart wakes or `watched` allows; `watched` is
-    the clock bound (`ex.compile_bound`) of the invariants a check still
-    observes, or None.
+    the clock bound (`ex.compile_bound`) of a check's properties, or None.
     """
     report = state.steps[-1]
+    # The cheap early-out on busy minutes: testing only the wake times builds `stop` and the moving invariant
+    # bound every minute, and slowed busy-ward's check loop from 131/143 to 189/177 ms (in process, 2-core box).
     if not report.t or report.injected or len(report.fires) != 1 or not state.composition.skips_idle:
         return
     t, valuation = report.t, state.valuation

@@ -15,7 +15,6 @@ scenario is deterministic and explored in full.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -79,8 +78,8 @@ class Verdict:
     counterexample: Counterexample | None = None
 
 
-def parse_properties(text: str, composition: Composition | None = None) -> list[Invariant]:
-    """Parse invariant lines; with a composition, resolve and type-check names."""
+def parse_properties(text: str, composition: Composition) -> list[Invariant]:
+    """Parse invariant lines, resolving their charts, states and variables in the composition and type-checking them."""
     invariants: list[Invariant] = []
     names: set[str] = set()
     for lineno, line in content_lines(text):
@@ -101,8 +100,7 @@ def parse_properties(text: str, composition: Composition | None = None) -> list[
         except ex.ExprSyntaxError as err:
             raise PropertyError(f"line {lineno}: {err}") from None
         invariant = Invariant(name, location, predicate)
-        if composition is not None:
-            _check_invariant_names(invariant, composition, lineno)
+        _check_invariant_names(invariant, composition, lineno)
         invariants.append(invariant)
     return invariants
 
@@ -110,11 +108,11 @@ def parse_properties(text: str, composition: Composition | None = None) -> list[
 def _check_invariant_names(invariant: Invariant, composition: Composition, lineno: int) -> None:
     if invariant.location is not None:
         chart_name, state_name = invariant.location
-        charts = composition.indexes.get(chart_name)
-        if charts is None:
+        chart = next((chart for chart in composition.charts if chart.name == chart_name), None)
+        if chart is None:
             raise PropertyError(f"line {lineno}: unknown chart {chart_name!r}")
         try:
-            charts.chart.state(state_name)
+            chart.state(state_name)
         except KeyError:
             raise PropertyError(f"line {lineno}: unknown state {state_name!r} in chart {chart_name!r}") from None
     try:
@@ -179,29 +177,25 @@ def check(
     every macro-step of every resolved scenario. The counterexample is the
     earliest violating step of the first violating scenario in enumeration
     order. Each scenario runs once; a violating one's recorded steps are its
-    trace. Idle minutes are recorded without being run (`sim.skip_idle`):
-    an invariant still observed keeps its value over them.
+    trace. Idle minutes are recorded without being run (`sim.skip_idle`) up
+    to the clock bound of every property, built once per call; a failed
+    property in it can only end a skip earlier, which changes no record.
     """
     properties = list(properties)
     validate_scenario(scenario, composition)  # an empty choice domain would leave no scenario to check
     resolved_scenarios = enumerate_scenarios(scenario, cap, horizon)
     violations: dict[str, Counterexample] = {}
-    @functools.cache
-    def watch(observed: tuple[Invariant, ...]):
-        """The clock bound of the invariants still observed, built once for each set of them."""
-        return ex.compile_bound([p.predicate for p in observed], composition.kinds, CLOCK_VARIABLE)
+    watched = ex.compile_bound([p.predicate for p in properties], composition.kinds, CLOCK_VARIABLE)
     for scenario_index, resolved in enumerate(resolved_scenarios):
         open_properties = [p for p in properties if p.name not in violations]
         if not open_properties:
             break
         state = init_composition(composition, resolved)
         pending: dict[str, int] = {}  # property -> violating step, first only
-        watched = watch(tuple(open_properties))
         while True:
             for prop in open_properties:
                 if prop.name not in pending and not eval_invariant(prop, state):
                     pending[prop.name] = state.curT
-                    watched = watch(tuple(p for p in open_properties if p.name not in pending))
             skip_idle(state, horizon, watched)
             if state.curT >= horizon:
                 break

@@ -139,6 +139,23 @@ MUTANTS = (
         (WAKE_ORDER, f"{DIFFERENTIAL}[timed]"),
     ),
     Mutant(
+        "properties-unresolved",
+        "src/resweave/verify.py",
+        "        _check_invariant_names(invariant, composition, lineno)\n",
+        "",
+        ("tests/test_verify.py::test_parse_properties_comments_and_errors",
+         "tests/test_cli.py::test_a_misspelled_property_location_exits_2[chart]",
+         "tests/test_cli.py::test_a_misspelled_property_location_exits_2[state]"),
+    ),
+    Mutant(
+        "invariant-bound-dropped",
+        "src/resweave/verify.py",
+        "watched = ex.compile_bound([p.predicate for p in properties], composition.kinds, CLOCK_VARIABLE)",
+        "watched = None",
+        ("tests/test_skip.py::test_check_is_plain_stepping_on_timed_compositions",
+         "tests/test_skip.py::test_each_bound_is_built_once"),
+    ),
+    Mutant(
         "writer-keys-unsorted",
         "src/resweave/model.py",
         "for k, v in (sorted(pairs) if sort_keys else pairs)]",

@@ -985,6 +985,42 @@ def test_an_integer_of_thousands_of_digits_exits_2(tmp_path, capsys, option):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("prop, message", [
+    ("P: A[] Strok.tPAcheck imply false", "line 1: unknown chart 'Strok'"),
+    ("Q: A[] Stroke.tPAchek imply false", "line 1: unknown state 'tPAchek' in chart 'Stroke'"),
+], ids=["chart", "state"])
+def test_a_misspelled_property_location_exits_2(tmp_path, capsys, prop, message):
+    properties = tmp_path / "p.txt"
+    properties.write_text(prop + "\n")
+    assert run_cli(*DELAYED_CHECK[:-1], properties, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# 150 in Arabic-Indic digits: `\d` in a `str` pattern matches them as decimal digits, `[0-9]` does not.
+NON_ASCII_150 = "\u0661\u0665\u0660"
+
+
+@pytest.mark.parametrize("case", ["choice", "horizon", "property", "schedule"])
+def test_an_integer_in_non_ascii_digits_exits_2(tmp_path, capsys, case):
+    properties, schedule = tmp_path / "p.txt", tmp_path / "s.txt"
+    properties.write_text(f"P: A[] tpaT-onsetT<={NON_ASCII_150}\n", encoding="utf-8")
+    schedule.write_text(f"CT_machine: ({NON_ASCII_150}, inf)\n", encoding="utf-8")
+    simulate = [*DELAYED_SIMULATE, "--horizon", "5"]
+    argv, message = {
+        "choice": ([f"systolicBP={NON_ASCII_150}" if arg == "systolicBP=150" else arg for arg in simulate],
+                   f"--choice value '{NON_ASCII_150}' is not an int or true/false"),
+        "horizon": ([*DELAYED_SIMULATE, "--horizon", NON_ASCII_150],
+                    f"resweave simulate: argument --horizon: expected a 64-bit integer >= 0, got '{NON_ASCII_150}'"),
+        "property": ([*DELAYED_CHECK[:-1], properties], f"line 1: unexpected character '{NON_ASCII_150[0]}' (column 14)"),
+        "schedule": (["integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map", "--schedule", schedule],
+                     f"line 1: cannot parse window list '({NON_ASCII_150}, inf)'"),
+    }[case]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _integrate_delayed(out: Path) -> Path:
     """The manifest that `integrate` writes for the delayed-CT case into `out`."""
     assert run_cli("integrate", FIXTURES / "stroke_simple.json", FIXTURES / "stroke_simple.map",
@@ -1125,21 +1161,6 @@ def test_a_choice_variable_also_set_in_initial_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", tmp_path / "out") == 2
     assert capsys.readouterr().err == "error: choice 'hemorrhage' is also set in initial\n"
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("argv, exit_code, digests", [PINNED_OUTPUTS[0], PINNED_OUTPUTS[2]])
-def test_the_minute_loop_looks_no_chart_up_by_name(tmp_path, capsys, monkeypatch, argv, exit_code, digests):
-    """With `indexes` emptied once the properties are read, the pinned outputs still come out."""
-
-    def unindexed(function):
-        def call(composition, *args):
-            composition.indexes = {}
-            return function(composition, *args)
-        return call
-
-    monkeypatch.setattr(cli.chk, "check", unindexed(cli.chk.check))
-    monkeypatch.setattr(cli.sim, "init_composition", unindexed(cli.sim.init_composition))
-    test_output_bytes_are_pinned(tmp_path, capsys, argv, exit_code, digests)
 
 
 def test_a_choice_product_over_the_work_budget_is_refused_before_building(tmp_path, capsys, monkeypatch):

@@ -137,6 +137,7 @@ _INTEGER_TEXTS = [
     (str(2**63 - 1), 2**63 - 1), (str(-(2**63)), -(2**63)),
     (str(2**63), None), (str(-(2**63) - 1), None), ("9" * 5000, None),
     ("", None), ("-", None), ("+5", None), ("1_0", None), (" 7", None), ("7 ", None), ("0x10", None),
+    ("\U0001d7d3", None), ("\u0661\u0665\u0660", None),  # decimal digits, but not ASCII ones
 ]
 
 

@@ -114,7 +114,6 @@ def test_properties_on_edited_fixture(extended_composition):
     @given(edited(fixture_text("props_extended.txt")))
     def run(text):
         parses_or_refuses(lambda t: verify.parse_properties(t, extended_composition), text)
-        parses_or_refuses(verify.parse_properties, text)
 
     run()
 

@@ -103,7 +103,6 @@ def test_a_composition_builds_one_runtime_per_chart_in_execution_order(delayed_c
     composition = sim.Composition(*charts)
     assert built == ["Timer", "CT_machine", "CT_technician", "tPA", "Stroke"]
     assert [runtime.chart for runtime in composition.runtimes] == list(composition.charts)
-    assert composition.indexes == {runtime.chart.name: runtime for runtime in composition.runtimes}
 
 
 def test_quiet_chart_reports_no_fires():

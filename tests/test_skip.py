@@ -182,10 +182,10 @@ def test_each_bound_is_built_once(monkeypatch, delayed_composition, simple_scena
     assert len(built) == once
     properties = verify.parse_properties(fixture_text("props_simple.txt"), composition)
     verdicts = verify.check(composition, simple_scenario, properties, 720)
-    # one bound per set of invariants still observed: both, then P1 alone once P2 fails in the first scenario
+    # one bound for every property, kept after P2 fails in the first scenario
     assert [v.counterexample.scenario_index for v in verdicts if not v.holds] == [0]
-    assert len(built) == once + 2
-    assert built[-1] == [p.predicate for p in properties if p.name == "P1"]
+    assert len(built) == once + 1
+    assert built[-1] == [p.predicate for p in properties]
 
 
 def test_nothing_is_skipped_when_a_guideline_fires_every_minute():

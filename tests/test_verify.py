@@ -19,14 +19,14 @@ def test_parse_property_with_location(delayed_composition):
     assert inv.predicate == ex.parse_expr("tpaT-onsetT<=180")
 
 
-def test_parse_property_p3_shape():
-    (inv,) = verify.parse_properties("P3: A[] Stroke.IAtPA imply tpaT-onsetT<=360")
+def test_parse_property_p3_shape(extended_composition):
+    (inv,) = verify.parse_properties("P3: A[] Stroke.IAtPA imply tpaT-onsetT<=360", extended_composition)
     assert inv.location == ("Stroke", "IAtPA")
     assert inv.predicate == ex.parse_expr("tpaT-onsetT<=360")
 
 
-def test_parse_bare_property():
-    (inv,) = verify.parse_properties("Q: A[] true")
+def test_parse_bare_property(delayed_composition):
+    (inv,) = verify.parse_properties("Q: A[] true", delayed_composition)
     assert inv.location is None
     assert inv.predicate == ex.TRUE
 
@@ -35,9 +35,9 @@ def test_parse_properties_comments_and_errors(delayed_composition):
     parsed = verify.parse_properties("# note\nA: A[] true\n\nB: A[] curT>=0", delayed_composition)
     assert [p.name for p in parsed] == ["A", "B"]
     with pytest.raises(verify.PropertyError, match="duplicate"):
-        verify.parse_properties("A: A[] true\nA: A[] true")
+        verify.parse_properties("A: A[] true\nA: A[] true", delayed_composition)
     with pytest.raises(verify.PropertyError, match="expected"):
-        verify.parse_properties("just text")
+        verify.parse_properties("just text", delayed_composition)
     with pytest.raises(verify.PropertyError, match="Nowhere"):
         verify.parse_properties("P: A[] Nowhere.x imply true", delayed_composition)
     with pytest.raises(verify.PropertyError, match="'missing'"):
@@ -276,5 +276,5 @@ def test_check_refuses_an_empty_choice_domain(delayed_composition):
     scenario = sim.Scenario(choices=(sim.Choice("hemorrhage", ()),))
     assert verify.enumerate_scenarios(scenario) == []  # no scenario, so every property would hold
     with pytest.raises(sim.ScenarioError) as err:
-        verify.check(delayed_composition, scenario, verify.parse_properties("P: A[] false\n"), 5)
+        verify.check(delayed_composition, scenario, verify.parse_properties("P: A[] false\n", delayed_composition), 5)
     assert str(err.value) == "choice 'hemorrhage' has an empty domain"
