@@ -325,15 +325,13 @@ def cmd_export(args) -> int:
     composition, warnings, stem = _load_composition(args)
     _warn(args, warnings)
     out_dir = Path(args.out)
-    document = export_xta(composition)
-    xta_path = out_dir / f"{stem}.xta"
-    _write_text(xta_path, document)
-    _emit(args, f"wrote {xta_path}")
-    if args.properties:
+    documents = {out_dir / f"{stem}.xta": export_xta(composition)}
+    if args.properties:  # read before anything is written, so that a refused property file leaves no output
         properties = chk.parse_properties(_read_text(args.properties), composition)
-        q_path = out_dir / f"{stem}.q"
-        _write_text(q_path, export_queries(properties))
-        _emit(args, f"wrote {q_path}")
+        documents[out_dir / f"{stem}.q"] = export_queries(properties)
+    for path, text in documents.items():
+        _write_text(path, text)
+        _emit(args, f"wrote {path}")
     return 0
 
 

@@ -1,16 +1,16 @@
 """Deterministic discrete-time execution of parallel chart compositions.
 
-One macro-step is one minute. Within a step the fixed order is: the timer
-chart (advancing the shared clock), scenario injections due at the new
-minute, every resource chart, then every guideline chart. Each chart fires
-at most one transition per step, chosen by declaration order among enabled
-ones; a fire runs `model.fire_actions` (exit, transition, then entry
-actions, re-entering on self-loops). Minute 0 is a macro-step whose
-injections, the scenario's initial values first, precede every chart's
-initial entry. Events raised earlier in a step are visible to charts
-executed later and are cleared at the step boundary. A step's `deltas` come
-from the old value of each variable at its first write or injection in the
-minute. `trace_to_json` writes a trace's records through `model.write_json`.
+One macro-step is one minute. Within a step the fixed order is: the clock's
+tick, scenario injections due at the new minute, every resource chart, then
+every guideline chart. Each chart fires at most one transition per step,
+chosen by declaration order among enabled ones; a fire runs
+`model.fire_actions` (exit, transition, then entry actions, re-entering on
+self-loops). Minute 0 is a macro-step whose injections, the scenario's
+initial values first, precede every chart's initial entry. Events raised
+earlier in a step are visible to charts executed later and are cleared at
+the step boundary. A step's `deltas` come from the old value of each
+variable at its first write or injection in the minute. `trace_to_json`
+writes a trace's records through `model.write_json`.
 
 Scenario documents are UTF-8 JSON:
 
@@ -36,10 +36,10 @@ synthesized timer's fire is its only record and nothing was injected. After
 one, `run` and `check` call `skip_idle`, which appends the same record,
 with its own `curT`, for each minute up to the first wake, the next
 injection, the horizon, the clock's leaving 64 bits or the clock bound of
-the properties `check` observes, and moves the clock on. So every
-record and every output byte is what running each chart every minute gives.
-A composition whose timer is not `synthesize_timer()` runs every chart
-every minute. `macro_step` is the only code that runs a minute.
+the properties `check` observes, and moves the clock on. So every record
+and every output byte is what running each chart every minute gives. The
+timer, `synthesize_timer()` or none, ticks inside `macro_step`; without one
+no minute is skipped. `macro_step` is the only code that runs a minute.
 """
 
 from __future__ import annotations
@@ -147,15 +147,17 @@ class _ChartIndex:
 class Composition:
     """Charts in execution order: timer, then resource charts, then guidelines.
 
-    Checked and indexed once, when built: at least one chart, unique chart
-    names, every chart valid (read from its kept `diagnostics`, so a chart
-    `parse_model` returned is not validated again), and same-name
-    declarations in agreement; one `_ChartIndex` per chart, in `runtimes` in
-    execution order. An expression is compiled the first time it is
-    evaluated, and kept; an initial entry's is not compiled.
+    Checked and indexed once, when built: no timer but `synthesize_timer()`,
+    at least one chart, unique chart names, every chart valid (read from its
+    kept `diagnostics`, so a chart `parse_model` returned is not validated
+    again), and same-name declarations in agreement; one `_ChartIndex` per
+    chart, in `runtimes` in execution order. An expression is compiled the
+    first time it is evaluated, and kept; an initial entry's is not compiled.
     """
 
     def __init__(self, timer: StatechartModel | None = None, resources=(), guidelines=()):
+        if timer is not None and timer != synthesize_timer():
+            raise SimulationError(f"timer chart {timer.name!r} is not the synthesized timer")
         self.timer, self.resources, self.guidelines = timer, tuple(resources), tuple(guidelines)
         self.charts = (() if timer is None else (timer,)) + self.resources + self.guidelines
         if not self.charts:
@@ -182,8 +184,6 @@ class Composition:
         self.kinds = {decl.name: decl.kind for decl in self.variables}
         # id(expr) -> (expr, function): the tree stays alive here, so its id is not reused
         self._compiled = {}
-        # Whether idle minutes may be skipped: the timer is the synthesized clock.
-        self.skips_idle = timer == synthesize_timer()
         self.runtimes = tuple(_ChartIndex(chart, self) for chart in self.charts)
 
     def compiled(self, expr: ex.Expr):
@@ -497,43 +497,44 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
     asleep (see the module docstring) is not run. `chosen` maps chart names
     to the declaration index to fire instead, without evaluating triggers or
     guards, or to None to enter the initial state; charts it does not name
-    stay where they are, and every chart wakes.
+    stay where they are, and every chart wakes; the clock ticks regardless.
     """
     t = state.curT + 1
-    # the value before this minute of each variable it writes: the injected ones here, the others in `_fire`
+    # the value before this minute of each variable it writes: the injected ones here, the others as written
     before = state.before = {i.var: state.valuation[i.var] for i in state.injections_by_time.get(t, ())}
     injected: list[tuple[str, int | bool]] = []
     fires: list[FireRecord] = []
-    runtimes, valuation = state.composition.runtimes, state.valuation
-    sleeps = chosen is None and state.composition.skips_idle
+    runtimes, valuation, timer = state.composition.runtimes, state.valuation, state.composition.timer
     if chosen is not None:
         state.wake = [t] * len(runtimes)
     wake = state.wake
-    timed = t > 0 and state.composition.timer is not None  # from minute 1, the timer runs before the injections
-    if timed:
-        _chart_cycle(state, runtimes[0], fires, chosen)
+    timed = t > 0 and timer is not None  # from minute 1, the clock ticks before the injections
+    if timed:  # the timer's one self-loop, run inline
+        clock = before[CLOCK_VARIABLE] = valuation[CLOCK_VARIABLE]
+        if clock == ex.INT_MAX:
+            raise SimulationError(out_of_range(timer.name, t, CLOCK_VARIABLE))
+        valuation[CLOCK_VARIABLE] = clock + 1
+        fires.append(FireRecord(timer.name, timer.initial_state, timer.initial_state, 0, ((CLOCK_VARIABLE, clock + 1),), ()))
     for injection in state.injections_by_time.get(t, ()):
         injected.append((injection.var, injection.value))
-        state.valuation[injection.var] = injection.value
-    if sleeps and injected:
-        _wake(state, [var for var, _ in injected], 0, t, t)
+        valuation[injection.var] = injection.value
+    if injected:
+        _wake(state, [var for var, _ in injected], -1, t, t)
     for position in range(timed, len(runtimes)):
         if wake[position] > t:
             continue
         count = len(fires)
         runtime = runtimes[position]
         _chart_cycle(state, runtime, fires, chosen)
-        if not sleeps:
-            continue
         if len(fires) > count:
             _wake(state, [var for var, _ in fires[-1].sets], position, t, t + 1)
             _wake(state, fires[-1].raised, position, t, math.inf)
-        else:  # it recorded nothing: asleep until its clock bound, or until `_wake`
+        elif chosen is None:  # it recorded nothing: asleep until its clock bound, or until `_wake`
             bound, waits = runtime.idle(state.active[runtime.chart.name])
             wake[position] = math.inf if bound is None else t + bound(valuation) - valuation[CLOCK_VARIABLE]
             for name in waits:
                 state.waiting.setdefault(name, set()).add(position)
-    deltas = {var: state.valuation[var] for var, value in before.items() if state.valuation[var] != value}
+    deltas = {var: valuation[var] for var, value in before.items() if valuation[var] != value}
     report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
     state.steps.append(report)
     state.pending_events.clear()
@@ -541,8 +542,8 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
 
 
 def _wake(state: SimState, names, position: int, now: int, later: int | float) -> None:
-    """Wake each chart asleep on one of `names`, which the runtime at `position` (the timer, for an
-    injection) changed in minute `now`: to run in minute `now` if it runs after that one, else in `later`."""
+    """Wake each chart asleep on one of `names`, which the runtime at `position` (-1 for an injection,
+    before every chart) changed in minute `now`: to run in minute `now` if it runs after that one, else in `later`."""
     wake, active, runtimes = state.wake, state.active, state.composition.runtimes
     for name in names:
         for other in state.waiting.get(name, ()):
@@ -563,11 +564,11 @@ def skip_idle(state: SimState, horizon: int, watched=None) -> None:
     report = state.steps[-1]
     # The cheap early-out on busy minutes: testing only the wake times builds `stop` and the moving invariant
     # bound every minute, and slowed busy-ward's check loop from 131/143 to 189/177 ms (in process, 2-core box).
-    if not report.t or report.injected or len(report.fires) != 1 or not state.composition.skips_idle:
+    if not report.t or report.injected or len(report.fires) != 1 or state.composition.timer is None:
         return
     t, valuation = report.t, state.valuation
     now = valuation[CLOCK_VARIABLE]
-    # the first minute that must run; skips_idle: wake[0] is the timer's
+    # the first minute that must run; wake[0] is the timer's, which `macro_step` does not read
     stop = min([horizon + 1, t + ex.INT_MAX + 1 - now, *(due for due in state.injections_by_time if due > t),
                 *state.wake[1:], *(() if watched is None else (t + watched(valuation) - now,))])
     chart, source, target, index = report.fires[0][:4]

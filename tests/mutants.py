@@ -55,16 +55,27 @@ MUTANTS = (
     Mutant(
         "timer-after-injections",
         SIM,
-        "    if timed:\n"
-        "        _chart_cycle(state, runtimes[0], fires, chosen)\n"
+        "    if timed:  # the timer's one self-loop, run inline\n"
+        "        clock = before[CLOCK_VARIABLE] = valuation[CLOCK_VARIABLE]\n"
+        "        if clock == ex.INT_MAX:\n"
+        "            raise SimulationError(out_of_range(timer.name, t, CLOCK_VARIABLE))\n"
+        "        valuation[CLOCK_VARIABLE] = clock + 1\n"
+        "        fires.append(FireRecord(timer.name, timer.initial_state, timer.initial_state, 0, "
+        "((CLOCK_VARIABLE, clock + 1),), ()))\n"
         "    for injection in state.injections_by_time.get(t, ()):\n"
         "        injected.append((injection.var, injection.value))\n"
-        "        state.valuation[injection.var] = injection.value\n",
+        "        valuation[injection.var] = injection.value\n",
         "    for injection in state.injections_by_time.get(t, ()):\n"
         "        injected.append((injection.var, injection.value))\n"
-        "        state.valuation[injection.var] = injection.value\n"
-        "    if timed:\n"
-        "        _chart_cycle(state, runtimes[0], fires, chosen)\n",
+        "        valuation[injection.var] = injection.value\n"
+        "    if timed:  # the timer's one self-loop, run inline\n"
+        "        clock = valuation[CLOCK_VARIABLE]\n"
+        "        before.setdefault(CLOCK_VARIABLE, clock)  # an injected clock keeps its old value here\n"
+        "        if clock == ex.INT_MAX:\n"
+        "            raise SimulationError(out_of_range(timer.name, t, CLOCK_VARIABLE))\n"
+        "        valuation[CLOCK_VARIABLE] = clock + 1\n"
+        "        fires.append(FireRecord(timer.name, timer.initial_state, timer.initial_state, 0, "
+        "((CLOCK_VARIABLE, clock + 1),), ()))\n",
         (f"{DIFFERENTIAL}[timed]",),
     ),
     Mutant(
@@ -95,8 +106,16 @@ MUTANTS = (
         SIM,
         "not ex.INT_MIN <= new <= ex.INT_MAX:",
         "not ex.INT_MIN <= new <= ex.INT_MAX + 1:",
-        ("tests/test_skip.py::test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute[15]",
+        ("tests/test_cli.py::test_integer_written_outside_64_bits_exits_2[simulate]",
          "tests/test_cli.py::test_integer_written_outside_64_bits_exits_2[check]"),
+    ),
+    Mutant(
+        "clock-ticks-past-int-max",
+        SIM,
+        "if clock == ex.INT_MAX:",
+        "if clock > ex.INT_MAX:",
+        ("tests/test_skip.py::test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute[15]",
+         "tests/test_skip.py::test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute[720]"),
     ),
     Mutant(
         "export-bakes-declaration-defaults",

@@ -997,6 +997,16 @@ def test_a_misspelled_property_location_exits_2(tmp_path, capsys, prop, message)
     assert not (tmp_path / "out").exists()
 
 
+def test_export_reads_its_properties_before_it_writes(tmp_path, capsys):
+    """A property file that `export` refuses leaves no `.xta` behind, as `check` leaves no output."""
+    properties, out = tmp_path / "p.txt", tmp_path / "out"
+    properties.write_text("Q: A[] Stroke.tPAchek imply false\n")
+    code = run_cli("export", "--model", FIXTURES / "stroke_simple.json", "--map", FIXTURES / "stroke_simple.map",
+                   "--schedule", FIXTURES / "schedule_delayed_ct.txt", "--properties", properties, "--out", out)
+    assert (code, capsys.readouterr()) == (2, ("", "error: line 1: unknown state 'tPAchek' in chart 'Stroke'\n"))
+    assert not out.exists()
+
+
 # 150 in Arabic-Indic digits: `\d` in a `str` pattern matches them as decimal digits, `[0-9]` does not.
 NON_ASCII_150 = "\u0661\u0665\u0660"
 

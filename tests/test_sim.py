@@ -235,9 +235,9 @@ def test_injection_visible_same_minute():
     assert report.injected == (("go", True),)
 
 
-@pytest.mark.parametrize("role", ["guideline", "timer"])
+@pytest.mark.parametrize("role", ["guideline", "resource"])
 def test_injection_at_time_zero_applies_before_entry(role):
-    """Minute 0 runs no chart ahead of its injections, not even the timer, which runs first from minute 1."""
+    """Minute 0 runs no chart ahead of its injections, whatever its role; only from minute 1 does the clock tick first."""
     chart = StatechartModel(
         "G",
         variables=(
@@ -248,7 +248,7 @@ def test_injection_at_time_zero_applies_before_entry(role):
         initial_state="a",
     )
     scenario = sim.Scenario(injections=(sim.Injection(0, "x", 9),))
-    composition = sim.Composition(timer=chart) if role == "timer" else sim.Composition(guidelines=(chart,))
+    composition = sim.Composition(resources=(chart,)) if role == "resource" else sim.Composition(guidelines=(chart,))
     state = sim.init_composition(composition, scenario)
     assert state.valuation["seen"] == 9
 
@@ -261,11 +261,16 @@ def test_event_visible_downstream_within_step_only():
         transitions=(Transition("a", "b", actions=(Raise("ping"),)),),
         initial_state="a",
     )
+    # Its counting self-loop records every minute it does not hear `ping`, so it never sleeps and runs every minute.
     listener = StatechartModel(
         "Listener",
+        variables=(VariableDecl("n", "integer", 0),),
         events=("ping",),
         states=(State("idle"), State("heard")),
-        transitions=(Transition("idle", "heard", trigger="ping"),),
+        transitions=(
+            Transition("idle", "heard", trigger="ping"),
+            Transition("idle", "idle", actions=(Assign("n", ex.BinOp("+", ex.Var("n"), ex.IntLit(1))),)),
+        ),
         initial_state="idle",
     )
     # listener after raiser: hears the event in the same macro-step
@@ -278,7 +283,7 @@ def test_event_visible_downstream_within_step_only():
     sim.macro_step(state)
     assert state.active["Listener"] == "idle"
     sim.macro_step(state)
-    assert state.active["Listener"] == "idle"
+    assert (state.active["Listener"], state.valuation["n"]) == ("idle", 2)
 
 
 def test_priority_is_declaration_order():

@@ -20,14 +20,14 @@ from pathlib import Path
 import pytest
 
 from resweave import expr as ex
-from resweave import sim, verify
+from resweave import cli, sim, verify
 from resweave.cli import build_composition
-from resweave.model import parse_model
+from resweave.model import parse_model, serialize_model
 from resweave.resources import (
     AvailabilitySchedule, Window, parse_resource_map, parse_schedule, synthesize_resource_chart, synthesize_timer,
 )
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 from generators import gen_timed_composition, gen_timed_invariants, gen_timed_scenario
 from oracle import oracle_check, oracle_run
 
@@ -85,17 +85,23 @@ def test_check_is_plain_stepping_on_timed_compositions():
     assert violated > 10
 
 
-def test_other_timer_falls_back_to_plain_stepping():
-    rng = random.Random(71)
-    for _ in range(10):
-        synthesized = gen_timed_composition(rng, horizon=60)
-        composition = sim.Composition(replace(synthesized.timer, name="Clock"), synthesized.resources, synthesized.guidelines)
-        assert synthesized.skips_idle and not composition.skips_idle
-        resolved = verify.enumerate_scenarios(gen_timed_scenario(rng, horizon=60))[0]
-        state = sim.init_composition(composition, resolved)
-        trace = sim.run(state, 60)
-        assert state.minutes_skipped == 0
-        assert sim.trace_to_json(trace) == sim.trace_to_json(sim.trace_of(plain_run(composition, resolved, 60)))
+def test_a_timer_other_than_the_synthesized_one_is_refused(tmp_path, capsys):
+    """The clock ticks inside `macro_step`, so no other chart may stand as the timer: a renamed
+    synthesized timer is refused by `sim.Composition`, and by `check --manifest` with exit 2."""
+    synthesized = gen_timed_composition(random.Random(71), horizon=60)
+    clock = replace(synthesized.timer, name="Clock")
+    assert _error(lambda: sim.Composition(clock, synthesized.resources, synthesized.guidelines)) == (
+        "timer chart 'Clock' is not the synthesized timer"
+    )
+    assert cli.main(["integrate", str(FIXTURES / "stroke_simple.json"), str(FIXTURES / "stroke_simple.map"),
+                     "--out", str(tmp_path)]) == 0
+    (tmp_path / "Timer.json").write_text(serialize_model(clock), encoding="utf-8")
+    capsys.readouterr()
+    manifest, out = tmp_path / "composition.json", tmp_path / "out"
+    code = cli.main(["check", "--manifest", str(manifest), "--scenario", str(FIXTURES / "scenario_simple.json"),
+                     "--properties", str(FIXTURES / "props_simple.txt"), "--out", str(out)])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {manifest}: timer chart 'Clock' is not the synthesized timer\n"))
+    assert not out.exists()
 
 
 def one_guideline(guard: str, action: str | None = None) -> sim.Composition:
@@ -273,10 +279,10 @@ def test_workloads_check_and_simulate_as_plain_stepping(workload_configs, worklo
         assert sim.trace_to_json(trace) == sim.trace_to_json(sim.trace_of(plain))
 
 
-# Chart cycles run by one `check` at seed 1000, from minute 1 on, per configuration: timer, resource
-# charts, guidelines. When every chart ran every minute, the counts were busy-ward 11,520/34,560/11,520,
-# large-guideline 80/16,000/80, shift-roster 531/4,248/531, and casestudy ideal 56/168/56,
-# delayed-CT 72/216/72 and extended 210/1,890/210.
+# Chart cycles run by one `check` at seed 1000, from minute 1 on, per configuration: timer (the minutes
+# `macro_step` ran, each of which ticks the clock), resource charts, guidelines. When every chart ran
+# every minute, the counts were busy-ward 11,520/34,560/11,520, large-guideline 80/16,000/80,
+# shift-roster 531/4,248/531, and casestudy ideal 56/168/56, delayed-CT 72/216/72 and extended 210/1,890/210.
 CYCLES = {
     "casestudy": [(56, 24, 56), (72, 56, 64), (210, 248, 98)],
     "shift-roster": [(531, 540, 101)],
@@ -287,14 +293,19 @@ CYCLES = {
 
 @pytest.mark.parametrize("workload", ["casestudy", "shift-roster", "busy-ward", "large-guideline"])
 def test_sleeping_charts_cut_the_cycles_of_a_check(workload_configs, workload, monkeypatch):
-    cycles, cycle = Counter(), sim._chart_cycle
+    cycles, cycle, step = Counter(), sim._chart_cycle, verify.macro_step
 
     def counting(state, runtime, fires, chosen):
         if chosen is None:
             cycles[runtime.chart.name] += 1
         cycle(state, runtime, fires, chosen)
 
+    def ticking(state):  # `check` steps each minute it runs from 1 on here; minute 0 is `init_composition`'s
+        cycles[state.composition.timer.name] += 1
+        return step(state)
+
     monkeypatch.setattr(sim, "_chart_cycle", counting)
+    monkeypatch.setattr(verify, "macro_step", ticking)
     counts = []
     for config in workload_configs[workload]:
         cycles.clear()

@@ -309,7 +309,7 @@ def test_clock_process_conjoins_its_loop_guard(guard, label):
         "transitions": [{"source": "s", "target": "s", "trigger": "tick", "guard": guard, "actions": ["curT = curT + 1"]}],
         "initial": "s",
     }))
-    document = export_xta(Composition(timer=chart))
+    document = export_xta(Composition(guidelines=(chart,)))
     assert f"        s -> s {{ {label} assign x = 0, curT++; }};\n" in document
     assert scan_xta(document) == []
 
