@@ -7,7 +7,6 @@ strengthens all of its incoming transitions, each annotated transition
 strengthens itself. Nothing else changes.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from resweave import annotate, integrate, parse_model, parse_resource_map, to_text
@@ -35,7 +34,7 @@ for transition in annotated.transitions:
 resources = sorted(
     {r for e in (*annotated.states, *annotated.transitions) for r in collect_annotations(e)}
 )
-prepared = replace(annotated, variables=annotated.variables + interface_for_resources(resources))
+prepared = annotated._replace(variables=annotated.variables + interface_for_resources(resources))
 integrated = integrate(prepared)
 
 print("\nguards before -> after integration:")

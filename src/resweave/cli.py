@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import expr as ex
@@ -103,7 +102,7 @@ def build_composition(
     declared = {v.name for v in annotated.variables}
     missing = tuple(decl for decl in interface if decl.name not in declared)
     if missing:
-        annotated = replace(annotated, variables=annotated.variables + missing)
+        annotated = annotated._replace(variables=annotated.variables + missing)
     integrated = weave.integrate(annotated)
     unscheduled = res.ALWAYS if assume_available else ()
     charts = tuple(res.synthesize_resource_chart(r, schedule.entries.get(r, unscheduled)) for r in resources)
@@ -145,7 +144,7 @@ def write_manifest(composition: sim.Composition, out_dir: Path, guideline_names:
         "timer": names[composition.timer.name] if composition.timer is not None else None,
         "resources": [names[chart.name] for chart in composition.resources],
         "guidelines": [names[chart.name] for chart in composition.guidelines],
-        "variables": [asdict(v) for v in composition.variables],
+        "variables": composition.variables,
     }
     path = out_dir / "composition.json"
     _write_text(path, write_json(manifest) + "\n")
@@ -194,11 +193,8 @@ def _load_scenario(args, composition: sim.Composition) -> sim.Scenario:
 
 
 def _effective_horizon(args, scenario: sim.Scenario) -> int:
-    if args.horizon is not None:
-        return args.horizon
-    if scenario.horizon is not None:
-        return scenario.horizon
-    return res.DEFAULT_HORIZON
+    """--horizon, else the scenario's, else the default."""
+    return next(h for h in (args.horizon, scenario.horizon, res.DEFAULT_HORIZON) if h is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +248,8 @@ def cmd_simulate(args) -> int:
     scenario = scenario.resolve(assignment)
     horizon = _effective_horizon(args, scenario)
     chk.check_work(1, horizon)
-    state = sim.init_composition(composition, scenario)
-    trace = sim.run(state, horizon)
+    expected = _read_text(args.replay) if args.replay else None  # read before anything is written
+    trace = sim.run(sim.init_composition(composition, scenario), horizon)
     trace_json = sim.trace_to_json(trace)
     out_dir = Path(args.out)
     lines = sim.trace_lines(trace)
@@ -262,7 +258,7 @@ def cmd_simulate(args) -> int:
     for line in lines:
         _emit(args, line)
     if args.replay:
-        if _read_text(args.replay) != trace_json:
+        if expected != trace_json:
             raise _CommandError(f"replayed trace differs from {args.replay}")
         _emit(args, f"trace matches {args.replay}")
     return 0

@@ -29,7 +29,6 @@ import operator
 import re
 import sys
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import ResweaveError
@@ -68,31 +67,59 @@ class EvalError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    """An expression tree node: a record of the fields its `_fields` (also its `__slots__`) name,
+    never changed once built. It equals, and hashes like, only a node of its own class with equal
+    fields: a tuple record would equal every tuple of its values, so `IntLit(1) == BoolLit(True)`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class IntLit(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class BoolLit(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Expr"
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Not(_Node):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Expr):
+        self.operand = operand
+
+
+class BinOp(_Node):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op, self.left, self.right = op, left, right
 
 
 Expr = Union[IntLit, BoolLit, Var, Not, BinOp]

@@ -12,13 +12,14 @@ annotations appear as strings:
     annotation               "//@RES: CT_machine, CT_technician"
 
 Charts are flat: no composite or history states. Hierarchy is expressed by
-composing several charts in parallel (see `sim`). All types are immutable
-values after construction, and the readers build their sequence fields as
-tuples; semantic invariants are checked by `validate_model`. A model object
-is validated at most once: its `diagnostics` are computed on first use and
-kept, and both `parse_model` and `sim.Composition` read them. Within one
-document each distinct string is parsed once, and so is each distinct
-expression text, so equal strings share one tree.
+composing several charts in parallel (see `sim`). Every type is a
+`NamedTuple` record, an immutable value, and the readers build its
+sequence fields as tuples; semantic invariants are checked by
+`validate_model`. A model object is validated at most once: its
+`diagnostics` are computed on first use and kept, and both `parse_model`
+and `sim.Composition` read them. Within one document each distinct string
+is parsed once, and so is each distinct expression text, so equal strings
+share one tree.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
 from functools import cache, cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import expr as ex
 from .errors import ResweaveError
@@ -63,8 +63,7 @@ class ModelSemanticsError(ResweaveError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     path: str
     message: str
 
@@ -72,50 +71,43 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(NamedTuple):
     name: str
     kind: str  # "integer" | "boolean"
     initial: int | bool
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """Required-resource marker; serializes to `//@RES: r1, r2`."""
 
     resources: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     target: str
     value: ex.Expr
 
 
-@dataclass(frozen=True)
-class Raise:
+class Raise(NamedTuple):
     event: str
 
 
 Action = Union[Assign, Raise]
 
 
-@dataclass(frozen=True)
-class GuardedAction:
+class GuardedAction(NamedTuple):
     action: Action
     guard: ex.Expr = ex.TRUE
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     name: str
     entry_actions: tuple[GuardedAction, ...] = ()
     exit_actions: tuple[GuardedAction, ...] = ()
     annotations: tuple[Annotation, ...] = ()
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     target: str
     guard: ex.Expr = ex.TRUE
@@ -124,14 +116,17 @@ class Transition:
     annotations: tuple[Annotation, ...] = ()
 
 
-@dataclass(frozen=True)
-class StatechartModel:
+class _Chart(NamedTuple):
     name: str
     variables: tuple[VariableDecl, ...] = ()
     events: tuple[str, ...] = ()
     states: tuple[State, ...] = ()
     transitions: tuple[Transition, ...] = ()
     initial_state: str = ""
+
+
+class StatechartModel(_Chart):
+    """A chart: the record of its fields, which also keeps the values below, each computed on first use."""
 
     def state(self, name: str) -> State:
         """The first state called `name`; KeyError if there is none."""
@@ -166,10 +161,7 @@ def list_raised_actions(element: State | Transition) -> tuple[str, ...]:
     Declaration order, duplicates preserved; guards are not consulted (the
     collection is static).
     """
-    if isinstance(element, State):
-        actions = [ga.action for ga in element.entry_actions]
-    else:
-        actions = list(element.actions)
+    actions = [ga.action for ga in element.entry_actions] if isinstance(element, State) else element.actions
     return tuple(a.event for a in actions if isinstance(a, Raise))
 
 
@@ -380,12 +372,9 @@ def _transition_from_obj(obj, path: str, parsers) -> Transition:
 
 def serialize_model(model: StatechartModel) -> str:
     """Canonical document text; parse_model(serialize_model(m)) == m."""
-    root: dict = {"name": model.name}
-    root["variables"] = [asdict(v) for v in model.variables]
-    root["events"] = list(model.events)
-    root["states"] = [_state_to_obj(s) for s in model.states]
-    root["transitions"] = [_transition_to_obj(t) for t in model.transitions]
-    root["initial"] = model.initial_state
+    root = {"name": model.name, "variables": model.variables, "events": model.events,
+            "states": list(map(_state_to_obj, model.states)),
+            "transitions": list(map(_transition_to_obj, model.transitions)), "initial": model.initial_state}
     return write_json(root, ensure_ascii=False) + "\n"
 
 

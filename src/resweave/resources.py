@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ResweaveError
@@ -41,25 +41,23 @@ class ScheduleFormatError(ResweaveError):
     pass
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Availability interval with exclusive start and inclusive end."""
 
     start_exclusive: int
     end_inclusive: int | float  # math.inf for an unbounded right end
 
-    def contains(self, t: int) -> bool:
-        return self.start_exclusive < t <= self.end_inclusive
-
 
 ALWAYS = (Window(-1, math.inf),)
 
 
-@dataclass(frozen=True)
-class ResourceMap:
-    """Ordered mapping from medical action (event name) to resource list."""
-
+class _Entries(NamedTuple):
     entries: tuple[tuple[str, tuple[str, ...]], ...]
+
+
+class ResourceMap(_Entries):
+    """Ordered mapping from medical action (event name) to resource list; the record of its
+    `entries`, which also keeps its index by action, built on first use."""
 
     def get(self, action: str) -> tuple[str, ...] | None:
         """The resources of the first entry for `action`, or None."""
@@ -74,8 +72,7 @@ class ResourceMap:
         return tuple(dict.fromkeys(r for _, resources in self.entries for r in resources))
 
 
-@dataclass(frozen=True)
-class AvailabilitySchedule:
+class AvailabilitySchedule(NamedTuple):
     entries: dict[str, tuple[Window, ...]]
     horizon: int = DEFAULT_HORIZON
 
@@ -182,7 +179,7 @@ def _normalize_windows(windows: list[Window], lineno: int, resource: str) -> tup
 
 def is_available(windows: tuple[Window, ...] | list[Window], t: int) -> bool:
     """True iff some window contains t (strict-start membership)."""
-    return any(w.contains(t) for w in windows)
+    return any(w.start_exclusive < t <= w.end_inclusive for w in windows)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 from . import expr as ex
@@ -199,25 +198,30 @@ class Composition:
 # Scenarios
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     t: int
     var: str
     value: int | bool
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(NamedTuple):
     var: str
     domain: tuple[int | bool, ...]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    initial: dict[str, int | bool] = field(default_factory=dict)
-    injections: tuple[Injection, ...] = ()
-    choices: tuple[Choice, ...] = ()
-    horizon: int | None = None
+class _Scenario(NamedTuple):
+    initial: dict[str, int | bool]
+    injections: tuple[Injection, ...]
+    choices: tuple[Choice, ...]
+    horizon: int | None
+
+
+class Scenario(_Scenario):
+    __slots__ = ()
+
+    def __new__(cls, initial=None, injections=(), choices=(), horizon=None):
+        # Each scenario built without initial values gets a dict of its own; a default would be one shared dict.
+        return super().__new__(cls, {} if initial is None else initial, injections, choices, horizon)
 
     @property
     def resolved(self) -> bool:
@@ -234,7 +238,7 @@ class Scenario:
         initial = dict(self.initial)
         for choice in self.choices:
             initial[choice.var] = assignment[choice.var]
-        return replace(self, initial=initial, choices=())
+        return self._replace(initial=initial, choices=())
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -263,7 +267,8 @@ def parse_scenario(text: str) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict:
     """The JSON object of a scenario: its fields, each record an object;
     `injections`, `choices` and `horizon` only when set."""
-    fields = asdict(scenario).items()
+    records = {name: tuple(r._asdict() for r in getattr(scenario, name)) for name in ("injections", "choices")}
+    fields = {**scenario._asdict(), **records}.items()
     return {name: value for name, value in fields if name == "initial" or value not in ((), None)}
 
 
@@ -394,20 +399,21 @@ def trace_lines(trace: Trace) -> list[str]:
 # Execution
 
 
-@dataclass
 class SimState:
-    """Mutable execution context; confine to one thread at a time."""
+    """Mutable execution context for one thread at a time, slotted because `macro_step` reads it every minute."""
 
-    composition: Composition
-    active: dict[str, str]
-    valuation: dict[str, int | bool]
-    pending_events: list[str]
-    steps: list[StepReport]  # steps[t] is the report of minute t; steps[0] is initialization
-    injections_by_time: dict[int, list[Injection]]
-    minutes_skipped: int = 0  # minutes recorded by `skip_idle` without being run
-    before: dict[str, int | bool] = field(default_factory=dict)  # old value per variable the last minute wrote
-    wake: list[int | float] = field(default_factory=list)  # per runtime, the first minute it runs again
-    waiting: dict[str, set[int]] = field(default_factory=dict)  # name -> positions of runtimes that slept on it
+    __slots__ = ("composition", "active", "valuation", "pending_events", "steps", "injections_by_time",
+                 "minutes_skipped", "before", "wake", "waiting")
+
+    def __init__(self, composition: Composition, active: dict[str, str], valuation: dict[str, int | bool],
+                 pending_events: list[str], steps: list[StepReport], injections_by_time: dict[int, list[Injection]]):
+        self.composition, self.active, self.valuation = composition, active, valuation
+        self.pending_events, self.injections_by_time = pending_events, injections_by_time
+        self.steps = steps  # steps[t] is the report of minute t; steps[0] is initialization
+        self.minutes_skipped = 0  # minutes recorded by `skip_idle` without being run
+        self.before: dict[str, int | bool] = {}  # old value per variable the last minute wrote
+        self.wake: list[int | float] = []  # per runtime, the first minute it runs again
+        self.waiting: dict[str, set[int]] = {}  # name -> positions of runtimes that slept on it
 
     @property
     def curT(self) -> int:

@@ -10,8 +10,6 @@ else; annotations survive integration.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import expr as ex
 from .errors import ResweaveError
 from .model import (
@@ -38,29 +36,22 @@ def annotate(model: StatechartModel, resource_map: ResourceMap) -> StatechartMod
     """
     states = tuple(_annotate_element(s, resource_map) for s in model.states)
     transitions = tuple(_annotate_element(t, resource_map) for t in model.transitions)
-    return replace(model, states=states, transitions=transitions)
+    return model._replace(states=states, transitions=transitions)
 
 
 def _annotate_element(element, resource_map: ResourceMap):
-    gathered: list[str] = []
-    for action in list_raised_actions(element):
-        resources = resource_map.get(action)
-        if resources is not None:
-            gathered.extend(resources)
+    gathered = [r for action in list_raised_actions(element) for r in resource_map.get(action) or ()]
     if not gathered:
         return element
     annotation = Annotation(tuple(gathered))
     if annotation in element.annotations:
         return element
-    return replace(element, annotations=element.annotations + (annotation,))
+    return element._replace(annotations=element.annotations + (annotation,))
 
 
 def collect_annotations(element: State | Transition) -> tuple[str, ...]:
     """All annotated resources on the element, concatenated in order."""
-    out: list[str] = []
-    for annotation in element.annotations:
-        out.extend(annotation.resources)
-    return tuple(out)
+    return tuple(r for annotation in element.annotations for r in annotation.resources)
 
 
 def strengthen_guard(guard: ex.Expr, resources) -> ex.Expr:
@@ -106,9 +97,9 @@ def integrate(model: StatechartModel) -> StatechartModel:
                     f"strengthened with {len(resources)} resources is nested deeper than "
                     f"{ex.MAX_DEPTH} levels"
                 )
-            transition = replace(transition, guard=strengthen_guard(transition.guard, resources))
+            transition = transition._replace(guard=strengthen_guard(transition.guard, resources))
         transitions.append(transition)
-    return replace(model, transitions=tuple(transitions))
+    return model._replace(transitions=tuple(transitions))
 
 
 def integration_warnings(model: StatechartModel) -> list[Diagnostic]:

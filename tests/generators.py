@@ -8,7 +8,6 @@ names are unique. Determinism comes from the caller-supplied Random.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from resweave import expr as ex
 from resweave.model import (
@@ -145,15 +144,15 @@ def gen_annotations(rng: random.Random, model: StatechartModel) -> StatechartMod
     for state in model.states:
         if rng.random() < 0.3:
             resources = tuple(rng.choice(RESOURCES) for _ in range(rng.randint(1, 3)))
-            state = replace(state, annotations=(Annotation(resources),))
+            state = state._replace(annotations=(Annotation(resources),))
         states.append(state)
     transitions = []
     for transition in model.transitions:
         if rng.random() < 0.3:
             resources = tuple(rng.choice(RESOURCES) for _ in range(rng.randint(1, 2)))
-            transition = replace(transition, annotations=(Annotation(resources),))
+            transition = transition._replace(annotations=(Annotation(resources),))
         transitions.append(transition)
-    return replace(model, states=tuple(states), transitions=tuple(transitions))
+    return model._replace(states=tuple(states), transitions=tuple(transitions))
 
 
 def gen_windows(rng: random.Random, horizon: int) -> tuple[Window, ...]:
@@ -229,27 +228,27 @@ def gen_timed_composition(rng: random.Random, horizon: int, max_charts: int = 2)
     for i in range(rng.randint(1, max_charts)):
         model = _additive(gen_model(rng, name=f"G{i}", max_states=4, with_triggers=True, variables=variables))
         transitions = tuple(
-            replace(t, guard=gen_timed_guard(rng, horizon, flags)) if rng.random() < 0.75 else t
+            t._replace(guard=gen_timed_guard(rng, horizon, flags)) if rng.random() < 0.75 else t
             for t in model.transitions
         )
         states = []
         for state in model.states:
             entry = [
-                replace(ga, guard=gen_timed_guard(rng, horizon, flags)) if rng.random() < 0.5 else ga
+                ga._replace(guard=gen_timed_guard(rng, horizon, flags)) if rng.random() < 0.5 else ga
                 for ga in state.entry_actions
             ]
             if rng.random() < 0.2:  # an integer right-hand side that reads the clock
                 entry.append(GuardedAction(Assign(rng.choice(INT_VARS), ex.Var(CLOCK_VARIABLE))))
             if rng.random() < 0.3:  # a boolean one, which keeps its value between breakpoints
                 entry.append(GuardedAction(Assign(rng.choice(BOOL_VARS), gen_timed_guard(rng, horizon, flags))))
-            states.append(replace(state, entry_actions=tuple(entry)))
+            states.append(state._replace(entry_actions=tuple(entry)))
             if rng.random() < 0.4:  # re-entered while nothing else fires, as a resource chart is
                 guard = gen_timed_guard(rng, horizon, flags) if rng.random() < 0.5 else ex.TRUE
                 transitions += (Transition(state.name, state.name, guard=guard),)
             if model.events and rng.random() < 0.3:  # first in line, but only when its event is raised
                 target = rng.choice(model.states).name
                 transitions = (Transition(state.name, target, trigger=rng.choice(model.events)),) + transitions
-        guidelines.append(replace(model, states=tuple(states), transitions=transitions))
+        guidelines.append(model._replace(states=tuple(states), transitions=transitions))
     return Composition(
         timer=synthesize_timer(),
         resources=tuple(synthesize_resource_chart(r, gen_windows(rng, horizon)) for r in resources),
@@ -267,16 +266,16 @@ def _additive(model: StatechartModel) -> StatechartModel:
         return node
 
     def action(a):
-        return replace(a, value=expr(a.value)) if isinstance(a, Assign) else a
+        return a._replace(value=expr(a.value)) if isinstance(a, Assign) else a
 
     def guarded(actions):
-        return tuple(replace(ga, action=action(ga.action)) for ga in actions)
+        return tuple(ga._replace(action=action(ga.action)) for ga in actions)
 
     states = tuple(
-        replace(s, entry_actions=guarded(s.entry_actions), exit_actions=guarded(s.exit_actions)) for s in model.states
+        s._replace(entry_actions=guarded(s.entry_actions), exit_actions=guarded(s.exit_actions)) for s in model.states
     )
-    transitions = tuple(replace(t, actions=tuple(map(action, t.actions))) for t in model.transitions)
-    return replace(model, states=states, transitions=transitions)
+    transitions = tuple(t._replace(actions=tuple(map(action, t.actions))) for t in model.transitions)
+    return model._replace(states=states, transitions=transitions)
 
 
 def gen_timed_invariants(rng: random.Random, composition: Composition, horizon: int) -> list[Invariant]:
@@ -298,7 +297,7 @@ def gen_timed_scenario(rng: random.Random, horizon: int) -> Scenario:
     initial = dict(scenario.initial)
     if rng.random() < 0.2:
         initial[CLOCK_VARIABLE] = rng.randint(1, horizon)
-    return replace(scenario, initial=initial, injections=injections)
+    return scenario._replace(initial=initial, injections=injections)
 
 
 def gen_scenario(rng: random.Random, horizon: int) -> Scenario:
@@ -340,12 +339,12 @@ def gen_invariants(rng: random.Random, composition: Composition) -> list[Invaria
 
 def without_annotations(model: StatechartModel) -> StatechartModel:
     """The same model with every annotation removed."""
-    states = tuple(replace(s, annotations=()) for s in model.states)
-    transitions = tuple(replace(t, annotations=()) for t in model.transitions)
-    return replace(model, states=states, transitions=transitions)
+    states = tuple(s._replace(annotations=()) for s in model.states)
+    transitions = tuple(t._replace(annotations=()) for t in model.transitions)
+    return model._replace(states=states, transitions=transitions)
 
 
 def without_guards(model: StatechartModel) -> StatechartModel:
     """The same model with every transition guard reset to literal true."""
-    transitions = tuple(replace(t, guard=ex.TRUE) for t in model.transitions)
-    return replace(model, transitions=transitions)
+    transitions = tuple(t._replace(guard=ex.TRUE) for t in model.transitions)
+    return model._replace(transitions=transitions)

@@ -8,7 +8,6 @@ import random
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -118,9 +117,7 @@ def test_criterion_4_weaver_algebra():
                     for r in weave.collect_annotations(element)
                 }
             )
-            prepared = replace(
-                annotated, variables=annotated.variables + interface_for_resources(resources)
-            )
+            prepared = annotated._replace(variables=annotated.variables + interface_for_resources(resources))
             integrated = weave.integrate(prepared)
             # guard-only delta
             assert without_guards(integrated) == without_guards(prepared)

@@ -870,6 +870,26 @@ def test_replay_against_a_differing_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: replayed trace differs from {other}\n"
 
 
+def test_start_up_imports_no_dataclasses():
+    """`import resweave.cli` loads neither `dataclasses` nor the modules it imports, which cost
+    each process about 20 ms: every record is a `NamedTuple` or a slotted class."""
+    code = "import sys; before = set(sys.modules); import resweave.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert "resweave.cli" in loaded.split()
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded.split())
+
+
+def test_simulate_reads_its_replay_file_before_it_writes(tmp_path, capsys):
+    """An unreadable `--replay` file is refused before the scenario runs: no trace line, no output."""
+    manifest, missing, out = _integrate_delayed(tmp_path / "manifest"), tmp_path / "missing.json", tmp_path / "out"
+    capsys.readouterr()
+    code = run_cli("simulate", "--manifest", manifest, "--scenario", FIXTURES / "scenario_simple.json",
+                   *DELAYED_SIMULATE[9:], "--replay", missing, "--out", out)
+    assert (code, capsys.readouterr()) == (2, ("", f"error: cannot read {missing}: No such file or directory\n"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

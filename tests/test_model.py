@@ -1,7 +1,6 @@
 import json
 import random
-from dataclasses import fields, is_dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
@@ -389,7 +388,7 @@ def test_state_lookup_by_name():
     assert model.state("t") is model.states[2]
     with pytest.raises(KeyError):
         model.state("u")
-    assert replace(model, states=(m.State("u"),)).state("u") == m.State("u")
+    assert model._replace(states=(m.State("u"),)).state("u") == m.State("u")
 
 
 def test_each_distinct_expression_text_is_parsed_once(monkeypatch):
@@ -430,18 +429,19 @@ def test_diagnostics_are_computed_once_per_model(monkeypatch):
     monkeypatch.setattr(m, "validate_model", lambda model: calls.append(model) or original(model))
     model = m.parse_model(MINIMAL)
     assert model.diagnostics == () and calls == [model]
-    bad = replace(model, initial_state="gone")
+    bad = model._replace(initial_state="gone")
     expected = (m.Diagnostic("initial", "initial state 'gone' is not a declared state"),)
     assert bad.diagnostics == bad.diagnostics == expected
     assert calls == [model, bad]
 
 
 def _records(value):
-    """Each record reachable from `value` through record fields and sequences."""
-    if is_dataclass(value):
+    """Each record reachable from `value` through record fields and sequences: a `NamedTuple`, or
+    an expression node, which names its fields in `_fields` too."""
+    if hasattr(value, "_fields"):
         yield value
-        for field in fields(value):
-            yield from _records(getattr(value, field.name))
+        for name in value._fields:
+            yield from _records(getattr(value, name))
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _records(item)
@@ -460,11 +460,26 @@ def test_readers_build_every_sequence_field_as_a_tuple(request, name):
     records = list(_records(value.charts if isinstance(value, sim.Composition) else value))
     assert records
     for record in records:
-        for field in fields(record):
-            where = f"{type(record).__name__}.{field.name}"
-            assert not isinstance(getattr(record, field.name), list), where
-            if str(field.type).startswith("tuple["):
-                assert isinstance(getattr(record, field.name), tuple), where
+        types = get_type_hints(type(record))
+        for name in record._fields:
+            where = f"{type(record).__name__}.{name}"
+            assert not isinstance(getattr(record, name), list), where
+            if str(types.get(name)).startswith("tuple["):
+                assert isinstance(getattr(record, name), tuple), where
         if not isinstance(record, sim.Scenario):  # its `initial` is a dict
             hash(record)
     assert any(isinstance(r, (m.StatechartModel, res.ResourceMap, sim.Choice, sim.Injection)) for r in records)
+
+
+def test_record_kinds_stay_distinct():
+    """An expression node equals, and hashes as, only a node of its own kind, though `1 == True`:
+    a `NamedTuple` node would equal every tuple of the same values, a node of another kind too."""
+    assert ex.IntLit(1) != ex.BoolLit(True) and not ex.IntLit(1) == ex.BoolLit(True)
+    assert ex.Var("x") != m.Raise("x") and m.Raise("x") != ex.Var("x")
+    assert len({ex.IntLit(1), ex.BoolLit(True)}) == 2
+    others = (ex.IntLit(1), (True,), ex.Var("true"), ex.Not(ex.FALSE), ex.BoolLit(False))
+    assert ex.BoolLit(True) == ex.TRUE and not any(other == ex.TRUE for other in others)
+    first, second = sim.Scenario(), sim.Scenario()
+    assert first.initial == second.initial == {} and first.initial is not second.initial
+    assert repr(ex.IntLit(1)) == "IntLit(value=1)"
+    assert repr(ex.parse_expr("x + 1")) == "BinOp(op='+', left=Var(name='x'), right=IntLit(value=1))"

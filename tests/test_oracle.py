@@ -6,7 +6,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -63,7 +62,7 @@ def generated_runs(kind: str, seed: int):
         composition, scenario = gen_timed_composition(rng, horizon), gen_timed_scenario(rng, horizon)
         if rng.random() < 0.5:
             clock = sim.Injection(rng.randint(1, horizon), CLOCK_VARIABLE, rng.randint(0, horizon))
-            scenario = replace(scenario, injections=scenario.injections + (clock,))
+            scenario = scenario._replace(injections=scenario.injections + (clock,))
     return composition, horizon, verify.enumerate_scenarios(scenario)[:4]
 
 

@@ -14,7 +14,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,7 +88,7 @@ def test_a_timer_other_than_the_synthesized_one_is_refused(tmp_path, capsys):
     """The clock ticks inside `macro_step`, so no other chart may stand as the timer: a renamed
     synthesized timer is refused by `sim.Composition`, and by `check --manifest` with exit 2."""
     synthesized = gen_timed_composition(random.Random(71), horizon=60)
-    clock = replace(synthesized.timer, name="Clock")
+    clock = synthesized.timer._replace(name="Clock")
     assert _error(lambda: sim.Composition(clock, synthesized.resources, synthesized.guidelines)) == (
         "timer chart 'Clock' is not the synthesized timer"
     )
@@ -211,7 +210,7 @@ def _error(call) -> str:
 @pytest.mark.parametrize("horizon", [15, 720])
 def test_clock_leaving_64_bits_is_refused_at_plain_steppings_minute(ideal_composition, simple_scenario, horizon):
     # curT is 2**63 - 1 after minute 4, so the timer's write at minute 5 is refused.
-    scenario = replace(simple_scenario, initial={**simple_scenario.initial, "curT": 2**63 - 5})
+    scenario = simple_scenario._replace(initial={**simple_scenario.initial, "curT": 2**63 - 5})
     resolved = verify.enumerate_scenarios(scenario)[0]
     properties = verify.parse_properties(fixture_text("props_simple.txt"), ideal_composition)
     expected = "chart 'Timer' at minute 5: 'curT' would be set to a value outside the 64-bit range"

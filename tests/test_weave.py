@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -105,7 +104,7 @@ def test_strengthen_guard_keeps_duplicates():
 
 
 def _with_interface(model, resources):
-    return replace(model, variables=model.variables + interface_for_resources(resources))
+    return model._replace(variables=model.variables + interface_for_resources(resources))
 
 
 def test_integrate_stroke_guards(simple_model, simple_map):
