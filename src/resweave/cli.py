@@ -172,8 +172,10 @@ def load_manifest(path: str) -> sim.Composition:
         charts.append(tuple(chart(name, f"{key}[{i}]") for i, name in enumerate(names)))
     composition = _naming(path, sim.Composition, *charts)
     variables = expect(root.get("variables", []), list, f"{path}: variables", "a list")
-    declared = {variable_from_obj(obj, f"{path}: variables[{i}]") for i, obj in enumerate(variables)}
-    if "variables" in root and declared != set(composition.variables):
+    # With its initial value's type: `false` and `0` are equal in Python, and only one is an integer.
+    exact = lambda decl: (*decl, type(decl.initial))  # noqa: E731
+    declared = {exact(variable_from_obj(obj, f"{path}: variables[{i}]")) for i, obj in enumerate(variables)}
+    if "variables" in root and declared != set(map(exact, composition.variables)):
         raise _CommandError(f"{path}: manifest variables disagree with the chart declarations")
     return composition
 

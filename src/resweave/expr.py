@@ -78,6 +78,8 @@ class _Node:
         return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
@@ -154,10 +156,13 @@ _BINARY = {
 
 _OPERATORS = sorted([*_BINARY, "!", "(", ")"], key=len, reverse=True)  # longest match first
 
+# One pass of `finditer` reads every token; the search skips whitespace, and
+# any other character no token starts with is caught by `bad`.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)"
+    r"(?P<int>[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
-    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + "))"
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    r"|(?P<bad>\S)"
 )
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -171,132 +176,95 @@ def is_reserved_word(name: str) -> bool:
     return name in _RESERVED
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "end"
-    text: str
-    column: int  # 1-based
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", col)
-        kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(text) + 1))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, 1-based column) of each token, then ("end", "", column past the text)."""
+    tokens = [(match.lastgroup, match.group(), match.start() + 1) for match in _TOKEN_RE.finditer(text)]
+    for kind, token, column in tokens:
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {token!r}", column)
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 class _Parser:
-    """Recursive descent; each method returns the tree it parsed and its depth."""
+    """Precedence climbing; each method returns the tree it parsed and its depth.
 
-    def __init__(self, text: str):
+    `leaves` maps the text of each leaf read so far (a name, or a literal with
+    its sign) to its node, so that trees parsed with one map share leaves."""
+
+    def __init__(self, text: str, leaves: dict[str, Expr]):
         self.tokens = _tokenize(text)
         self.index = 0
         self.nesting = 0  # '(' and '!' whose operand is being parsed
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def accept_op(self, *ops: str) -> _Token | None:
-        token = self.peek()
-        if token.kind == "op" and token.text in ops:
-            return self.advance()
-        return None
+        self.leaves = leaves
 
     def parse(self) -> Expr:
         result, _ = self.binary(1)
-        trailing = self.peek()
-        if trailing.kind != "end":
-            raise ExprSyntaxError(f"unexpected {trailing.text!r}", trailing.column)
+        kind, token, column = self.tokens[self.index]
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected {token!r}", column)
         return result
 
     def binary(self, min_precedence: int) -> tuple[Expr, int]:
-        """Precedence climbing over `_BINARY`: operators binding at least `min_precedence`."""
+        """The operators of `_BINARY` binding at least `min_precedence`, over unary operands."""
         left, depth = self.unary()
-        max_precedence = float("inf")
+        max_precedence = math.inf
         while True:
-            token = self.peek()
-            spec = _BINARY.get(token.text) if token.kind == "op" else None
+            _, token, column = self.tokens[self.index]
+            spec = _BINARY.get(token)
             if spec is None or not min_precedence <= spec.precedence <= max_precedence:
                 return left, depth
-            self.advance()
+            self.index += 1
             right, right_depth = self.binary(spec.precedence + 1)
             # Interned: a large model holds thousands of these operator strings.
-            left = BinOp(sys.intern(token.text), left, right)
-            depth = _deeper(max(depth, right_depth), token)
+            left = BinOp(sys.intern(token), left, right)
+            depth = max(depth, right_depth)
+            if depth == MAX_DEPTH:
+                raise _too_deep(column)
+            depth += 1
             max_precedence = spec.precedence if _chains(spec) else spec.precedence - 1
 
     def unary(self) -> tuple[Expr, int]:
-        token = self.accept_op("!")
-        if token:
-            operand, depth = self.nested(token, self.unary)
-            return Not(operand), _deeper(depth, token)
-        token = self.accept_op("-")
-        if token:
-            operand = self.peek()
-            if operand.kind != "int":
-                raise ExprSyntaxError(
-                    "unary '-' is only allowed before an integer literal", token.column
-                )
-            self.advance()
-            return _int_literal("-" + operand.text, operand.column), 1
-        return self.atom()
-
-    def atom(self) -> tuple[Expr, int]:
-        token = self.advance()
-        if token.kind == "int":
-            return _int_literal(token.text, token.column), 1
-        if token.kind == "ident":
-            if token.text == "true":
-                return TRUE, 1
-            if token.text == "false":
-                return FALSE, 1
-            return Var(token.text), 1
-        if token.kind == "op" and token.text == "(":
-            inner = self.nested(token, lambda: self.binary(1))
-            closing = self.peek()
-            if closing.kind != "op" or closing.text != ")":
-                raise ExprSyntaxError("expected ')'", closing.column)
-            self.advance()
-            return inner
-        raise ExprSyntaxError(
-            f"expected an operand, found {token.text!r}" if token.text else "unexpected end of expression",
-            token.column,
-        )
-
-    def nested(self, token: _Token, parse):
-        """`parse()` the operand of a '(' or '!', at most MAX_DEPTH of them deep."""
+        kind, token, column = self.tokens[self.index]
+        self.index += 1
+        if token == "-":  # folds into the integer literal after it
+            kind, digits, digits_column = self.tokens[self.index]
+            if kind != "int":
+                raise ExprSyntaxError("unary '-' is only allowed before an integer literal", column)
+            self.index += 1
+            token, column = "-" + digits, digits_column
+        if kind == "int" or kind == "ident":
+            leaf = self.leaves.get(token)
+            if leaf is None:
+                if kind == "int":
+                    leaf = _int_literal(token, column)
+                else:
+                    leaf = TRUE if token == "true" else FALSE if token == "false" else Var(token)
+                self.leaves[token] = leaf
+            return leaf, 1
+        if token != "!" and token != "(":
+            raise ExprSyntaxError(f"expected an operand, found {token!r}" if token else "unexpected end of expression",
+                                  column)
         if self.nesting == MAX_DEPTH:
-            raise _too_deep(token)
+            raise _too_deep(column)
         self.nesting += 1
-        result = parse()
+        if token == "!":
+            operand, depth = self.unary()
+            if depth == MAX_DEPTH:
+                raise _too_deep(column)
+            self.nesting -= 1
+            return Not(operand), depth + 1
+        inner = self.binary(1)
+        _, token, column = self.tokens[self.index]
+        if token != ")":
+            raise ExprSyntaxError("expected ')'", column)
+        self.index += 1
         self.nesting -= 1
-        return result
+        return inner
 
 
-def _deeper(depth: int, token: _Token) -> int:
-    """The depth of the node `token` makes over a subtree `depth` deep."""
-    if depth == MAX_DEPTH:
-        raise _too_deep(token)
-    return depth + 1
-
-
-def _too_deep(token: _Token) -> ExprSyntaxError:
-    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", token.column)
+def _too_deep(column: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", column)
 
 
 def _chains(spec: _Binary) -> bool:
@@ -324,9 +292,13 @@ def _int_literal(text: str, column: int) -> IntLit:
     return IntLit(value)
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse expression text into a syntax tree."""
-    return _Parser(text).parse()
+def parse_expr(text: str, leaves: dict[str, Expr] | None = None) -> Expr:
+    """Parse expression text into a syntax tree.
+
+    Trees parsed with one `leaves` map share their leaves: one `Var` per name
+    and one `IntLit` per literal text. The map starts empty and is filled here.
+    """
+    return _Parser(text, {} if leaves is None else leaves).parse()
 
 
 def to_text(expr: Expr, rename=None) -> str:

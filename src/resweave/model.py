@@ -19,7 +19,8 @@ sequence fields as tuples; semantic invariants are checked by
 `diagnostics` are computed on first use and kept, and both `parse_model`
 and `sim.Composition` read them. Within one document each distinct string
 is parsed once, and so is each distinct expression text, so equal strings
-share one tree.
+share one tree; all its trees share one `Var` per name and one `IntLit`
+per literal text. `validate_model` types each distinct tree once.
 """
 
 from __future__ import annotations
@@ -293,8 +294,10 @@ def expect_object(obj, known, path: str) -> dict:
 def _model_from_obj(root) -> StatechartModel:
     expect_object(root, {"name", "variables", "events", "states", "transitions", "initial"}, "$")
     # This document's parsers, by the key its strings sit under; each parses a
-    # distinct text once, and they go when the document is parsed.
-    expr = cache(ex.parse_expr)
+    # distinct text once, its trees share `leaves`, and they go when the
+    # document is parsed.
+    leaves: dict[str, ex.Expr] = {}
+    expr = cache(lambda text: ex.parse_expr(text, leaves))
     parsers = {
         "guard": expr,
         "entry": cache(lambda text: parse_guarded_action(text, "entry", expr)),
@@ -433,6 +436,7 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
         _check_name(event, ex.IDENT_RE, "event", i, f"events[{i}]", first, out)
 
     kinds = {v.name: v.kind for v in model.variables}
+    kind_of = _typer(kinds)
     events = set(model.events)
 
     first = {}
@@ -440,9 +444,9 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
         path = f"states[{i}]({state.name})"
         _check_name(state.name, ex.IDENT_RE, "state", i, path, first, out)
         for j, ga in enumerate(state.entry_actions):
-            _check_guarded_action(ga, kinds, events, f"{path}.entry[{j}]", out)
+            _check_guarded_action(ga, kinds, kind_of, events, f"{path}.entry[{j}]", out)
         for j, ga in enumerate(state.exit_actions):
-            _check_guarded_action(ga, kinds, events, f"{path}.exit[{j}]", out)
+            _check_guarded_action(ga, kinds, kind_of, events, f"{path}.exit[{j}]", out)
         _check_annotations(state.annotations, path, out)
 
     state_names = {s.name for s in model.states}
@@ -461,9 +465,9 @@ def validate_model(model: StatechartModel) -> list[Diagnostic]:
                 out.append(Diagnostic(path, f"trigger {trigger!r} is not one minute: use 'tick' or 'every 60s'"))
             else:
                 out.append(Diagnostic(path, f"trigger names undeclared event {trigger!r}"))
-        _check_bool_expr(transition.guard, kinds, f"{path}.guard", out)
+        _check_bool_expr(transition.guard, kind_of, f"{path}.guard", out)
         for j, action in enumerate(transition.actions):
-            _check_action(action, kinds, events, f"{path}.actions[{j}]", out)
+            _check_action(action, kinds, kind_of, events, f"{path}.actions[{j}]", out)
         _check_annotations(transition.annotations, path, out)
 
     return out
@@ -479,17 +483,33 @@ def _check_name(name: str, pattern, what: str, i: int, path: str, first: dict[st
         out.append(Diagnostic(path, f"duplicate {what} name {name!r} (also {what}s[{taken}])"))
 
 
-def _check_bool_expr(guard: ex.Expr, kinds, path: str, out: list[Diagnostic]) -> None:
-    try:
-        kind = ex.type_of(guard, kinds)
-    except ex.ExprTypeError as err:
-        out.append(Diagnostic(path, str(err)))
-        return
-    if kind != KIND_BOOLEAN:
+def _typer(kinds):
+    """`ex.type_of` against `kinds` for each distinct tree once, by identity: a function of a
+    tree giving its kind, or the ExprTypeError typing it raised, as a value."""
+    typed: dict[int, str | ex.ExprTypeError] = {}
+
+    def kind_of(tree: ex.Expr) -> str | ex.ExprTypeError:
+        kind = typed.get(id(tree))
+        if kind is None:
+            try:
+                kind = ex.type_of(tree, kinds)
+            except ex.ExprTypeError as err:
+                kind = err
+            typed[id(tree)] = kind
+        return kind
+
+    return kind_of
+
+
+def _check_bool_expr(guard: ex.Expr, kind_of, path: str, out: list[Diagnostic]) -> None:
+    kind = kind_of(guard)
+    if isinstance(kind, ex.ExprTypeError):
+        out.append(Diagnostic(path, str(kind)))
+    elif kind != KIND_BOOLEAN:
         out.append(Diagnostic(path, "guard must be boolean-typed"))
 
 
-def _check_action(action: Action, kinds, events, path: str, out: list[Diagnostic]) -> None:
+def _check_action(action: Action, kinds, kind_of, events, path: str, out: list[Diagnostic]) -> None:
     if isinstance(action, Raise):
         if action.event not in events:
             out.append(Diagnostic(path, f"raised event {action.event!r} is not declared"))
@@ -498,18 +518,16 @@ def _check_action(action: Action, kinds, events, path: str, out: list[Diagnostic
     if declared is None:
         out.append(Diagnostic(path, f"assignment target {action.target!r} is not a declared variable"))
         return
-    try:
-        value_kind = ex.type_of(action.value, kinds)
-    except ex.ExprTypeError as err:
-        out.append(Diagnostic(path, str(err)))
-        return
-    if value_kind != declared:
+    value_kind = kind_of(action.value)
+    if isinstance(value_kind, ex.ExprTypeError):
+        out.append(Diagnostic(path, str(value_kind)))
+    elif value_kind != declared:
         out.append(Diagnostic(path, f"assigning {value_kind} value to {declared} variable {action.target!r}"))
 
 
-def _check_guarded_action(ga: GuardedAction, kinds, events, path: str, out: list[Diagnostic]) -> None:
-    _check_bool_expr(ga.guard, kinds, f"{path}.guard", out)
-    _check_action(ga.action, kinds, events, path, out)
+def _check_guarded_action(ga: GuardedAction, kinds, kind_of, events, path: str, out: list[Diagnostic]) -> None:
+    _check_bool_expr(ga.guard, kind_of, f"{path}.guard", out)
+    _check_action(ga.action, kinds, kind_of, events, path, out)
 
 
 def _check_annotations(annotations: tuple[Annotation, ...], path: str, out: list[Diagnostic]) -> None:

@@ -31,6 +31,8 @@ SIM = "src/resweave/sim.py"
 DIFFERENTIAL = "tests/test_oracle.py::test_oracle_steps_as_sim_minute_by_minute"
 WRITER = "tests/test_model.py::test_write_json_is_indented_json_dumps"
 WAKE_ORDER = "tests/test_oracle.py::test_charts_sleep_and_wake_in_execution_order"
+EXPR = "src/resweave/expr.py"
+PARSERS_AGREE = "tests/test_expr.py::test_parser_agrees_with_the_reference_parser"
 
 
 class Mutant(NamedTuple):
@@ -173,6 +175,36 @@ MUTANTS = (
         "watched = None",
         ("tests/test_skip.py::test_check_is_plain_stepping_on_timed_compositions",
          "tests/test_skip.py::test_each_bound_is_built_once"),
+    ),
+    Mutant(
+        "depth-check-off-by-one",
+        EXPR,
+        "            depth = max(depth, right_depth)\n            if depth == MAX_DEPTH:\n",
+        "            depth = max(depth, right_depth)\n            if depth > MAX_DEPTH:\n",
+        ("tests/test_expr.py::test_depth_bound[<lambda>0]", "tests/test_expr.py::test_depth_bound[<lambda>1]",
+         PARSERS_AGREE),
+    ),
+    Mutant(
+        "comparisons-chain",
+        EXPR,
+        "max_precedence = spec.precedence if _chains(spec) else spec.precedence - 1",
+        "max_precedence = spec.precedence",
+        ("tests/test_expr.py::test_comparisons_do_not_chain[a<b<c-unexpected '<' (column 4)]", PARSERS_AGREE),
+    ),
+    Mutant(
+        "negative-literal-cached-under-its-digits",
+        EXPR,
+        "            leaf = self.leaves.get(token)\n            if leaf is None:\n                if kind == \"int\":\n"
+        "                    leaf = _int_literal(token, column)\n                else:\n"
+        "                    leaf = TRUE if token == \"true\" else FALSE if token == \"false\" else Var(token)\n"
+        "                self.leaves[token] = leaf\n",
+        "            leaf = self.leaves.get(token.lstrip(\"-\"))\n            if leaf is None:\n"
+        "                if kind == \"int\":\n                    leaf = _int_literal(token, column)\n"
+        "                else:\n"
+        "                    leaf = TRUE if token == \"true\" else FALSE if token == \"false\" else Var(token)\n"
+        "                self.leaves[token.lstrip(\"-\")] = leaf\n",
+        ("tests/test_expr.py::test_leaves_parsed_with_one_map_are_shared",
+         "tests/test_model.py::test_a_document_has_one_leaf_per_name_and_literal_text", PARSERS_AGREE),
     ),
     Mutant(
         "writer-keys-unsorted",

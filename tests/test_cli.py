@@ -932,10 +932,12 @@ def test_manifest_refuses_a_key_it_does_not_read(tmp_path, capsys, edit, message
     (lambda root: {**root, "variables": []}, 2),
     (lambda root: {**root, "variables": root["variables"][1:]}, 2),
     (lambda root: {key: value for key, value in root.items() if key != "variables"}, 1),
-], ids=["empty", "one-dropped", "absent"])
+    (lambda root: {**root, "variables": [{**v, "initial": False} if v["name"] == "curT" else v
+                                         for v in root["variables"]]}, 2),
+], ids=["empty", "one-dropped", "absent", "false-for-integer-0"])
 def test_manifest_variables_must_agree_whenever_given(tmp_path, capsys, edit, exit_code):
-    """A `variables` list, even an empty one, is compared with the chart declarations; without the key
-    the charts' declarations are used as they are."""
+    """A `variables` list, even an empty one, is compared with the chart declarations, kind for kind:
+    `false` is not the integer 0. Without the key the charts' declarations are used as they are."""
     manifest = _integrate_delayed(tmp_path / "setup")
     manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
     capsys.readouterr()

@@ -3,11 +3,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resweave import expr as ex
 
+import reference_parser
 from generators import gen_expr
 
 
@@ -454,3 +455,57 @@ def test_clock_bound_of_several_trees_is_the_least_of_their_bounds(seed):
 def test_clock_bound_of_clock_free_expression_is_none():
     for text in ("a > 3", "p || a*a == 4", "a + 1", "true"):
         assert ex.compile_bound([ex.parse_expr(text)], _CLOCK_KINDS, "curT") is None
+
+
+# Fragments the differential test joins into texts: every token kind, near-misses of the
+# operators, literals at and past the 64-bit edge, characters no token starts with (non-ASCII
+# digits and letters among them) and whitespace that Python counts as such, ASCII or not.
+_FRAGMENTS = [
+    "a", "b1", "_x", "RES.tPA", "RES.", ".a", "true", "false", "0", "7", "-", "- 3", "-0",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+    *ex._BINARY, "!", "(", ")", "|", "&", "=", "<<", "=<", "!!", "--", "?", "$", ",", "é", "ß",
+    "\u0663", "\uff11", "\u200b", " ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u3000",
+]
+
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(" ".join),
+    st.randoms(use_true_random=False).map(lambda rng: ex.to_text(gen_expr(rng, depth=rng.randint(1, 6)))),
+    st.builds(lambda n, tail: "(" * n + "p" + ")" * n + tail,
+              st.integers(ex.MAX_DEPTH - 2, ex.MAX_DEPTH + 2), st.sampled_from(["", ")", " && q", "+1"])),
+    st.builds(lambda n, leaf: "!" * n + leaf, st.integers(ex.MAX_DEPTH - 2, ex.MAX_DEPTH + 2),
+              st.sampled_from(["p", "(p)", "1", ""])),
+    st.builds(lambda n, op: "a" + op * n, st.integers(ex.MAX_DEPTH - 3, ex.MAX_DEPTH + 1),
+              st.sampled_from(["+1", " && p", "<1", "*-2"])),
+    st.builds(lambda sign, zeros, digits: f"{sign}{'0' * zeros}{digits}", st.sampled_from(["", "-", "- "]),
+              st.integers(0, 5000), st.sampled_from(["", "1", "9223372036854775807", "9223372036854775808"])),
+)
+
+
+def _outcome(parse, text: str):
+    try:
+        tree = parse(text)
+    except ex.ExprSyntaxError as err:
+        return "refused", str(err)
+    return "parsed", tree, ex.to_text(tree)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TEXTS, min_size=1, max_size=6))
+@example(["5 < x", "x == -5", "-5 < 5"])
+@example(["a < b < c", "a + 1 == b <= c", "(" * ex.MAX_DEPTH + "p" + ")" * ex.MAX_DEPTH, "a" + "+1" * ex.MAX_DEPTH])
+def test_parser_agrees_with_the_reference_parser(texts):
+    """Each text gives an equal tree, or the identical error text, through `parse_expr` (its texts
+    sharing leaves, as a document's do) and through the reference recursive-descent parser."""
+    leaves = {}
+    for text in texts:
+        assert _outcome(lambda t: ex.parse_expr(t, leaves), text) == _outcome(reference_parser.parse_expr, text)
+
+
+def test_leaves_parsed_with_one_map_are_shared():
+    leaves = {}
+    first, second = ex.parse_expr("x + 5 > y", leaves), ex.parse_expr("-5 < x && y == 5", leaves)
+    assert first.left.left is second.left.right == ex.Var("x") and first.right is second.right.left
+    assert (first.left.right.value, second.left.left.value, second.right.right.value) == (5, -5, 5)
+    assert first.left.right is second.right.right and second.left.left is not first.left.right
+    assert ex.parse_expr("x", {}) is not ex.parse_expr("x", {})

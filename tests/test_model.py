@@ -391,13 +391,68 @@ def test_state_lookup_by_name():
     assert model._replace(states=(m.State("u"),)).state("u") == m.State("u")
 
 
+_LEAVES_DOCUMENT = json.dumps({
+    "name": "Leaves",
+    "variables": [{"name": "n", "kind": "integer", "initial": 0}, {"name": "RES.r", "kind": "boolean", "initial": False}],
+    "states": [
+        {"name": "a", "entry": ["entry[n > 5]/ n = -5", "entry[RES.r]/ n = n + 5"], "exit": ["exit/ n = 0 - 5"]},
+        {"name": "b", "exit": ["exit[n > 5]/ n = n * 5"]},
+    ],
+    "transitions": [
+        {"source": "a", "target": "b", "guard": "n == -5 && RES.r", "actions": ["n = n * 5"]},
+        {"source": "b", "target": "a", "guard": "!RES.r || n < 5"},
+        {"source": "b", "target": "b", "guard": "n > 5"},
+    ],
+    "initial": "a",
+})
+
+
+def _trees(model: m.StatechartModel) -> list[ex.Expr]:
+    """Every guard and assigned value of `model`, one entry per place it is written."""
+    guarded = [ga for state in model.states for ga in (*state.entry_actions, *state.exit_actions)]
+    actions = [*(ga.action for ga in guarded), *(a for t in model.transitions for a in t.actions)]
+    return [*(ga.guard for ga in guarded), *(t.guard for t in model.transitions),
+            *(a.value for a in actions if isinstance(a, m.Assign))]
+
+
+def _leaves(tree: ex.Expr):
+    if isinstance(tree, ex.Not):
+        yield from _leaves(tree.operand)
+    elif isinstance(tree, ex.BinOp):
+        yield from _leaves(tree.left)
+        yield from _leaves(tree.right)
+    else:
+        yield tree
+
+
+def test_a_document_has_one_leaf_per_name_and_literal_text():
+    """Every occurrence of a name in one document is one `Var`, and of a literal one `IntLit`;
+    `-5` is a literal of its own, not the `5` read before it."""
+    model = m.parse_model(_LEAVES_DOCUMENT)
+    objects: dict[str, set[int]] = {}
+    for leaf in (leaf for tree in _trees(model) for leaf in _leaves(tree)):
+        objects.setdefault(ex.to_text(leaf), set()).add(id(leaf))
+    assert {text: len(ids) for text, ids in objects.items()} == {"true": 1, "n": 1, "5": 1, "-5": 1, "RES.r": 1, "0": 1}
+    assert m.parse_model(_LEAVES_DOCUMENT) == model
+
+
+def test_validation_types_each_distinct_tree_once(monkeypatch):
+    typed = []
+    type_of = ex.type_of
+    monkeypatch.setattr(ex, "type_of", lambda tree, kinds: typed.append(id(tree)) or type_of(tree, kinds))
+    model = m.parse_model(_LEAVES_DOCUMENT)
+    roots = [tree for tree in _trees(model) if isinstance(tree, (ex.BinOp, ex.Not))]  # no tree holds another
+    assert len(roots) > len({id(tree) for tree in roots})  # some text is written twice
+    assert sorted(filter({id(tree) for tree in roots}.__contains__, typed)) == sorted({id(tree) for tree in roots})
+
+
 def test_each_distinct_expression_text_is_parsed_once(monkeypatch):
     texts = []
 
     class CountingParser(ex._Parser):
-        def __init__(self, text):
+        def __init__(self, text, leaves):
             texts.append(text)
-            super().__init__(text)
+            super().__init__(text, leaves)
 
     monkeypatch.setattr(ex, "_Parser", CountingParser)
     model = m.parse_model(json.dumps({
