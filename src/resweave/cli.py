@@ -255,10 +255,11 @@ def cmd_simulate(args) -> int:
     trace_json = sim.trace_to_json(trace)
     out_dir = Path(args.out)
     lines = sim.trace_lines(trace)
+    text = "\n".join(lines)
     _write_text(out_dir / "trace.json", trace_json)
-    _write_text(out_dir / "trace.txt", "\n".join(lines) + "\n")
-    for line in lines:
-        _emit(args, line)
+    _write_text(out_dir / "trace.txt", text + "\n")
+    if lines:
+        _emit(args, text)  # one flushed write for the whole log, not one per line
     if args.replay:
         if expected != trace_json:
             raise _CommandError(f"replayed trace differs from {args.replay}")

@@ -6,10 +6,18 @@ have no direct counterpart, so each edge is split per non-trivially-guarded
 action of the fire (an entry action: guarded exit actions are refused),
 carrying the unguarded actions along; the guard families synthesized for
 resource charts are mutually exclusive and exhaustive, which keeps the split
-behavior-preserving. A one-state chart whose only transition
-is a tick self-loop is exported as a clock process (invariant `x<=1`, reset
-edge) so the shared clock advances once per minute. Raised events become
-broadcast channel emissions.
+behavior-preserving. Raised events become broadcast channel emissions.
+
+What the export keeps, and what it does not:
+
+- Only the composition's timer (`Composition.timer`) is timed: its process
+  alone declares the clock, with the invariant `x <= 1` on its location and
+  the test `x >= 1` and the reset `x = 0` on its edge, so `curT` counts minutes.
+- Every other chart is untimed, its tick transitions included, so a
+  guideline's guarded tick loop cannot stop time.
+- Not exported: the macro-step's order (timer, injections, resource charts,
+  guidelines), so a location may idle forever; scenario injections and
+  choices; the 64-bit range of integers (`int` keeps the language's default).
 
 Variable initializers are the valuation after minute 0, as
 `sim.init_composition` runs it for an empty scenario: it bakes in the t=0 entry
@@ -27,6 +35,7 @@ one namespace).
 
 from __future__ import annotations
 
+import functools
 import re
 
 from . import expr as ex
@@ -68,18 +77,6 @@ def _check_injective(names, what: str) -> None:
         mapped[flat] = name
 
 
-def _is_clock_chart(chart: StatechartModel) -> bool:
-    return (
-        len(chart.states) == 1
-        and not chart.states[0].entry_actions
-        and not chart.states[0].exit_actions
-        and len(chart.transitions) == 1
-        and chart.transitions[0].source == chart.transitions[0].target
-        and is_tick_trigger(chart.transitions[0].trigger)
-        and all(isinstance(a, Assign) for a in chart.transitions[0].actions)
-    )
-
-
 def _pick_clock_name(taken: set[str]) -> str:
     name = "x"
     while name in taken:
@@ -98,14 +95,6 @@ def _assign_text(action: Assign) -> str:
     ):
         return f"{_flat(action.target)}++"
     return f"{_flat(action.target)} = {ex.to_text(value, _flat)}"
-
-
-def _combine_guards(transition_guard: ex.Expr, branch_guard: ex.Expr) -> ex.Expr:
-    if transition_guard == ex.TRUE:
-        return branch_guard
-    if branch_guard == ex.TRUE:
-        return transition_guard
-    return ex.conjoin(transition_guard, branch_guard)
 
 
 def entry_branches(actions) -> list[tuple[ex.Expr, list]]:
@@ -137,15 +126,16 @@ def _edge(transition: Transition, guard_text: str, sync: str | None, assigns: li
     return f"        {_flat(transition.source)} -> {_flat(transition.target)} {label}"
 
 
-def _export_edges(chart, transition: Transition, lines) -> None:
-    """One edge per branch of the transition's `fire_actions`."""
+def _export_edges(chart, transition: Transition, clock: str | None, lines) -> None:
+    """One edge per branch of the transition's `fire_actions`; with a clock,
+    each edge waits for it to reach a minute and resets it."""
     where = f"chart {chart.name!r} transition {transition.source}->{transition.target}"
     if transition.trigger is not None and not is_tick_trigger(transition.trigger):
         raise ExportError(f"{where}: event-triggered transitions are not exportable")
     if any(ga.guard != ex.TRUE for ga in chart.state(transition.source).exit_actions):
         raise ExportError(f"{where}: guarded exit actions are not exportable")
     for branch_guard, actions in entry_branches(fire_actions(chart, transition)):
-        assigns = []
+        assigns = [] if clock is None else [f"{clock} = 0"]
         sync = None
         for action in actions:
             if isinstance(action, Raise):
@@ -154,12 +144,14 @@ def _export_edges(chart, transition: Transition, lines) -> None:
                 sync = _flat(action.event)
             else:
                 assigns.append(_assign_text(action))
-        guard = _combine_guards(transition.guard, branch_guard)
-        guard_text = "" if guard == ex.TRUE else ex.to_text(guard, _flat)
+        guards = [guard for guard in (transition.guard, branch_guard) if guard != ex.TRUE]
+        if clock is not None:  # the clock test as a leaf, so a `||` guard is bracketed
+            guards.insert(0, ex.Var(f"{clock} >= 1"))
+        guard_text = ex.to_text(functools.reduce(ex.conjoin, guards), _flat) if guards else ""
         lines.append(_edge(transition, guard_text, sync, assigns))
 
 
-def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str]:
+def _export_process(chart: StatechartModel, clock: str | None) -> list[str]:
     identifiers = {chart.name}
     identifiers.update(v.name for v in chart.variables)
     identifiers.update(chart.events)
@@ -167,23 +159,14 @@ def _export_process(chart: StatechartModel, globals_taken: set[str]) -> list[str
     _check_injective(sorted(identifiers), f"chart {chart.name!r}")
 
     lines = [f"process {_flat(chart.name)}() {{"]
-    edges: list[str] = []
-    if _is_clock_chart(chart):
-        clock = _pick_clock_name(globals_taken | {_flat(s.name) for s in chart.states})
-        loop = chart.transitions[0]
-        guard = f"{clock} >= 1"
-        if loop.guard != ex.TRUE:  # the clock test as a leaf, so a `||` guard is bracketed
-            guard = ex.to_text(ex.conjoin(ex.Var(guard), loop.guard), _flat)
-        assigns = [f"{clock} = 0", *(_assign_text(a) for a in loop.actions)]
-        edges.append(_edge(loop, guard, None, assigns))
+    if clock is not None:
         lines.append(f"    clock {clock};")
-        states = f"{_flat(loop.source)} {{ {clock} <= 1 }}"
-    else:
-        for transition in chart.transitions:
-            _export_edges(chart, transition, edges)
-        states = ", ".join(_flat(s.name) for s in chart.states)
-    lines.append(f"    state {states};")
+    invariant = "" if clock is None else f" {{ {clock} <= 1 }}"
+    lines.append("    state " + ", ".join(_flat(s.name) + invariant for s in chart.states) + ";")
     lines.append(f"    init {_flat(chart.initial_state)};")
+    edges: list[str] = []
+    for transition in chart.transitions:
+        _export_edges(chart, transition, clock, edges)
     if edges:
         lines.append("    trans")
         lines.extend(f"{edge}," for edge in edges[:-1])
@@ -217,8 +200,11 @@ def export_xta(composition: Composition) -> str:
         lines.append(f"broadcast chan {_flat(event)};")
     taken = {_flat(name) for name in global_names}
     for chart in composition.charts:
+        clock = None
+        if chart is composition.timer:  # the one clock, counting the minutes that `curT` counts
+            clock = _pick_clock_name(taken | {_flat(s.name) for s in chart.states})
         lines.append("")
-        lines.extend(_export_process(chart, taken))
+        lines.extend(_export_process(chart, clock))
     lines.append("")
     lines.append("system " + ", ".join(_flat(name) for name in chart_names) + ";")
     return "\n".join(lines) + "\n"

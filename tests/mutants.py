@@ -128,6 +128,16 @@ MUTANTS = (
          "tests/test_cli.py::test_integer_set_outside_64_bits_at_time_zero_exits_2[export]"),
     ),
     Mutant(
+        "clock-picked-by-shape",
+        "src/resweave/xta.py",
+        "if chart is composition.timer:",
+        "if len(chart.states) == 1:",
+        ("tests/test_xta.py::test_a_guideline_tick_loop_is_exported_untimed[guarded-timer]",
+         "tests/test_xta.py::test_a_guideline_tick_loop_is_exported_untimed[unguarded-no-timer]",
+         "tests/test_xta.py::test_only_the_timer_declares_a_clock",
+         "tests/test_xta.py::test_structure_preservation_counts"),
+    ),
+    Mutant(
         "initial-entry-compiled",
         SIM,
         "function = functools.partial(functools.partial, ex.eval_expr)",

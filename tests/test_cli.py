@@ -1125,14 +1125,28 @@ def test_a_refusal_under_a_manifest_starts_with_its_file(tmp_path, capsys, name,
     ((*DELAYED_CHECK, "--json-diagnostics"), 1, ("verdicts.json",)),
 ], ids=["simulate", "check", "check-json"])
 def test_a_closed_stdout_stops_the_echo_not_the_command(tmp_path, argv, exit_code, written):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"),
-                                                                     os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, "-W", "error", "-X", "dev", "-m", "resweave", *map(str, argv), "--out", str(tmp_path)]
-    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as process:
+    with _resweave_process(*argv, "--out", tmp_path) as process:
         process.stdout.close()  # the reader goes before the first line is written
         err = process.stderr.read()
         assert process.wait(timeout=120) == exit_code and err == b""
     assert all((tmp_path / name).stat().st_size for name in written)
+
+
+def test_a_reader_that_leaves_mid_trace_stops_the_echo_not_the_command(tmp_path):
+    with _resweave_process(*DELAYED_SIMULATE, "--horizon", "5000", "--out", tmp_path) as process:
+        assert process.stdout.readline().startswith(b"t=0 ")
+        process.stdout.close()  # the reader goes with most of the step log unread
+        err = process.stderr.read()
+        assert process.wait(timeout=120) == 0 and err == b""
+    assert all((tmp_path / name).stat().st_size for name in ("trace.json", "trace.txt"))
+    assert (tmp_path / "trace.txt").stat().st_size > 1 << 16  # more than a pipe buffer holds
+
+
+def _resweave_process(*argv) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-W", "error", "-X", "dev", "-m", "resweave", *map(str, argv)]
+    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
 
 
 @pytest.mark.parametrize("json_diagnostics", [False, True], ids=["text", "json"])

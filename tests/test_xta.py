@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 
@@ -15,8 +17,11 @@ from resweave.model import (
     VariableDecl,
     parse_model,
 )
+from resweave.resources import synthesize_timer
 from resweave.sim import Composition
 from resweave.xta import ExportError, entry_branches, export_queries, export_xta, scan_xta
+
+from generators import gen_timed_composition
 
 
 def single_state_chart(name="Lone") -> StatechartModel:
@@ -34,8 +39,6 @@ def test_single_state_chart_exports_one_location_no_edges():
 
 
 def test_timer_exports_as_clock_process():
-    from resweave.resources import synthesize_timer
-
     document = export_xta(Composition(timer=synthesize_timer()))
     assert "clock x;" in document
     assert "state timer { x <= 1 };" in document
@@ -66,16 +69,11 @@ def test_structure_preservation_counts(delayed_composition, extended_composition
     for composition in (delayed_composition, extended_composition):
         document = export_xta(composition)
         for chart in composition.charts:
-            body = document.split(f"process {chart.name}() {{")[1].split("\n}")[0]
-            if "clock" in body:
-                locations = 1
-                edges = 1
-            else:
-                state_line = next(
-                    line for line in body.splitlines() if line.strip().startswith("state ")
-                )
-                locations = state_line.count(",") + 1
-                edges = body.count("->")
+            body = process_body(document, chart)
+            assert bool(CLOCK_LINE.search(body)) == (chart is composition.timer)
+            state_line = next(line for line in body.splitlines() if line.strip().startswith("state "))
+            locations = state_line.count(",") + 1
+            edges = body.count("->")
             assert locations == len(chart.states)
             expected_edges = sum(
                 len(entry_branches(chart.state(t.target).entry_actions))
@@ -240,8 +238,6 @@ def test_scanner_names_each_structural_problem(document, problem):
 
 
 def test_clock_name_steps_past_a_taken_x():
-    from resweave.resources import synthesize_timer
-
     guideline = StatechartModel(
         "G", variables=(VariableDecl("x", "integer", 0),), states=(State("s"),), initial_state="s",
     )
@@ -295,23 +291,56 @@ def test_scanner_flags_a_global_declared_twice(declarations, problem):
     assert scan_xta(document) == ([problem] if problem else [])
 
 
-@pytest.mark.parametrize(
-    "guard, label",
-    [("p || q", "guard x >= 1 && (p || q);"), ("p && q", "guard x >= 1 && (p && q);"), ("!p", "guard x >= 1 && !p;")],
-)
-def test_clock_process_conjoins_its_loop_guard(guard, label):
-    chart = parse_model(json.dumps({
-        "name": "Clk",
-        "variables": [{"name": "curT", "kind": "integer", "initial": 0},
-                      {"name": "p", "kind": "boolean", "initial": False},
-                      {"name": "q", "kind": "boolean", "initial": True}],
+def pump(guard: str | None) -> StatechartModel:
+    """A guideline of one state whose tick self-loop counts doses, shaped like a timer."""
+    loop = {"source": "s", "target": "s", "trigger": "tick", "actions": ["doses = doses + 1"]}
+    return parse_model(json.dumps({
+        "name": "Pump",
+        "variables": [{"name": "on", "kind": "boolean", "initial": False},
+                      {"name": "doses", "kind": "integer", "initial": 0}],
         "states": [{"name": "s"}],
-        "transitions": [{"source": "s", "target": "s", "trigger": "tick", "guard": guard, "actions": ["curT = curT + 1"]}],
+        "transitions": [loop if guard is None else {**loop, "guard": guard}],
         "initial": "s",
     }))
-    document = export_xta(Composition(guidelines=(chart,)))
-    assert f"        s -> s {{ {label} assign x = 0, curT++; }};\n" in document
+
+
+CLOCK_LINE = re.compile(r"^    clock \w+;$", re.MULTILINE)
+
+
+def process_body(document: str, chart: StatechartModel) -> str:
+    return document.split(f"process {chart.name}() {{\n")[1].split("\n}")[0]
+
+
+@pytest.mark.parametrize("timer", [synthesize_timer(), None], ids=["timer", "no-timer"])
+@pytest.mark.parametrize("guard, edge", [("on", "s -> s { guard on; assign doses++; }"),
+                                         (None, "s -> s { assign doses++; }")], ids=["guarded", "unguarded"])
+def test_a_guideline_tick_loop_is_exported_untimed(timer, guard, edge):
+    # Timed, a guarded loop would timelock: while `on` is false no edge leaves
+    # `s` at x = 1, and the invariant x <= 1 forbids any delay.
+    document = export_xta(Composition(timer, guidelines=(pump(guard),)))
+    assert process_body(document, pump(guard)) == f"    state s;\n    init s;\n    trans\n        {edge};"
+    assert len(CLOCK_LINE.findall(document)) == (timer is not None)
     assert scan_xta(document) == []
+
+
+def test_only_the_timer_declares_a_clock(delayed_composition, extended_composition, ideal_composition):
+    rng = random.Random(24)
+    compositions = [delayed_composition, extended_composition, ideal_composition]
+    compositions += [gen_timed_composition(rng, 40) for _ in range(40)]
+    exported = 0
+    for composition in compositions:
+        for guidelines in (composition.guidelines, composition.guidelines + (pump("on"),)):
+            for timer in (composition.timer, None):
+                try:
+                    document = export_xta(Composition(timer, composition.resources, guidelines))
+                except ExportError:  # an event trigger or a second raise on an edge
+                    continue
+                exported += 1
+                assert len(CLOCK_LINE.findall(document)) == (timer is not None)
+                if timer is not None:
+                    assert CLOCK_LINE.search(process_body(document, timer))
+                assert scan_xta(document) == []
+    assert exported >= 50
 
 
 def test_reserved_words_are_written_with_an_underscore():
