@@ -426,8 +426,13 @@ def compile_expr(expr: Expr, kinds: Mapping[str, str]) -> Callable[[Mapping[str,
     ill-typed): the generated code relies on it, because its operators do not
     check the kinds of their operands the way `eval_expr` does.
     """
+    return eval(f"lambda v: {python_source(expr, kinds)}", {"__builtins__": {}})
+
+
+def python_source(expr: Expr, kinds: Mapping[str, str]) -> str:
+    """The Python expression over a valuation `v` that `compile_expr` compiles, once `type_of` accepts the tree."""
     type_of(expr, kinds)
-    return eval(f"lambda v: {_render(expr, 'v[{!r}]'.format, _PYTHON_WORDS)}", {"__builtins__": {}})
+    return _render(expr, "v[{!r}]".format, _PYTHON_WORDS)
 
 
 def compile_bound(

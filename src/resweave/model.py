@@ -251,25 +251,33 @@ def read_json(text: str):
 
 
 def write_json(value, sort_keys: bool = False, ensure_ascii: bool = True) -> str:
-    """`json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)` for str object keys, with each
-    `NamedTuple` record an object of its fields. Each container is joined once; `json` indents chunk by chunk."""
+    """`json.dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)` for lists, tuples and dicts of
+    exactly those types, str object keys and each `NamedTuple` record an object of its fields. Each container is
+    joined once, where `json` indents chunk by chunk, and each record class's keys are written once per call."""
     string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+    arrange = sorted if sort_keys else iter
+    layouts: dict[type, tuple] = {}  # per record class, in this call: (written key, field position) in writing order
 
     def write(value, indent: str) -> str:
-        if isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):
+        cls = type(value)
+        inner = indent + "  "
+        if cls is tuple or cls is list:
             if not value:
                 return "[]"
-            inner = indent + "  "
             items = [string(v) if type(v) is str else repr(v) if type(v) is int else write(v, inner) for v in value]
             return "[\n%s%s\n%s]" % (inner, f",\n{inner}".join(items), indent)
-        if not isinstance(value, (dict, tuple)):
+        if cls is dict:
+            items = [f"{string(k)}: {string(v) if type(v) is str else repr(v) if type(v) is int else write(v, inner)}"
+                     for k, v in arrange(value.items())]
+        elif not isinstance(value, tuple):  # a scalar
             return string(value) if isinstance(value, str) else json.dumps(value)
-        if not value:
+        else:  # a record
+            if cls not in layouts:
+                layouts[cls] = tuple((string(k), i) for k, i in arrange(zip(cls._fields, range(len(value)))))
+            items = [f"{k}: {string(v) if type(v) is str else repr(v) if type(v) is int else write(v, inner)}"
+                     for k, i in layouts[cls] for v in (value[i],)]
+        if not items:
             return "{}"
-        inner = indent + "  "
-        pairs = value.items() if isinstance(value, dict) else zip(value._fields, value)  # a record
-        items = [f"{string(k)}: {string(v) if type(v) is str else repr(v) if type(v) is int else write(v, inner)}"
-                 for k, v in (sorted(pairs) if sort_keys else pairs)]
         return "{\n%s%s\n%s}" % (inner, f",\n{inner}".join(items), indent)
 
     return write(value, "")

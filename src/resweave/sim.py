@@ -505,12 +505,14 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
     guards, or to None to enter the initial state; charts it does not name
     stay where they are, and every chart wakes; the clock ticks regardless.
     """
-    t = state.curT + 1
+    steps, valuation, events = state.steps, state.valuation, state.pending_events
+    t = len(steps)
+    due = state.injections_by_time.get(t)
     # the value before this minute of each variable it writes: the injected ones here, the others as written
-    before = state.before = {i.var: state.valuation[i.var] for i in state.injections_by_time.get(t, ())}
-    injected: list[tuple[str, int | bool]] = []
+    before = state.before = {i.var: valuation[i.var] for i in due} if due else {}
+    injected = tuple((injection.var, injection.value) for injection in due) if due else ()
     fires: list[FireRecord] = []
-    runtimes, valuation, timer = state.composition.runtimes, state.valuation, state.composition.timer
+    runtimes, timer, active, waiting = state.composition.runtimes, state.composition.timer, state.active, state.waiting
     if chosen is not None:
         state.wake = [t] * len(runtimes)
     wake = state.wake
@@ -521,10 +523,8 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
             raise SimulationError(out_of_range(timer.name, t, CLOCK_VARIABLE))
         valuation[CLOCK_VARIABLE] = clock + 1
         fires.append(FireRecord(timer.name, timer.initial_state, timer.initial_state, 0, ((CLOCK_VARIABLE, clock + 1),), ()))
-    for injection in state.injections_by_time.get(t, ()):
-        injected.append((injection.var, injection.value))
-        valuation[injection.var] = injection.value
-    if injected:
+    if due:
+        valuation.update(injected)
         _wake(state, [var for var, _ in injected], -1, t, t)
     for position in range(timed, len(runtimes)):
         if wake[position] > t:
@@ -533,17 +533,18 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
         runtime = runtimes[position]
         _chart_cycle(state, runtime, fires, chosen)
         if len(fires) > count:
-            _wake(state, [var for var, _ in fires[-1].sets], position, t, t + 1)
-            _wake(state, fires[-1].raised, position, t, math.inf)
+            fire = fires[-1]
+            _wake(state, [var for var, _ in fire.sets], position, t, t + 1)
+            _wake(state, fire.raised, position, t, math.inf)
         elif chosen is None:  # it recorded nothing: asleep until its clock bound, or until `_wake`
-            bound, waits = runtime.idle(state.active[runtime.chart.name])
+            bound, waits = runtime.idle(active[runtime.chart.name])
             wake[position] = math.inf if bound is None else t + bound(valuation) - valuation[CLOCK_VARIABLE]
             for name in waits:
-                state.waiting.setdefault(name, set()).add(position)
+                waiting.setdefault(name, set()).add(position)
     deltas = {var: valuation[var] for var, value in before.items() if valuation[var] != value}
-    report = StepReport(t, tuple(injected), tuple(fires), tuple(state.pending_events), deltas)
-    state.steps.append(report)
-    state.pending_events.clear()
+    report = StepReport(t, injected, tuple(fires), tuple(events), deltas)
+    steps.append(report)
+    events.clear()
     return report
 
 

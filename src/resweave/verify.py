@@ -151,13 +151,24 @@ def check_work(scenarios: int, horizon: int) -> None:
 def eval_invariant(invariant: Invariant, state: SimState) -> bool:
     """Implication at an observation point: inactive location or true predicate.
 
-    The predicate is compiled against the state's composition, which
-    type-checks it, the first time it is evaluated.
+    The reference that `check`'s `observer` agrees with. The predicate is compiled
+    against the state's composition, which type-checks it, when first evaluated.
     """
     _, location, predicate = invariant  # one unpacking: a record's field read costs twice a slot's
     if location is not None and state.active.get(location[0]) != location[1]:
         return True
     return bool(state.composition.compiled(predicate)(state.valuation))
+
+
+def observer(properties, kinds):
+    """One generated function of the active states and the valuation: the names of the `properties` that
+    `eval_invariant` finds false, in order. A located predicate is evaluated only while its state is active."""
+    lines = ["def observe(a, v):", "    failing = []"]
+    for name, location, predicate in properties:
+        where = "" if location is None else f"a.get({location[0]!r}) == {location[1]!r} and "
+        lines.append(f"    if {where}not ({ex.python_source(predicate, kinds)}): failing.append({name!r})")
+    exec("\n".join([*lines, "    return failing"]), namespace := {"__builtins__": {}})
+    return namespace["observe"]
 
 
 def check(
@@ -173,27 +184,30 @@ def check(
     every macro-step of every resolved scenario. The counterexample is the
     earliest violating step of the first violating scenario in enumeration
     order. Each scenario runs once; a violating one's recorded steps are its
-    trace. Idle minutes are recorded without being run (`sim.skip_idle`) up
-    to the clock bound of every property, built once per call; a failed
-    property in it can only end a skip earlier, which changes no record.
+    trace. One `observer` of the properties not yet failed, rebuilt when one
+    fails, observes every minute. Idle minutes are recorded without being run
+    (`sim.skip_idle`) up to the clock bound of every property, built once per
+    call; a failed property in it can only end a skip earlier, which changes no record.
     """
     properties = list(properties)
     validate_scenario(scenario, composition)  # an empty choice domain would leave no scenario to check
     resolved_scenarios = enumerate_scenarios(scenario, cap, horizon)
     violations: dict[str, Counterexample] = {}
     watched = ex.compile_bound([p.predicate for p in properties], composition.kinds, CLOCK_VARIABLE)
+    open_properties, observe = properties, observer(properties, composition.kinds)
     for scenario_index, resolved in enumerate(resolved_scenarios):
-        open_properties = [p for p in properties if p.name not in violations]
         if not open_properties:
             break
         state = init_composition(composition, resolved)
         pending: dict[str, int] = {}  # property -> violating step, first only
         while True:
-            for prop in open_properties:
-                if prop.name not in pending and not eval_invariant(prop, state):
-                    pending[prop.name] = state.curT
+            failing = observe(state.active, state.valuation)
+            if failing:
+                pending.update(dict.fromkeys(failing, len(state.steps) - 1))
+                open_properties = [p for p in open_properties if p.name not in pending]
+                observe = observer(open_properties, composition.kinds)
             skip_idle(state, horizon, watched)
-            if state.curT >= horizon:
+            if len(state.steps) > horizon:
                 break
             macro_step(state)
         if pending:

@@ -31,6 +31,7 @@ SIM = "src/resweave/sim.py"
 DIFFERENTIAL = "tests/test_oracle.py::test_oracle_steps_as_sim_minute_by_minute"
 WRITER = "tests/test_model.py::test_write_json_is_indented_json_dumps"
 WAKE_ORDER = "tests/test_oracle.py::test_charts_sleep_and_wake_in_execution_order"
+OBSERVER = "tests/test_verify.py::test_observer_returns_exactly_the_properties_eval_invariant_refutes"
 EXPR = "src/resweave/expr.py"
 PARSERS_AGREE = "tests/test_expr.py::test_parser_agrees_with_the_reference_parser"
 
@@ -64,12 +65,12 @@ MUTANTS = (
         "        valuation[CLOCK_VARIABLE] = clock + 1\n"
         "        fires.append(FireRecord(timer.name, timer.initial_state, timer.initial_state, 0, "
         "((CLOCK_VARIABLE, clock + 1),), ()))\n"
-        "    for injection in state.injections_by_time.get(t, ()):\n"
-        "        injected.append((injection.var, injection.value))\n"
-        "        valuation[injection.var] = injection.value\n",
-        "    for injection in state.injections_by_time.get(t, ()):\n"
-        "        injected.append((injection.var, injection.value))\n"
-        "        valuation[injection.var] = injection.value\n"
+        "    if due:\n"
+        "        valuation.update(injected)\n"
+        "        _wake(state, [var for var, _ in injected], -1, t, t)\n",
+        "    if due:\n"
+        "        valuation.update(injected)\n"
+        "        _wake(state, [var for var, _ in injected], -1, t, t)\n"
         "    if timed:  # the timer's one self-loop, run inline\n"
         "        clock = valuation[CLOCK_VARIABLE]\n"
         "        before.setdefault(CLOCK_VARIABLE, clock)  # an injected clock keeps its old value here\n"
@@ -83,7 +84,7 @@ MUTANTS = (
     Mutant(
         "events-kept-across-steps",
         SIM,
-        "    state.pending_events.clear()\n    return report\n",
+        "    events.clear()\n    return report\n",
         "    return report\n",
         ("tests/test_sim.py::test_event_visible_downstream_within_step_only", f"{DIFFERENTIAL}[untimed]",
          f"{DIFFERENTIAL}[timed]"),
@@ -149,8 +150,8 @@ MUTANTS = (
     Mutant(
         "write-wakes-only-later-readers",
         SIM,
-        "_wake(state, [var for var, _ in fires[-1].sets], position, t, t + 1)",
-        "_wake(state, [var for var, _ in fires[-1].sets], position, t, math.inf)",
+        "_wake(state, [var for var, _ in fire.sets], position, t, t + 1)",
+        "_wake(state, [var for var, _ in fire.sets], position, t, math.inf)",
         (WAKE_ORDER, f"{DIFFERENTIAL}[timed]"),
     ),
     Mutant(
@@ -165,7 +166,7 @@ MUTANTS = (
     Mutant(
         "raised-event-wakes-nobody",
         SIM,
-        "            _wake(state, fires[-1].raised, position, t, math.inf)\n",
+        "            _wake(state, fire.raised, position, t, math.inf)\n",
         "",
         (WAKE_ORDER, f"{DIFFERENTIAL}[timed]"),
     ),
@@ -177,6 +178,23 @@ MUTANTS = (
         ("tests/test_verify.py::test_parse_properties_comments_and_errors",
          "tests/test_cli.py::test_a_misspelled_property_location_exits_2[chart]",
          "tests/test_cli.py::test_a_misspelled_property_location_exits_2[state]"),
+    ),
+    Mutant(
+        "observer-ignores-location",
+        "src/resweave/verify.py",
+        'where = "" if location is None else f"a.get({location[0]!r}) == {location[1]!r} and "',
+        'where = ""',
+        (OBSERVER, "tests/test_verify.py::test_check_matches_oracle_on_random_compositions",
+         "tests/test_verify.py::test_check_delayed_ct"),
+    ),
+    Mutant(
+        "observer-built-once-per-check",
+        "src/resweave/verify.py",
+        "                observe = observer(open_properties, composition.kinds)\n",
+        "",
+        ("tests/test_verify.py::test_a_failed_property_keeps_its_first_counterexample",
+         "tests/test_verify.py::test_an_observer_is_built_only_when_a_property_fails",
+         "tests/test_verify.py::test_check_delayed_ct"),
     ),
     Mutant(
         "invariant-bound-dropped",
@@ -219,10 +237,17 @@ MUTANTS = (
     Mutant(
         "writer-keys-unsorted",
         "src/resweave/model.py",
-        "for k, v in (sorted(pairs) if sort_keys else pairs)]",
-        "for k, v in pairs]",
+        "arrange = sorted if sort_keys else iter",
+        "arrange = iter",
         (WRITER, "tests/test_sim.py::test_trace_with_every_field_kind_reads_back_from_its_json",
          "tests/test_cli.py::test_output_bytes_are_pinned[check-delayed]"),
+    ),
+    Mutant(
+        "writer-layouts-kept-across-calls",
+        "src/resweave/model.py",
+        "    layouts: dict[type, tuple] = {}",
+        '    layouts = write_json.__dict__.setdefault("layouts", {})',
+        (WRITER, "tests/test_model.py::test_write_json_orders_and_writes_each_record_class_in_each_call"),
     ),
     Mutant(
         "writer-ignores-ensure-ascii",

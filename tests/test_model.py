@@ -130,9 +130,21 @@ class _Record(NamedTuple):
     alpha: object
 
 
+class _Reversed(NamedTuple):
+    """A record with `_Record`'s field names in the other order, and one more, not ASCII."""
+
+    alpha: object
+    zeta: object
+    café: object = None
+
+
+class _Empty(NamedTuple):
+    pass
+
+
 def _plain(value):
     """`value` as `json` would be given it: each record an object of its fields."""
-    if isinstance(value, _Record):
+    if hasattr(value, "_fields"):
         value = value._asdict()
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
@@ -144,7 +156,9 @@ _SCALARS = (st.none() | st.booleans() | st.floats() | _TEXTS | st.integers(min_v
             | st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]))
 _VALUES = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                                                 | st.dictionaries(_TEXTS, inner, max_size=4)
-                                                | st.builds(_Record, inner, inner)), max_leaves=24)
+                                                | st.builds(_Record, inner, inner)
+                                                | st.builds(_Reversed, inner, inner, inner)
+                                                | st.just(_Empty())), max_leaves=24)
 
 
 @settings(max_examples=400, deadline=None)
@@ -152,11 +166,27 @@ _VALUES = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=4) | st
 @example({"b": [1, {"d": None, "c": True}], "a": _Record(2, "x")}, True, True)
 @example(["caf\u00e9", {"\u00e9": "\U0001f600"}], False, False)
 @example({"list": [], "tuple": (), "dict": {}, "in": [[], {}]}, False, True)
+@example([_Record(1, _Reversed(2, 3)), _Reversed("caf\u00e9", 4)], False, False)  # the classes above, unsorted
 def test_write_json_is_indented_json_dumps(value, sort_keys, ensure_ascii):
     """`write_json` writes what `json.dumps(..., indent=2)` writes, each record as the object of its
     fields; with `sort_keys` a record's fields are sorted too."""
     expected = json.dumps(_plain(value), indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)
     assert m.write_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == expected
+
+
+def test_write_json_orders_and_writes_each_record_class_in_each_call():
+    """Records of two classes that share field names in different orders, nested in dicts nested in
+    records, and empty records and containers, written in consecutive calls that switch `sort_keys`
+    and `ensure_ascii`: what one call learns of a class does not carry into the next."""
+    value = {
+        "z": _Record(_Reversed({"b": _Record(1, _Empty()), "a": [_Reversed((), {}, "\u00e9")]}, _Empty()), {}),
+        "a": [_Reversed(2, 3), _Record(4, 5), _Empty(), {"y": _Reversed({}, [])}],
+        "empty": [[], {}, (), _Empty(), [_Empty()]],
+    }
+    for sort_keys, ensure_ascii in [(True, True), (False, True), (True, False), (False, False), (True, True)]:
+        expected = json.dumps(_plain(value), indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)
+        assert m.write_json(value, sort_keys=sort_keys, ensure_ascii=ensure_ascii) == expected
+    assert m.write_json(_Empty()) == "{}"
 
 
 def test_roundtrip_minimal_and_fixtures(simple_model, extended_model):

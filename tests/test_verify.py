@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resweave import expr as ex
 from resweave import sim
 from resweave import verify
-from resweave.model import State, StatechartModel, VariableDecl
+from resweave.model import Assign, State, StatechartModel, Transition, VariableDecl
 from generators import gen_composition, gen_invariants, gen_scenario
 from oracle import oracle_check
 
@@ -278,3 +280,82 @@ def test_check_refuses_an_empty_choice_domain(delayed_composition):
     with pytest.raises(sim.ScenarioError) as err:
         verify.check(delayed_composition, scenario, verify.parse_properties("P: A[] false\n", delayed_composition), 5)
     assert str(err.value) == "choice 'hemorrhage' has an empty domain"
+
+
+def _reached(composition, scenario, horizon):
+    """(active states, valuation) after every minute of `scenario` up to the horizon, or up to a
+    write that a generated integer expression would take outside 64 bits."""
+    state = sim.init_composition(composition, scenario)
+    while True:
+        yield dict(state.active), dict(state.valuation)
+        if state.curT == horizon:
+            return
+        try:
+            sim.macro_step(state)
+        except sim.SimulationError:
+            return
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+@example(0)
+def test_observer_returns_exactly_the_properties_eval_invariant_refutes(seed):
+    """On generated compositions, at every minute a run reaches, and with each located property's
+    state made active there too, the observer names exactly the properties whose invariant
+    `eval_invariant` finds false, in property order."""
+    rng = random.Random(seed)
+    composition = gen_composition(rng)
+    properties = gen_invariants(rng, composition) + gen_invariants(rng, composition)
+    chart = rng.choice(composition.charts)
+    predicate = ex.parse_expr("!(a < b) || p && q && c * 2 >= a - 3 || !r")  # every operator the observer prints
+    properties += [verify.Invariant("X", at, predicate) for at in ((chart.name, rng.choice(chart.states).name), None)]
+    properties = [p._replace(name=f"P{i}") for i, p in enumerate(properties)]  # unique names
+    observe = verify.observer(properties, composition.kinds)
+    scenario = verify.enumerate_scenarios(gen_scenario(rng, horizon=12))[0]
+    for active, valuation in _reached(composition, scenario, 12):
+        for moved in [None, *(p.location for p in properties if p.location is not None)]:
+            at = {**active, moved[0]: moved[1]} if moved else active
+            state = _observer(composition, at, valuation)
+            assert observe(at, valuation) == [p.name for p in properties if not verify.eval_invariant(p, state)]
+
+
+def _counter_chart(choices: int) -> tuple[sim.Composition, sim.Scenario]:
+    """A chart whose one self-loop counts the minutes in `n`, and a scenario choosing `k` from 0 to `choices - 1`."""
+    chart = StatechartModel(
+        "C", variables=(VariableDecl("n", "integer", 0), VariableDecl("k", "integer", 0)),
+        states=(State("s"),), initial_state="s",
+        transitions=(Transition("s", "s", actions=(Assign("n", ex.parse_expr("n + 1")),)),),
+    )
+    return sim.Composition(guidelines=(chart,)), sim.Scenario(choices=(sim.Choice("k", tuple(range(choices))),))
+
+
+_COUNTER_PROPERTIES = "P1: A[] n < 1\nP2: A[] C.s imply k < 3 || n < 5\nP3: A[] !(n < 0)\n"
+
+
+def test_an_observer_is_built_only_when_a_property_fails(monkeypatch):
+    composition, scenario = _counter_chart(200)
+    properties = verify.parse_properties(_COUNTER_PROPERTIES, composition)
+    built = []
+    observer = verify.observer
+
+    def counting(properties, kinds):
+        built.append([p.name for p in properties])
+        return observer(properties, kinds)
+
+    monkeypatch.setattr(verify, "observer", counting)
+    verdicts = verify.check(composition, scenario, properties, 10)
+    assert [v.holds for v in verdicts] == [False, False, True]  # P3 holds, so all 200 scenarios run
+    assert len(built) <= len(properties) + 1
+    assert built == [["P1", "P2", "P3"], ["P2", "P3"], ["P3"]]
+
+
+def test_a_failed_property_keeps_its_first_counterexample():
+    """P1 fails at minute 1 of every scenario, and P2 first at minute 5 of scenario 3: once failed, a
+    property is observed no more, so later failures do not move its counterexample."""
+    composition, scenario = _counter_chart(8)
+    properties = verify.parse_properties(_COUNTER_PROPERTIES, composition)
+    verdicts = verify.check(composition, scenario, properties, 10)
+    found = {v.property: (v.counterexample.scenario_index, v.counterexample.step_index) for v in verdicts if not v.holds}
+    assert found == {"P1": (0, 1), "P2": (3, 5)}
+    expected = oracle_check(composition, scenario, properties, 10)
+    assert found == {name: first for name, (holds, first) in expected.items() if not holds}
