@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import expr as ex
@@ -113,9 +114,7 @@ def _load_composition(args) -> tuple[sim.Composition, list[str], str]:
     """Composition from --manifest, or built from --model/--map/--schedule."""
     if args.manifest is not None:
         if args.assume_available or any(flag is not None for flag in (args.model, args.map, args.schedule)):
-            raise _CommandError(
-                "--manifest cannot be combined with --model/--map/--schedule/--assume-available"
-            )
+            raise _CommandError("--manifest cannot be combined with --model/--map/--schedule/--assume-available")
         composition = load_manifest(args.manifest)
         return composition, [], Path(args.manifest).stem
     if args.model is None or args.map is None:
@@ -172,10 +171,11 @@ def load_manifest(path: str) -> sim.Composition:
         charts.append(tuple(chart(name, f"{key}[{i}]") for i, name in enumerate(names)))
     composition = _naming(path, sim.Composition, *charts)
     variables = expect(root.get("variables", []), list, f"{path}: variables", "a list")
-    # With its initial value's type: `false` and `0` are equal in Python, and only one is an integer.
+    # Compared as multisets, so that a variable declared twice disagrees, each with its initial value's
+    # type: `false` and `0` are equal in Python, and only one is an integer.
     exact = lambda decl: (*decl, type(decl.initial))  # noqa: E731
-    declared = {exact(variable_from_obj(obj, f"{path}: variables[{i}]")) for i, obj in enumerate(variables)}
-    if "variables" in root and declared != set(map(exact, composition.variables)):
+    declared = Counter(exact(variable_from_obj(obj, f"{path}: variables", i)) for i, obj in enumerate(variables))
+    if "variables" in root and declared != Counter(map(exact, composition.variables)):
         raise _CommandError(f"{path}: manifest variables disagree with the chart declarations")
     return composition
 
@@ -244,9 +244,7 @@ def cmd_simulate(args) -> int:
         assignment[var] = value
     unresolved = [c.var for c in scenario.choices if c.var not in assignment]
     if unresolved:
-        raise _CommandError(
-            f"scenario has unresolved choices {unresolved}; pass --choice var=value for each"
-        )
+        raise _CommandError(f"scenario has unresolved choices {unresolved}; pass --choice var=value for each")
     scenario = scenario.resolve(assignment)
     horizon = _effective_horizon(args, scenario)
     chk.check_work(1, horizon)

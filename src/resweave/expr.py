@@ -15,6 +15,9 @@ Comparisons apply to integers, logical connectives to booleans, and there is
 no division. Variable names may be dotted (``RES.tPA``). Unary minus is only
 accepted in front of an integer literal and folds into the literal.
 
+The tokens are the texts of one `findall`, each of the kind its first character
+gives; a refusal names its token by index, and only then is its column found.
+
 One printer, `_render`, writes a tree as canonical text (`to_text`), as
 timed-automata text (`to_text` with a renaming) and as the Python that
 `compile_expr` generates; a table of words (`true`/`!`/`&&`/`||` against
@@ -45,6 +48,7 @@ KIND_BOOLEAN = "boolean"
 # recursion limit, and the code `compile_expr` generates inside CPython's
 # limit of 200 nested brackets.
 MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 class ExprError(ResweaveError):
@@ -156,14 +160,14 @@ _BINARY = {
 
 _OPERATORS = sorted([*_BINARY, "!", "(", ")"], key=len, reverse=True)  # longest match first
 
-# One pass of `finditer` reads every token; the search skips whitespace, and
-# any other character no token starts with is caught by `bad`.
+# One `findall` reads every token's text, skipping whitespace; `\S` reads a character no token starts
+# with. A token's kind is its first character's: an ASCII digit starts an integer, a letter or '_' a name.
 _TOKEN_RE = re.compile(
-    r"(?P<int>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
-    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
-    r"|(?P<bad>\S)"
+    r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*|" + "|".join(map(re.escape, _OPERATORS)) + r"|\S"
 )
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_WORD_START = _NAME_START | _DIGITS
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 DOTTED_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
@@ -176,95 +180,95 @@ def is_reserved_word(name: str) -> bool:
     return name in _RESERVED
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, 1-based column) of each token, then ("end", "", column past the text)."""
-    tokens = [(match.lastgroup, match.group(), match.start() + 1) for match in _TOKEN_RE.finditer(text)]
-    for kind, token, column in tokens:
-        if kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {token!r}", column)
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
-
-
 class _Parser:
-    """Precedence climbing; each method returns the tree it parsed and its depth.
+    """Precedence climbing over the token texts, then ""; each method returns the tree it parsed and its depth.
 
     `leaves` maps the text of each leaf read so far (a name, or a literal with
     its sign) to its node, so that trees parsed with one map share leaves."""
 
     def __init__(self, text: str, leaves: dict[str, Expr]):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.index = 0
         self.nesting = 0  # '(' and '!' whose operand is being parsed
         self.leaves = leaves
 
     def parse(self) -> Expr:
         result, _ = self.binary(1)
-        kind, token, column = self.tokens[self.index]
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {token!r}", column)
+        token = self.tokens[self.index]
+        if token:
+            raise self.refuse(f"unexpected {token!r}", self.index)
         return result
+
+    def refuse(self, message: str, index: int) -> ExprSyntaxError:
+        """The error at the token of `index`, its column found by scanning the text again; a character
+        that no token starts with, anywhere in the text, is refused first."""
+        matches = list(_TOKEN_RE.finditer(self.text))
+        for match in matches:
+            if match[0][0] not in _WORD_START and match[0] not in _OPERATORS:
+                return ExprSyntaxError(f"unexpected character {match[0]!r}", match.start() + 1)
+        return ExprSyntaxError(message, matches[index].start() + 1 if index < len(matches) else len(self.text) + 1)
 
     def binary(self, min_precedence: int) -> tuple[Expr, int]:
         """The operators of `_BINARY` binding at least `min_precedence`, over unary operands."""
         left, depth = self.unary()
         max_precedence = math.inf
         while True:
-            _, token, column = self.tokens[self.index]
+            at = self.index
+            token = self.tokens[at]
             spec = _BINARY.get(token)
             if spec is None or not min_precedence <= spec.precedence <= max_precedence:
                 return left, depth
-            self.index += 1
+            self.index = at + 1
             right, right_depth = self.binary(spec.precedence + 1)
             # Interned: a large model holds thousands of these operator strings.
             left = BinOp(sys.intern(token), left, right)
             depth = max(depth, right_depth)
             if depth == MAX_DEPTH:
-                raise _too_deep(column)
+                raise self.refuse(_TOO_DEEP, at)
             depth += 1
             max_precedence = spec.precedence if _chains(spec) else spec.precedence - 1
 
     def unary(self) -> tuple[Expr, int]:
-        kind, token, column = self.tokens[self.index]
-        self.index += 1
-        if token == "-":  # folds into the integer literal after it
-            kind, digits, digits_column = self.tokens[self.index]
-            if kind != "int":
-                raise ExprSyntaxError("unary '-' is only allowed before an integer literal", column)
+        at = self.index
+        token = self.tokens[at]
+        self.index = at + 1
+        if token == "!" or token == "(":
+            if self.nesting == MAX_DEPTH:
+                raise self.refuse(_TOO_DEEP, at)
+            self.nesting += 1
+            if token == "!":
+                operand, depth = self.unary()
+                if depth == MAX_DEPTH:
+                    raise self.refuse(_TOO_DEEP, at)
+                self.nesting -= 1
+                return Not(operand), depth + 1
+            inner = self.binary(1)
+            if self.tokens[self.index] != ")":
+                raise self.refuse("expected ')'", self.index)
             self.index += 1
-            token, column = "-" + digits, digits_column
-        if kind == "int" or kind == "ident":
-            leaf = self.leaves.get(token)
-            if leaf is None:
-                if kind == "int":
-                    leaf = _int_literal(token, column)
-                else:
-                    leaf = TRUE if token == "true" else FALSE if token == "false" else Var(token)
-                self.leaves[token] = leaf
-            return leaf, 1
-        if token != "!" and token != "(":
-            raise ExprSyntaxError(f"expected an operand, found {token!r}" if token else "unexpected end of expression",
-                                  column)
-        if self.nesting == MAX_DEPTH:
-            raise _too_deep(column)
-        self.nesting += 1
-        if token == "!":
-            operand, depth = self.unary()
-            if depth == MAX_DEPTH:
-                raise _too_deep(column)
             self.nesting -= 1
-            return Not(operand), depth + 1
-        inner = self.binary(1)
-        _, token, column = self.tokens[self.index]
-        if token != ")":
-            raise ExprSyntaxError("expected ')'", column)
-        self.index += 1
-        self.nesting -= 1
-        return inner
-
-
-def _too_deep(column: int) -> ExprSyntaxError:
-    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", column)
+            return inner
+        if token == "-":  # folds into the integer literal after it
+            if self.tokens[self.index][:1] not in _DIGITS:
+                raise self.refuse("unary '-' is only allowed before an integer literal", at)
+            at = self.index
+            self.index = at + 1
+            token = "-" + self.tokens[at]
+        elif token[:1] not in _WORD_START:
+            raise self.refuse(f"expected an operand, found {token!r}" if token else "unexpected end of expression", at)
+        leaf = self.leaves.get(token)
+        if leaf is None:
+            if token[:1] in _NAME_START:
+                leaf = TRUE if token == "true" else FALSE if token == "false" else Var(token)
+            else:
+                value = parse_int(token)
+                if value is None:
+                    raise self.refuse("integer literal out of 64-bit range", at)
+                leaf = IntLit(value)
+            self.leaves[token] = leaf
+        return leaf, 1
 
 
 def _chains(spec: _Binary) -> bool:
@@ -283,13 +287,6 @@ def parse_int(text: str) -> int | None:
         return None
     value = int(match.group(1) + digits)
     return value if INT_MIN <= value <= INT_MAX else None
-
-
-def _int_literal(text: str, column: int) -> IntLit:
-    value = parse_int(text)
-    if value is None:
-        raise ExprSyntaxError("integer literal out of 64-bit range", column)
-    return IntLit(value)
 
 
 def parse_expr(text: str, leaves: dict[str, Expr] | None = None) -> Expr:

@@ -20,7 +20,9 @@ sequence fields as tuples; semantic invariants are checked by
 and `sim.Composition` read them. Within one document each distinct string
 is parsed once, and so is each distinct expression text, so equal strings
 share one tree; all its trees share one `Var` per name and one `IntLit`
-per literal text. `validate_model` types each distinct tree once.
+per literal text. `validate_model` types each distinct tree once. A record's
+shape is checked in one expression over exact JSON types; `expect` and
+`expect_object`, and an element's path, serve only to name a refused fault.
 """
 
 from __future__ import annotations
@@ -290,13 +292,24 @@ def expect(obj, types, path: str, what: str):
     return obj
 
 
-def expect_object(obj, known, path: str) -> dict:
-    """`obj`, if it is an object whose keys are all in `known`."""
+def expect_object(obj, known, path: str, fields=()) -> dict:
+    """`obj`, if it is an object whose keys are all in `known`, and whose field `key` is
+    `expect`ed of `types` for each (key, types, what) of `fields`, in order."""
     expect(obj, dict, path, "an object")
     for key in obj:
         if key not in known:
             raise ModelFormatError(f"{path}: unknown key {key!r}")
+    for key, types, what in fields:
+        expect(obj.get(key), types, f"{path}.{key}", what)
     return obj
+
+
+_STR_OR_NONE = (str, type(None))
+_VARIABLE_KEYS = frozenset({"name", "kind", "initial"})
+_VARIABLE_FIELDS = (("name", str, "a string"), ("kind", str, "a string"), ("initial", (bool, int), "a boolean or an integer"))
+_STATE_KEYS = frozenset({"name", "entry", "exit", "annotations"})
+_TRANSITION_KEYS = frozenset({"source", "target", "trigger", "guard", "actions", "annotations"})
+_TRANSITION_FIELDS = (("source", str, "a string"), ("target", str, "a string"), ("trigger", _STR_OR_NONE, "a string"))
 
 
 def _model_from_obj(root) -> StatechartModel:
@@ -313,68 +326,64 @@ def _model_from_obj(root) -> StatechartModel:
         "actions": cache(lambda text: parse_action(text, expr)),
         "annotations": cache(parse_annotation),
     }
+    listed = lambda key: enumerate(expect(root.get(key, []), list, key, "a list"))  # noqa: E731
     name = expect(root.get("name", ""), str, "name", "a string")
-    variables = [
-        variable_from_obj(obj, f"variables[{i}]")
-        for i, obj in enumerate(expect(root.get("variables", []), list, "variables", "a list"))
-    ]
-    events = []
-    for i, obj in enumerate(expect(root.get("events", []), list, "events", "a list")):
-        events.append(expect(obj, str, f"events[{i}]", "a string"))
-    states = [
-        _state_from_obj(obj, f"states[{i}]", parsers)
-        for i, obj in enumerate(expect(root.get("states", []), list, "states", "a list"))
-    ]
-    transitions = [
-        _transition_from_obj(obj, f"transitions[{i}]", parsers)
-        for i, obj in enumerate(expect(root.get("transitions", []), list, "transitions", "a list"))
-    ]
+    variables = tuple([variable_from_obj(obj, "variables", i) for i, obj in listed("variables")])
+    events = tuple([e if type(e) is str else expect(e, str, f"events[{i}]", "a string") for i, e in listed("events")])
+    states = tuple([_state_from_obj(obj, i, parsers) for i, obj in listed("states")])
+    transitions = tuple([_transition_from_obj(obj, i, parsers) for i, obj in listed("transitions")])
     initial = expect(root.get("initial", ""), str, "initial", "a string")
-    return StatechartModel(name, tuple(variables), tuple(events), tuple(states), tuple(transitions), initial)
+    return StatechartModel(name, variables, events, states, transitions, initial)
 
 
-def variable_from_obj(obj, path: str) -> VariableDecl:
-    """The declaration of a variable object, in a model or a manifest;
-    `validate_model` checks its kind and value."""
-    expect_object(obj, {"name", "kind", "initial"}, path)
-    name = expect(obj.get("name"), str, f"{path}.name", "a string")
-    kind = expect(obj.get("kind"), str, f"{path}.kind", "a string")
-    initial = expect(obj.get("initial"), (bool, int), f"{path}.initial", "a boolean or an integer")
-    return VariableDecl(name, kind, initial)
+def variable_from_obj(obj, record: str, i: int) -> VariableDecl:
+    """The declaration of the variable object `{record}[{i}]` of a model or a manifest; `validate_model` checks it."""
+    if not (type(obj) is dict and obj.keys() <= _VARIABLE_KEYS and type(obj.get("name")) is str
+            and type(obj.get("kind")) is str and type(obj.get("initial")) in (bool, int)):
+        expect_object(obj, _VARIABLE_KEYS, f"{record}[{i}]", _VARIABLE_FIELDS)
+    return VariableDecl(obj["name"], obj["kind"], obj["initial"])
 
 
-def _parse_at(parse, text, path: str):
-    """`parse(text)` for the string at `path`; grammar errors name that path."""
-    expect(text, str, path, "a string")
+def _parse_at(parse, text, record: str, i: int, where: str):
+    """`parse(text)` for the string at `{record}[{i}]{where}`; grammar errors name that path."""
+    if type(text) is not str:
+        expect(text, str, f"{record}[{i}]{where}", "a string")
     try:
         return parse(text)
     except (ModelFormatError, ex.ExprSyntaxError) as err:
-        raise ModelFormatError(f"{path}: {err}") from None
+        raise ModelFormatError(f"{record}[{i}]{where}: {err}") from None
 
 
-def _strings_at(obj, key: str, path: str, parsers) -> tuple:
-    """Parse each string of the optional list `obj[key]` with `parsers[key]`."""
-    items = expect(obj.get(key, []), list, f"{path}.{key}", "a list")
-    return tuple(_parse_at(parsers[key], item, f"{path}.{key}[{i}]") for i, item in enumerate(items))
+def _strings_at(obj, key: str, record: str, i: int, parsers) -> tuple:
+    """Each string of the optional list `obj[key]` of `{record}[{i}]`, parsed by `parsers[key]`: in one pass,
+    unless an item is refused, which the second pass names."""
+    items = obj.get(key, [])
+    if type(items) is list:
+        try:
+            parsed = tuple([parsers[key](item) for item in items if type(item) is str])
+            if len(parsed) == len(items):
+                return parsed
+        except (ModelFormatError, ex.ExprSyntaxError):
+            pass  # refused below
+    expect(items, list, f"{record}[{i}].{key}", "a list")
+    return tuple(_parse_at(parsers[key], item, record, i, f".{key}[{j}]") for j, item in enumerate(items))
 
 
-def _state_from_obj(obj, path: str, parsers) -> State:
-    expect_object(obj, {"name", "entry", "exit", "annotations"}, path)
-    name = expect(obj.get("name"), str, f"{path}.name", "a string")
-    entry = _strings_at(obj, "entry", path, parsers)
-    exit_ = _strings_at(obj, "exit", path, parsers)
-    return State(name, entry, exit_, _strings_at(obj, "annotations", path, parsers))
+def _state_from_obj(obj, i: int, parsers) -> State:
+    if not (type(obj) is dict and obj.keys() <= _STATE_KEYS and type(obj.get("name")) is str):
+        expect_object(obj, _STATE_KEYS, f"states[{i}]", (("name", str, "a string"),))
+    return State(obj["name"], _strings_at(obj, "entry", "states", i, parsers),
+                 _strings_at(obj, "exit", "states", i, parsers), _strings_at(obj, "annotations", "states", i, parsers))
 
 
-def _transition_from_obj(obj, path: str, parsers) -> Transition:
-    expect_object(obj, {"source", "target", "trigger", "guard", "actions", "annotations"}, path)
-    source = expect(obj.get("source"), str, f"{path}.source", "a string")
-    target = expect(obj.get("target"), str, f"{path}.target", "a string")
-    trigger = expect(obj.get("trigger"), (str, type(None)), f"{path}.trigger", "a string")
-    guard = ex.TRUE if "guard" not in obj else _parse_at(parsers["guard"], obj["guard"], f"{path}.guard")
-    actions = _strings_at(obj, "actions", path, parsers)
-    annotations = _strings_at(obj, "annotations", path, parsers)
-    return Transition(source, target, guard, trigger, actions, annotations)
+def _transition_from_obj(obj, i: int, parsers) -> Transition:
+    if not (type(obj) is dict and obj.keys() <= _TRANSITION_KEYS and type(obj.get("source")) is str
+            and type(obj.get("target")) is str and type(obj.get("trigger")) in _STR_OR_NONE):
+        expect_object(obj, _TRANSITION_KEYS, f"transitions[{i}]", _TRANSITION_FIELDS)
+    guard = ex.TRUE if "guard" not in obj else _parse_at(parsers["guard"], obj["guard"], "transitions", i, ".guard")
+    return Transition(obj["source"], obj["target"], guard, obj.get("trigger"),
+                      _strings_at(obj, "actions", "transitions", i, parsers),
+                      _strings_at(obj, "annotations", "transitions", i, parsers))
 
 
 # ---------------------------------------------------------------------------

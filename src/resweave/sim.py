@@ -247,17 +247,12 @@ def parse_scenario(text: str) -> Scenario:
     initial = expect(root.get("initial", {}), dict, "initial", "an object")
     injections = []
     for i, obj in enumerate(expect(root.get("injections", []), list, "injections", "a list")):
-        path = f"injections[{i}]"
-        expect_object(obj, {"t", "var", "value"}, path)
-        t = expect(obj.get("t"), int, f"{path}.t", "an integer")
-        var = expect(obj.get("var"), str, f"{path}.var", "a string")
-        injections.append(Injection(t, var, obj.get("value")))
+        expect_object(obj, {"t", "var", "value"}, f"injections[{i}]", (("t", int, "an integer"), ("var", str, "a string")))
+        injections.append(Injection(obj["t"], obj["var"], obj.get("value")))
     choices = []
     for i, obj in enumerate(expect(root.get("choices", []), list, "choices", "a list")):
-        path = f"choices[{i}]"
-        expect_object(obj, {"var", "domain"}, path)
-        var = expect(obj.get("var"), str, f"{path}.var", "a string")
-        choices.append(Choice(var, tuple(expect(obj.get("domain"), list, f"{path}.domain", "a list"))))
+        expect_object(obj, {"var", "domain"}, f"choices[{i}]", (("var", str, "a string"), ("domain", list, "a list")))
+        choices.append(Choice(obj["var"], tuple(obj["domain"])))
     horizon = root.get("horizon")
     if horizon is not None and expect(horizon, int, "horizon", "an integer") < 0:
         raise ModelFormatError(f"horizon: expected a nonnegative integer, found {horizon}")

@@ -34,6 +34,7 @@ WAKE_ORDER = "tests/test_oracle.py::test_charts_sleep_and_wake_in_execution_orde
 OBSERVER = "tests/test_verify.py::test_observer_returns_exactly_the_properties_eval_invariant_refutes"
 EXPR = "src/resweave/expr.py"
 PARSERS_AGREE = "tests/test_expr.py::test_parser_agrees_with_the_reference_parser"
+READERS_AGREE = "tests/test_model.py::test_reader_agrees_with_the_reference_reader"
 
 
 class Mutant(NamedTuple):
@@ -222,17 +223,36 @@ MUTANTS = (
     Mutant(
         "negative-literal-cached-under-its-digits",
         EXPR,
-        "            leaf = self.leaves.get(token)\n            if leaf is None:\n                if kind == \"int\":\n"
-        "                    leaf = _int_literal(token, column)\n                else:\n"
-        "                    leaf = TRUE if token == \"true\" else FALSE if token == \"false\" else Var(token)\n"
-        "                self.leaves[token] = leaf\n",
-        "            leaf = self.leaves.get(token.lstrip(\"-\"))\n            if leaf is None:\n"
-        "                if kind == \"int\":\n                    leaf = _int_literal(token, column)\n"
-        "                else:\n"
-        "                    leaf = TRUE if token == \"true\" else FALSE if token == \"false\" else Var(token)\n"
-        "                self.leaves[token.lstrip(\"-\")] = leaf\n",
+        "        leaf = self.leaves.get(token)\n        if leaf is None:\n"
+        "            if token[:1] in _NAME_START:\n"
+        "                leaf = TRUE if token == \"true\" else FALSE if token == \"false\" else Var(token)\n"
+        "            else:\n                value = parse_int(token)\n                if value is None:\n"
+        "                    raise self.refuse(\"integer literal out of 64-bit range\", at)\n"
+        "                leaf = IntLit(value)\n            self.leaves[token] = leaf\n",
+        "        leaf = self.leaves.get(token.lstrip(\"-\"))\n        if leaf is None:\n"
+        "            if token[:1] in _NAME_START:\n"
+        "                leaf = TRUE if token == \"true\" else FALSE if token == \"false\" else Var(token)\n"
+        "            else:\n                value = parse_int(token)\n                if value is None:\n"
+        "                    raise self.refuse(\"integer literal out of 64-bit range\", at)\n"
+        "                leaf = IntLit(value)\n            self.leaves[token.lstrip(\"-\")] = leaf\n",
         ("tests/test_expr.py::test_leaves_parsed_with_one_map_are_shared",
          "tests/test_model.py::test_a_document_has_one_leaf_per_name_and_literal_text", PARSERS_AGREE),
+    ),
+    Mutant(
+        "refusal-column-of-the-neighbouring-token",
+        EXPR,
+        "return ExprSyntaxError(message, matches[index].start() + 1 if index < len(matches) else len(self.text) + 1)",
+        "return ExprSyntaxError(message, matches[index - 1].start() + 1 if index < len(matches) else len(self.text) + 1)",
+        ("tests/test_expr.py::test_comparisons_do_not_chain[a<b<c-unexpected '<' (column 4)]",
+         "tests/test_expr.py::test_redundant_brackets_count_toward_the_bound", PARSERS_AGREE, READERS_AGREE),
+    ),
+    Mutant(
+        "transition-shape-skips-the-trigger",
+        "src/resweave/model.py",
+        "and type(obj.get(\"target\")) is str and type(obj.get(\"trigger\")) in _STR_OR_NONE):",
+        "and type(obj.get(\"target\")) is str):",
+        ("tests/test_model.py::test_shape_messages_name_the_element"
+         "[document3-transitions[0].trigger: expected a string, found int]", READERS_AGREE),
     ),
     Mutant(
         "writer-keys-unsorted",

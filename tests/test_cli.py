@@ -950,6 +950,21 @@ def test_manifest_variables_must_agree_whenever_given(tmp_path, capsys, edit, ex
         assert err == ""
 
 
+@pytest.mark.parametrize("command", ["check", "simulate", "export"])
+def test_a_manifest_that_declares_a_variable_twice_is_refused(tmp_path, capsys, command):
+    """`variables` is compared with the chart declarations as a multiset: a second, equal declaration of
+    `curT` disagrees with the charts, which declare it once, and no output is written."""
+    manifest = _integrate_delayed(tmp_path / "setup")
+    root = json.loads(manifest.read_text())
+    root["variables"].append(next(v for v in root["variables"] if v["name"] == "curT"))
+    manifest.write_text(json.dumps(root))
+    capsys.readouterr()
+    argv = {"check": DELAYED_CHECK[7:], "simulate": DELAYED_SIMULATE[7:], "export": ()}[command]
+    assert run_cli(command, "--manifest", manifest, *argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {manifest}: manifest variables disagree with the chart declarations\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("json_diagnostics", [False, True], ids=["text", "json"])
 def test_check_refuses_a_property_file_without_a_property(tmp_path, capsys, json_diagnostics):
     empty = tmp_path / "empty.props"

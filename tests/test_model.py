@@ -10,8 +10,12 @@ from resweave import expr as ex
 from resweave import model as m
 from resweave import resources as res
 from resweave import sim
+from resweave.errors import ResweaveError
 
+import reference_model
+from conftest import fixture_text
 from generators import gen_annotations, gen_model
+from test_fuzz import _json_text, _json_values, _keys_edited, edited
 
 MINIMAL = """
 {
@@ -506,6 +510,114 @@ def test_each_distinct_expression_text_is_parsed_once(monkeypatch):
     assert guards[0] is guards[1] is a.entry_actions[1].guard
     assert guards[2] == guards[0]
     assert model.transitions[0].actions[0].value is a.exit_actions[0].action.value
+
+
+def _large_document(states: int) -> dict:
+    """A valid document of `states` states, each with two entry actions and two outgoing transitions, that uses
+    every kind of field."""
+    rng = random.Random(states)
+    names = [f"S{i:04d}" for i in range(states)]
+    guard = lambda: f"n > {rng.randint(-9, 90)} && (flag || RES.r{rng.randrange(7)}) || !flag"  # noqa: E731
+    return {
+        "name": "Big",
+        "variables": [{"name": "n", "kind": "integer", "initial": 0}, {"name": "flag", "kind": "boolean",
+                      "initial": False}, *({"name": f"RES.r{k}", "kind": "boolean", "initial": True} for k in range(7))],
+        "events": ["go", "stop"],
+        "states": [{"name": name, "entry": [f"entry[{guard()}]/ n = n + {i % 5}", "entry/ raise go"],
+                    **({"exit": ["exit/ flag = !flag"]} if i % 3 else {}), "annotations": [f"//@RES: r{i % 7}"]}
+                   for i, name in enumerate(names)],
+        "transitions": [{"source": names[i % states], "target": names[(i * 7 + 1) % states], "guard": guard(),
+                         "trigger": [None, "go", "tick", "every 60s"][i % 4], "actions": [f"n = n * {i % 3} - 1"],
+                         "annotations": [f"//@RES: r{i % 7}, r{(i + 1) % 7}"]} for i in range(2 * states)],
+        "initial": names[0],
+    }
+
+
+def test_a_valid_document_is_read_without_refusal_work(monkeypatch):
+    """Reading a valid 2,000-state document checks its elements in one pass each: `expect` and `expect_object` see
+    only the document's own fields, and no expression's column is computed. Both are work for a refusal."""
+    checked, rescanned = [], []
+    expect, expect_object, refuse = m.expect, m.expect_object, ex._Parser.refuse
+    monkeypatch.setattr(m, "expect", lambda obj, *args: checked.append(args[1]) or expect(obj, *args))
+    monkeypatch.setattr(m, "expect_object", lambda obj, *args: checked.append(args[1]) or expect_object(obj, *args))
+    monkeypatch.setattr(ex._Parser, "refuse", lambda parser, *args: rescanned.append(args) or refuse(parser, *args))
+    document = _large_document(2000)
+    model = m.parse_model(json.dumps(document))
+    assert (len(model.states), len(model.transitions), model.diagnostics) == (2000, 4000, ())
+    assert checked == ["$", "$", "name", "variables", "events", "states", "transitions", "initial"]
+    assert rescanned == []
+    document["transitions"][-1]["guard"] = "n )"
+    with pytest.raises(m.ModelFormatError, match=r"^transitions\[3999\]\.guard: unexpected '\)' \(column 3\)$"):
+        m.parse_model(json.dumps(document))
+    assert rescanned == [("unexpected ')'", 1)]
+
+
+# The keys of each record kind, and one that no record has.
+_RECORD_KEYS = {
+    "variables": ("name", "kind", "initial", "unknown"),
+    "states": ("name", "entry", "exit", "annotations", "unknown"),
+    "transitions": ("source", "target", "trigger", "guard", "actions", "annotations", "unknown"),
+}
+# Strings that a model field may hold, good and bad, and the same cut and spliced.
+_FIELD_TEXTS = st.sampled_from([
+    "x", "tick", "every 60s", "every 5m", "CTscan", "curT > 1 && RES.CT", "curT >", "1 @ 2", "(a", "-x", "a < b < c",
+    "entry/ raise CTscan", "entry[curT > 200]/ orderCT = true", "exit/ x = ", "orderCT = 99999999999999999999",
+    "raise", "raise CTscan", "//@RES: CT, 1x", "//@RES: CT_machine", "", "integer", "boolean", "Start",
+]).flatmap(lambda text: st.just(text) | edited(text))
+
+
+@st.composite
+def _elements_edited(draw, text: str) -> str:
+    """A model document with one to three of its elements edited: a key set to a model-like string, to a list of
+    them, or to any JSON value, or removed; or the whole element replaced by a JSON value."""
+    document = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        record = draw(st.sampled_from(sorted(_RECORD_KEYS)))
+        elements = document[record]
+        i = draw(st.integers(0, len(elements) - 1))
+        value = draw(_FIELD_TEXTS | st.lists(_FIELD_TEXTS | _json_values, max_size=3) | _json_values)
+        if draw(st.integers(0, 9)) == 0:
+            elements[i] = value
+        elif isinstance(elements[i], dict):
+            key = draw(st.sampled_from(_RECORD_KEYS[record]))
+            if draw(st.booleans()):
+                elements[i][key] = value
+            else:
+                elements[i].pop(key, None)
+    return _json_text(document)
+
+
+def _read_with(reader, validate, text: str):
+    try:
+        model = reader(m.read_json(text))
+    except ResweaveError as err:
+        return "refused", str(err)
+    return "read", model, repr(model), validate(model)
+
+
+_READER_INPUTS = st.one_of(
+    *(edited(fixture_text(name)) | _keys_edited(fixture_text(name)) | _elements_edited(fixture_text(name))
+      for name in ("stroke_simple.json", "stroke_extended.json")),
+)
+
+
+def _with_transition(**fields) -> str:
+    return json.dumps({"name": "X", "states": [{"name": "s"}], "initial": "s",
+                       "transitions": [{"source": "s", "target": "s", **fields}]})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_READER_INPUTS)
+@example(_with_transition(trigger=1))
+@example(_with_transition(trigger=["tick"], guard="(x"))
+@example(_with_transition(guard="true && (x < 1"))
+@example(_with_transition(guard="x < 1 y"))
+@example(_with_transition(actions=["x = 1", "x = (1", 2]))
+def test_reader_agrees_with_the_reference_reader(text):
+    """Each document gives an equal model and the same diagnostics in the same order, or the identical refusal
+    text, through `model` and through the field-by-field reader and validator of `tests/reference_model.py`."""
+    assert _read_with(m._model_from_obj, m.validate_model, text) == _read_with(
+        reference_model.model_from_obj, reference_model.validate_model, text)
 
 
 def test_diagnostics_are_computed_once_per_model(monkeypatch):
