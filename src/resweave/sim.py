@@ -3,14 +3,15 @@
 One macro-step is one minute. Within a step the fixed order is: the clock's
 tick, scenario injections due at the new minute, every resource chart, then
 every guideline chart. Each chart fires at most one transition per step,
-chosen by declaration order among enabled ones; a fire runs
-`model.fire_actions` (exit, transition, then entry actions, re-entering on
-self-loops). Minute 0 is a macro-step whose injections, the scenario's
-initial values first, precede every chart's initial entry. Events raised
-earlier in a step are visible to charts executed later and are cleared at
-the step boundary. A step's `deltas` come from the old value of each
-variable at its first write or injection in the minute. `trace_to_json`
-writes a trace's records through `model.write_json`.
+the first enabled one in declaration order; a fire runs `model.fire_actions`
+(exit, transition, then entry actions, re-entering on self-loops). Minute 0
+is a minute like any other: before it a chart is in no state, None, whose
+one leaving transition is its initial entry (trigger-free, unguarded, index
+None), and its injections, the scenario's initial values first, precede
+every chart's entry. Events raised earlier in a step are visible to charts
+executed later and are cleared at the step boundary. A step's `deltas` come
+from the old value of each variable at its first write or injection in the
+minute. `trace_to_json` writes a trace's records through `model.write_json`.
 
 Scenario documents are UTF-8 JSON:
 
@@ -39,7 +40,8 @@ injection, the horizon, the clock's leaving 64 bits or the clock bound of
 the properties `check` observes, and moves the clock on. So every record
 and every output byte is what running each chart every minute gives. The
 timer, `synthesize_timer()` or none, ticks inside `macro_step`; without one
-no minute is skipped. `macro_step` is the only code that runs a minute.
+no minute is skipped. `macro_step` is the only code that runs a minute;
+`replay_trace` runs a trace's injections again, and never reads its fires.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ class _ChartIndex:
     """A chart's runtime: its outgoing transitions by source state, and three methods that build
     their result on the first call and keep it: a state's `leaving`, the first time the chart is in
     it; a transition's `fire`, the first time it runs; and a state's `idle` clock bound and wait set,
-    the first time the chart falls asleep in it. The initial entry's `fire(None)` is built on each
-    call, and not kept."""
+    the first time the chart falls asleep in it. `leaving(None)`, before minute 0, is the initial
+    entry alone, whose `fire(None)` is built on each call, and not kept."""
 
     def __init__(self, chart: StatechartModel, composition: Composition):
         self.chart = chart
@@ -84,11 +86,11 @@ class _ChartIndex:
             self.by_source.setdefault(transition.source, []).append((index, transition))
         self._composition = composition
         # Plain dicts add no GC-tracked object until filled; a `functools.cache` wrapper adds seven.
-        self._leaving: dict[str, tuple] = {}
+        self._leaving: dict[str | None, tuple] = {None: ((None, None, None),)}
         self._fires: dict[int, tuple] = {}
         self._idle: dict[str, tuple] = {}
 
-    def leaving(self, name: str) -> tuple:
+    def leaving(self, name: str | None) -> tuple:
         """(declaration index, trigger event or None, compiled guard or None) per outgoing transition of `name`."""
         if name not in self._leaving:
             self._leaving[name] = tuple(
@@ -407,7 +409,7 @@ class SimState:
         self.steps = steps  # steps[t] is the report of minute t; steps[0] is initialization
         self.minutes_skipped = 0  # minutes recorded by `skip_idle` without being run
         self.before: dict[str, int | bool] = {}  # old value per variable the last minute wrote
-        self.wake: list[int | float] = []  # per runtime, the first minute it runs again
+        self.wake: list[int | float] = [0] * len(composition.runtimes)  # per runtime, the first minute it runs again
         self.waiting: dict[str, set[int]] = {}  # name -> positions of runtimes that slept on it
 
     @property
@@ -451,28 +453,22 @@ def _fire(state: SimState, runtime: _ChartIndex, index: int | None, fires: list)
         fires.append(FireRecord(name, source, target, index, tuple(sets), tuple(events[mark:])))
 
 
-def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list, chosen: dict[str, int | None] | None) -> None:
-    name = runtime.chart.name
-    if chosen is None:
-        valuation = state.valuation
-        for index, event, guard in runtime.leaving(state.active[name]):
-            if (event is None or event in state.pending_events) and (guard is None or guard(valuation)):
-                _fire(state, runtime, index, fires)
-                return
-    elif name in chosen:
-        _fire(state, runtime, chosen[name], fires)
+def _chart_cycle(state: SimState, runtime: _ChartIndex, fires: list) -> None:
+    valuation = state.valuation
+    for index, event, guard in runtime.leaving(state.active[runtime.chart.name]):
+        if (event is None or event in state.pending_events) and (guard is None or guard(valuation)):
+            _fire(state, runtime, index, fires)
+            return
 
 
 def init_composition(composition: Composition, scenario: Scenario) -> SimState:
-    """The state after minute 0, which `macro_step` runs: the declaration defaults, then the
-    scenario's initial values and its injections at t=0, then each chart's initial entry.
+    """The state after minute 0, which `macro_step` runs from no state of any chart: the declaration
+    defaults, then the scenario's initial values and its injections at t=0, then each chart's initial entry.
 
     The scenario must be fully resolved.
     """
     if not scenario.resolved:
-        raise ScenarioError(
-            f"scenario has unresolved choices: {[c.var for c in scenario.choices]}"
-        )
+        raise ScenarioError(f"scenario has unresolved choices: {[c.var for c in scenario.choices]}")
     validate_scenario(scenario, composition)
 
     # Initial values are applied as the first injections at t=0.
@@ -481,25 +477,19 @@ def init_composition(composition: Composition, scenario: Scenario) -> SimState:
         injections_by_time.setdefault(injection.t, []).append(injection)
     state = SimState(
         composition=composition,
-        active={},
+        active=dict.fromkeys(chart.name for chart in composition.charts),
         valuation={decl.name: decl.initial for decl in composition.variables},
         pending_events=[],
         steps=[],
         injections_by_time=injections_by_time,
     )
-    macro_step(state, dict.fromkeys(chart.name for chart in composition.charts))
+    macro_step(state)
     return state
 
 
-def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> StepReport:
+def macro_step(state: SimState) -> StepReport:
     """Run the next minute and record it; see the module docstring for the in-step order.
-
-    By default each chart fires its first enabled transition, and a chart
-    asleep (see the module docstring) is not run. `chosen` maps chart names
-    to the declaration index to fire instead, without evaluating triggers or
-    guards, or to None to enter the initial state; charts it does not name
-    stay where they are, and every chart wakes; the clock ticks regardless.
-    """
+    Each chart fires its first enabled transition; a chart asleep (see the module docstring) is not run."""
     steps, valuation, events = state.steps, state.valuation, state.pending_events
     t = len(steps)
     due = state.injections_by_time.get(t)
@@ -508,8 +498,6 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
     injected = tuple((injection.var, injection.value) for injection in due) if due else ()
     fires: list[FireRecord] = []
     runtimes, timer, active, waiting = state.composition.runtimes, state.composition.timer, state.active, state.waiting
-    if chosen is not None:
-        state.wake = [t] * len(runtimes)
     wake = state.wake
     timed = t > 0 and timer is not None  # from minute 1, the clock ticks before the injections
     if timed:  # the timer's one self-loop, run inline
@@ -526,12 +514,12 @@ def macro_step(state: SimState, chosen: dict[str, int | None] | None = None) -> 
             continue
         count = len(fires)
         runtime = runtimes[position]
-        _chart_cycle(state, runtime, fires, chosen)
+        _chart_cycle(state, runtime, fires)
         if len(fires) > count:
             fire = fires[-1]
             _wake(state, [var for var, _ in fire.sets], position, t, t + 1)
             _wake(state, fire.raised, position, t, math.inf)
-        elif chosen is None:  # it recorded nothing: asleep until its clock bound, or until `_wake`
+        else:  # it recorded nothing: asleep until its clock bound, or until `_wake`
             bound, waits = runtime.idle(active[runtime.chart.name])
             wake[position] = math.inf if bound is None else t + bound(valuation) - valuation[CLOCK_VARIABLE]
             for name in waits:
@@ -604,16 +592,12 @@ def run(state: SimState, horizon: int) -> Trace:
 
 
 def replay_trace(composition: Composition, trace: Trace) -> Trace:
-    """Re-execute a trace's recorded fires and injections, without guard checks.
+    """The run of a trace's inputs up to its last minute: its injections, minute 0's starting
+    with the scenario's initial values, and nothing of its fires.
 
-    Transition enablement is not re-evaluated; the recorded declaration
-    indexes select what to fire. Returns the reproduced trace for comparison
-    against the original.
+    So the replay equals the trace exactly when the trace is this composition's run of them.
     """
     if not trace.steps:
         raise SimulationError("trace has no initialization step")
     injections = tuple(Injection(step.t, var, value) for step in trace.steps for var, value in step.injected)
-    state = init_composition(composition, Scenario(injections=injections))
-    for step in trace.steps[1:]:
-        macro_step(state, {fire.chart: fire.index for fire in step.fires})
-    return trace_of(state)
+    return run(init_composition(composition, Scenario(injections=injections)), trace.steps[-1].t)

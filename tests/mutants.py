@@ -93,10 +93,28 @@ MUTANTS = (
     Mutant(
         "last-enabled-fires",
         SIM,
-        "for index, event, guard in runtime.leaving(state.active[name]):",
-        "for index, event, guard in reversed(runtime.leaving(state.active[name])):",
+        "for index, event, guard in runtime.leaving(state.active[runtime.chart.name]):",
+        "for index, event, guard in reversed(runtime.leaving(state.active[runtime.chart.name])):",
         ("tests/test_sim.py::test_priority_is_declaration_order", f"{DIFFERENTIAL}[untimed]",
          f"{DIFFERENTIAL}[timed]", "tests/test_verify.py::test_check_matches_oracle_on_random_compositions"),
+    ),
+    Mutant(
+        "minute-0-skips-a-chart",
+        SIM,
+        "[0] * len(composition.runtimes)",
+        "[0] * (len(composition.runtimes) - 1) + [1]",
+        ("tests/test_sim.py::test_minute_0_runs_each_chart_cycle_once_from_no_state", f"{DIFFERENTIAL}[untimed]",
+         f"{DIFFERENTIAL}[timed]", "tests/test_cli.py::test_output_bytes_are_pinned[simulate-delayed]"),
+    ),
+    Mutant(
+        "replay-one-minute-short",
+        SIM,
+        "trace.steps[-1].t)",
+        "trace.steps[-1].t - 1)",
+        ("tests/test_sim.py::test_replay_reproduces_trace", "tests/test_sim.py::test_replay_on_generated_compositions",
+         "tests/test_sim.py::test_replay_is_the_run_of_the_trace_injections",
+         "tests/test_cli.py::test_simulated_trace_replays_on_the_manifest[delayed]",
+         "tests/test_cli.py::test_simulated_trace_replays_on_the_manifest[extended]"),
     ),
     Mutant(
         "raising-self-loop-not-recorded",

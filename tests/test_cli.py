@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -624,8 +625,8 @@ def test_choice_is_range_checked(tmp_path, capsys, value, exit_code):
 
 
 def test_trace_with_no_op_fires_replays_to_simulate_bytes(tmp_path, capsys, delayed_composition):
-    # Written before no-op self-loop re-entries were left out of trace.json;
-    # replaying it fires them again, and they are not recorded.
+    # Written before no-op self-loop re-entries were left out of trace.json. A replay runs the
+    # trace's injections again, and reads none of its fires: its trace has no no-op re-entries.
     old = (GOLDEN / "delayed_ct_h25_with_noops.trace.json").read_text(encoding="utf-8")
     assert run_cli(*DELAYED_SIMULATE, "--horizon", "25", "--out", tmp_path) == 0
     capsys.readouterr()
@@ -878,6 +879,20 @@ def test_start_up_imports_no_dataclasses():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert "resweave.cli" in loaded.split()
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded.split())
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    """Every module of the package imports only the standard library and the package itself."""
+    imported = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.partition(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):  # `from . import expr` imports the package itself
+                imported.add((path.name, "resweave" if node.level else node.module.partition(".")[0]))
+    assert {module for _, module in imported} >= {"json", "resweave"}
+    assert [(name, module) for name, module in sorted(imported)
+            if module not in sys.stdlib_module_names and module != "resweave"] == []
 
 
 def test_simulate_reads_its_replay_file_before_it_writes(tmp_path, capsys):

@@ -86,13 +86,13 @@ def counting_wakes(monkeypatch) -> Counter:
                 causes["injection" if position == -1 else "event" if later == math.inf else
                        "earlier write" if other > position else "later write"] += 1
 
-    def counting_cycle(state, runtime, fires, chosen):
-        if chosen is not None:
-            woken.clear()
+    def counting_cycle(state, runtime, fires):
         t, position = state.curT + 1, state.composition.runtimes.index(runtime)
-        if chosen is None and state.wake[position] == t and (position, t) not in woken:
+        if not state.steps:  # minute 0, in which every chart runs, starts a run
+            woken.clear()
+        elif state.wake[position] == t and (position, t) not in woken:
             causes["clock"] += 1
-        cycle(state, runtime, fires, chosen)
+        cycle(state, runtime, fires)
 
     monkeypatch.setattr(sim, "_wake", counting_wake)
     monkeypatch.setattr(sim, "_chart_cycle", counting_cycle)
@@ -175,10 +175,10 @@ def test_charts_sleep_and_wake_in_execution_order(monkeypatch):
     cycles = []
     cycle = sim._chart_cycle
 
-    def recording(state, runtime, fires, chosen):
-        if chosen is None:
+    def recording(state, runtime, fires):
+        if state.steps:  # from minute 1
             cycles.append((runtime.chart.name, state.curT + 1))
-        cycle(state, runtime, fires, chosen)
+        cycle(state, runtime, fires)
 
     monkeypatch.setattr(sim, "_chart_cycle", recording)
     minutes, refused = sim_minutes(composition, scenario, 60)

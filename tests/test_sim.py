@@ -20,6 +20,7 @@ from resweave.model import (
 from resweave.resources import Window, is_available, parse_schedule, synthesize_resource_chart, synthesize_timer
 
 from generators import gen_composition, gen_scenario
+from oracle import oracle_run
 
 
 def timer_only() -> sim.Composition:
@@ -384,6 +385,23 @@ def test_minute_0_compiles_nothing(monkeypatch, request, charts):
     assert trees <= {id(tree) for tree in compiled}
 
 
+def test_minute_0_runs_each_chart_cycle_once_from_no_state(monkeypatch, delayed_composition, simple_scenario):
+    """Before minute 0 each chart is in no state, and the one transition leaving it is the initial entry."""
+    cycles, cycle = [], sim._chart_cycle
+
+    def recording(state, runtime, fires):
+        cycles.append((runtime.chart.name, state.active[runtime.chart.name]))
+        cycle(state, runtime, fires)
+
+    monkeypatch.setattr(sim, "_chart_cycle", recording)
+    state = _delayed_state(delayed_composition, simple_scenario)
+    charts = delayed_composition.charts
+    assert cycles == [(chart.name, None) for chart in charts]
+    (step,) = state.steps
+    assert [fire[:4] for fire in step.fires] == [(chart.name, None, chart.initial_state, None) for chart in charts]
+    assert state.active == {chart.name: chart.initial_state for chart in charts}
+
+
 def test_guard_monotonicity_under_integration(delayed_composition, simple_model, simple_scenario):
     resolved = simple_scenario.resolve(
         {"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100}
@@ -422,22 +440,27 @@ def test_run_from_stepped_state_matches_fresh_run(delayed_composition, simple_sc
     assert sim.run(stepped, 250) == fresh
 
 
-def test_replay_follows_records_not_guards(delayed_composition, ideal_composition, simple_scenario):
-    resolved = simple_scenario.resolve(
-        {"hemorrhage": False, "systolicBP": 150, "diastolicBP": 100}
-    )
-    trace = sim.run(sim.init_composition(delayed_composition, resolved), 250)
-    # With every resource available, live selection would fire NeuAss->CT at t=20.
-    replayed = sim.replay_trace(ideal_composition, trace)
+def test_replay_is_the_run_of_the_trace_injections(delayed_composition, ideal_composition, simple_scenario):
+    """A replay runs a trace's injections again and reads none of its fires."""
+    trace = sim.run(_delayed_state(delayed_composition, simple_scenario), 250)
 
     def stroke_fires(t):
         return [(s.t, f.target) for s in t.steps[1:] for f in s.fires if f.chart == "Stroke"]
 
-    assert stroke_fires(replayed) == stroke_fires(trace)
-    assert (201, "CT") in stroke_fires(replayed)
+    # With every resource available, NeuAss->CT fires at t=20, where the delayed-CT trace has it at t=201.
+    replayed = sim.replay_trace(ideal_composition, trace)
+    assert replayed == sim.run(_delayed_state(ideal_composition, simple_scenario), 250) != trace
+    assert (20, "CT") in stroke_fires(replayed) and (201, "CT") in stroke_fires(trace)
+    # The tPAcheck fire at t=204 recorded as its other branch, index 5 to noTPA, which `!tPAad` does not select
+    step = trace.steps[204]
+    fires = tuple(f._replace(target="noTPA", index=5, raised=()) if f.index == 4 else f for f in step.fires)
+    assert [f[1:4] for f in fires if f.chart == "Stroke"] == [("tPAcheck", "noTPA", 5)]
+    edited = trace._replace(steps=(*trace.steps[:204], step._replace(fires=fires, raised=()), *trace.steps[205:]))
+    assert sim.replay_trace(delayed_composition, edited) == trace != edited
 
 
 def test_replay_on_generated_compositions():
+    """A written trace reads back to itself, its replay reproduces it, and each minute is the oracle's."""
     rng = random.Random(41)
     for _ in range(25):
         composition = gen_composition(rng)
@@ -445,8 +468,14 @@ def test_replay_on_generated_compositions():
         for resolved in _small_resolutions(scenario):
             state = sim.init_composition(composition, resolved)
             trace = sim.run(state, 40)
-            replayed = sim.replay_trace(composition, trace)
-            assert sim.trace_to_json(replayed) == sim.trace_to_json(trace)
+            replayed = sim.trace_from_dict(json.loads(sim.trace_to_json(sim.replay_trace(composition, trace))))
+            assert replayed == trace
+            active, valuation, minutes = {}, {decl.name: decl.initial for decl in composition.variables}, []
+            for step in replayed.steps:
+                valuation.update(step.deltas)
+                active.update((fire.chart, fire.target) for fire in step.fires)
+                minutes.append((dict(active), dict(valuation), step.raised))
+            assert minutes == [(dict(a), dict(v), r) for a, v, r in oracle_run(composition, resolved, 40)]
 
 
 def test_trace_reads_back_from_its_json_on_generated_compositions():

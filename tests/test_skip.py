@@ -294,10 +294,10 @@ CYCLES = {
 def test_sleeping_charts_cut_the_cycles_of_a_check(workload_configs, workload, monkeypatch):
     cycles, cycle, step = Counter(), sim._chart_cycle, verify.macro_step
 
-    def counting(state, runtime, fires, chosen):
-        if chosen is None:
+    def counting(state, runtime, fires):
+        if state.steps:  # from minute 1
             cycles[runtime.chart.name] += 1
-        cycle(state, runtime, fires, chosen)
+        cycle(state, runtime, fires)
 
     def ticking(state):  # `check` steps each minute it runs from 1 on here; minute 0 is `init_composition`'s
         cycles[state.composition.timer.name] += 1
